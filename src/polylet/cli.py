@@ -9,7 +9,7 @@ import sys
 from . import syntax as S
 from . import target as T
 from .backends import QuoteCode, StringCode, evaluate
-from .diagnostics import Diagnostic, type_error
+from .diagnostics import Diagnostic, Kind, type_error
 from .engine import VCode, VClosure, VNative, parse_value_literal, render_value
 from .parser import parse_source
 from .typecheck import GenPolicy, infer_host, infer_staged
@@ -137,6 +137,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except Diagnostic as diag:
+        print(diag.render(filename), file=sys.stderr)
+        return 1
+    except RecursionError:
+        limit = sys.getrecursionlimit()
+        diag = Diagnostic(Kind.RESOURCE_LIMIT, f"nesting exceeds the recursion limit ({limit})")
         print(diag.render(filename), file=sys.stderr)
         return 1
     except OSError as err:

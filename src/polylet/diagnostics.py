@@ -17,6 +17,7 @@ class Kind(enum.Enum):
     SCOPE_EXTRUSION = "ScopeExtrusion"
     SOUNDNESS_VIOLATION = "SoundnessViolation"
     CSP_SERIALIZATION = "CspSerialization"
+    RESOURCE_LIMIT = "ResourceLimit"
 
 
 @dataclass(frozen=True)

@@ -96,11 +96,11 @@ def is_nonexpansive(e: S.Expr | T.Term) -> bool:
 
 
 def generalize(t: Type, env: TypeEnv, rhs_nonexpansive: bool, policy: GenPolicy) -> Scheme:
-    """Quantify the free variables of t absent from env, as the policy and
-    the right-hand side's syntactic class allow."""
+    """Quantify the free variables of t that env cannot reach, as the policy
+    and the right-hand side's syntactic class allow.  By the rank invariant
+    (see typesys) those are the variables ranked deeper than env."""
     t = resolve(t)
-    env_vars = env.free_type_vars()
-    candidates = [v for v in free_type_vars(t) if v not in env_vars]
+    candidates = [v for v in free_type_vars(t) if v.rank > env.depth]
     if rhs_nonexpansive:
         quantified = candidates
     elif policy is GenPolicy.RELAXED:

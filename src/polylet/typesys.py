@@ -2,17 +2,40 @@
 
 Unification works on mutable type-variable cells with an occurs check and
 path compression, so each inference run owns its substitution implicitly.
+
+Generalization is linear in the program, by ranks on type variables
+(Remy's levels).  A `TypeEnv` is a chain of bindings whose `depth` counts
+them.  The rank invariant: an unbound variable that the binding at depth
+k can reach has rank at most k.  A variable enters a let's right-hand side
+fresh, by instantiation, or through the environment, so the variables of
+its type ranked deeper than the environment are exactly those the
+environment cannot reach, and `generalize` need not look at the
+environment at all.  Ranks are only ever lowered, in two places:
+
+- `TypeEnv.bind` lowers the free, non-quantified variables of the bound
+  scheme to the new depth (a lambda parameter, and a let whose variables
+  the value restriction left ungeneralized);
+- `unify`, binding a variable v, lowers every variable of the other side
+  to v's rank during the occurs check, so whatever v could reach stays
+  reachable at the same rank.
+
+A fresh variable starts at `UNBOUNDED_RANK`: nothing can reach it yet.
+The rank is a position in the environment; it is unrelated to the stage
+`level` of a `Binding`.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 from .diagnostics import type_error
 
 _var_ids = itertools.count(1)
+
+UNBOUNDED_RANK = sys.maxsize
 
 
 class Type:
@@ -20,11 +43,12 @@ class Type:
 
 
 class TVar(Type):
-    __slots__ = ("id", "instance")
+    __slots__ = ("id", "instance", "rank")
 
     def __init__(self) -> None:
         self.id = next(_var_ids)
         self.instance: Type | None = None
+        self.rank = UNBOUNDED_RANK
 
     def __repr__(self) -> str:
         return f"'t{self.id}"
@@ -109,10 +133,19 @@ def _parts(t: Type) -> tuple[Type, ...]:
 
 
 def occurs(v: TVar, t: Type) -> bool:
+    """Whether v occurs in t; lowers the rank of t's other variables to
+    v's on the way, as binding v to t makes them reachable wherever v is."""
     t = resolve(t)
     if t is v:
         return True
-    return any(occurs(v, p) for p in _parts(t))
+    if isinstance(t, TVar):
+        if t.rank > v.rank:
+            t.rank = v.rank
+        return False
+    for p in _parts(t):
+        if occurs(v, p):
+            return True
+    return False
 
 
 def unify(a: Type, b: Type) -> None:
@@ -137,15 +170,18 @@ def unify(a: Type, b: Type) -> None:
 
 def free_type_vars(t: Type) -> list[TVar]:
     """Unbound variables, in first-occurrence order."""
+    out: dict[TVar, None] = {}
+    _collect_vars(t, out)
+    return list(out)
+
+
+def _collect_vars(t: Type, out: dict[TVar, None]) -> None:
     t = resolve(t)
     if isinstance(t, TVar):
-        return [t]
-    out: list[TVar] = []
+        out[t] = None
+        return
     for p in _parts(t):
-        for v in free_type_vars(p):
-            if v not in out:
-                out.append(v)
-    return out
+        _collect_vars(p, out)
 
 
 class Variance(enum.Enum):
@@ -236,33 +272,43 @@ def _subst(t: Type, mapping: dict[TVar, Type]) -> Type:
 
 @dataclass(frozen=True)
 class Binding:
+    """A variable's scheme and the stage level (0 or 1) it is bound at."""
+
     name: str
     level: int
     scheme: Scheme
 
 
-@dataclass(frozen=True)
 class TypeEnv:
-    """Ordered bindings; lookup respects shadowing (innermost wins)."""
+    """An immutable chain of bindings, innermost first; lookup respects
+    shadowing.  `TypeEnv()` is the empty environment, of depth 0."""
 
-    bindings: tuple[Binding, ...] = field(default_factory=tuple)
+    __slots__ = ("binding", "parent", "depth")
+
+    def __init__(self) -> None:
+        self.binding: Binding | None = None
+        self.parent: TypeEnv | None = None
+        self.depth = 0
 
     def bind(self, name: str, level: int, scheme: Scheme) -> TypeEnv:
-        return TypeEnv((Binding(name, level, scheme),) + self.bindings)
+        """Extend by one binding, lowering the scheme's free variables to
+        the new depth (the rank invariant in the module docstring)."""
+        env = TypeEnv()
+        env.binding = Binding(name, level, scheme)
+        env.parent = self
+        env.depth = depth = self.depth + 1
+        for v in free_type_vars(scheme.body):
+            if v.rank > depth and v not in scheme.quantified:
+                v.rank = depth
+        return env
 
     def lookup(self, name: str) -> Binding | None:
-        for b in self.bindings:
-            if b.name == name:
-                return b
+        env: TypeEnv | None = self
+        while env is not None and env.binding is not None:
+            if env.binding.name == name:
+                return env.binding
+            env = env.parent
         return None
-
-    def free_type_vars(self) -> set[TVar]:
-        out: set[TVar] = set()
-        for b in self.bindings:
-            for v in free_type_vars(b.scheme.body):
-                if v not in b.scheme.quantified:
-                    out.add(v)
-        return out
 
 
 # Rendering: arrow < pair < postfix constructor application.

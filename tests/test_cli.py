@@ -1,8 +1,12 @@
+import os
+import re
 import shutil
 import subprocess
+import sys
 
 import pytest
 
+import polylet
 from polylet.cli import main
 
 
@@ -134,3 +138,21 @@ def test_seed_env_controls_gensym(write, capsys, monkeypatch):
     assert main(["codegen", "--backend", "string", path]) == 0
     out = capsys.readouterr().out
     assert "t_5" in out and "x_5" in out
+
+
+def test_deep_nesting_reports_resource_limit(write):
+    path = write("(1 + " * 200 + "1" + ")" * 200)
+    src = os.path.dirname(os.path.dirname(polylet.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "polylet.cli", "typecheck", path],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert re.fullmatch(
+        re.escape(path) + r": ResourceLimit: nesting exceeds the recursion limit \(\d+\)\n",
+        proc.stderr,
+    )

@@ -1,5 +1,6 @@
 import pytest
 
+from polylet import typecheck, typesys
 from polylet.corpus import by_name
 from polylet.diagnostics import Diagnostic, Kind
 from polylet.parser import parse_source
@@ -14,6 +15,7 @@ from polylet.typecheck import (
 )
 from polylet.typesys import (
     INT,
+    TPair,
     TArrow,
     TCode,
     TList,
@@ -298,3 +300,102 @@ def test_scheme_instantiation_is_fresh():
     assert render_scheme(s) == "'a -> 'a"  # scheme unchanged
     u = TVar()
     unify(t2, TArrow(u, u))  # the other instance still flexible
+
+
+# --- ranks: generalization without scanning the environment -------------------
+
+# Each program is rejected because a let would wrongly generalize a variable
+# the environment reaches; its twin differs only in that the variable is
+# fresh, so the same let generalizes it and the program is accepted.
+RANK_CASES = {
+    "value_restricted_ref_stays_monomorphic": (
+        'let r = ref [] in let f = fun y -> r in (rset (f 1) 2, rset (f 2) "s")',
+        'let r = ref [] in let f = fun y -> ref [] in (rset (f 1) 2, rset (f 2) "s")',
+    ),
+    "lambda_bound_variable_through_let": (
+        'fun x -> let y = x in (y 1, y "s")',
+        'fun x -> let y = fun v -> v in (y 1, y "s")',
+    ),
+    "unified_with_environment_variable": (
+        'fun x -> let f = fun z -> z :: x in (f 1, f "s")',
+        'fun x -> let f = fun z -> z :: [] in (f 1, f "s")',
+    ),
+}
+
+
+def _both_frontends(text):
+    """The program's staged and host verdicts, for the plain text and
+    for the text quoted."""
+    verdicts = []
+    for source in (text, ".<" + text + ">."):
+        e = parse_source(source)
+        for infer in (
+            lambda: infer_staged(TypeEnv(), e),
+            lambda: infer_host(TypeEnv(), translate(e)),
+        ):
+            try:
+                infer()
+                verdicts.append("accept")
+            except Diagnostic as diag:
+                assert diag.kind is Kind.TYPE_ERROR, diag
+                verdicts.append("reject")
+    return verdicts
+
+
+@pytest.mark.parametrize("case", sorted(RANK_CASES))
+def test_rank_keeps_environment_variables_monomorphic(case):
+    rejected, accepted = RANK_CASES[case]
+    assert _both_frontends(rejected) == ["reject"] * 4
+    assert _both_frontends(accepted) == ["accept"] * 4
+
+
+def test_bind_lowers_only_unquantified_variables():
+    a, b = TVar(), TVar()
+    scheme = typesys.Scheme((a,), TPair(a, b))
+    env = TypeEnv().bind("p", 0, scheme)
+    assert env.depth == 1
+    assert b.rank == 1
+    assert a.rank == typesys.UNBOUNDED_RANK
+
+
+def test_unify_lowers_the_other_side_to_the_bound_variable():
+    outer, inner = TVar(), TVar()
+    TypeEnv().bind("o", 0, typesys.monotype(outer))
+    typesys.unify(outer, TList(inner))
+    assert inner.rank == 1
+
+
+def _let_chain(n):
+    lets = "".join(f"let x{i} = x{i - 1} + 1 in " for i in range(1, n))
+    return f".<let x0 = 1 in {lets}x{n - 1}>."
+
+
+def _type_nodes(t):
+    return 1 + sum(_type_nodes(p) for p in typesys._parts(typesys.resolve(t)))
+
+
+@pytest.mark.parametrize("frontend", ["staged", "host"])
+def test_generalization_work_linear_in_let_chain(monkeypatch, frontend):
+    visited = []
+    original = typesys.free_type_vars
+
+    def counting(t):
+        visited.append(_type_nodes(t))
+        return original(t)
+
+    monkeypatch.setattr(typesys, "free_type_vars", counting)
+    monkeypatch.setattr(typecheck, "free_type_vars", counting)
+
+    def nodes(n):
+        e = parse_source(_let_chain(n))
+        term = translate(e)
+        visited.clear()
+        if frontend == "staged":
+            infer_staged(TypeEnv(), e)
+        else:
+            infer_host(TypeEnv(), term)
+        return sum(visited)
+
+    small, large = nodes(25), nodes(100)
+    assert small >= 25  # at least one type node per let
+    assert large <= 5 * small, (small, large)
