@@ -65,17 +65,13 @@ class EvalCode:
     thunk: Callable[[], RuntimeValue]
 
 
-def _escape(s: str) -> str:
-    return s.replace("\\", "\\\\").replace('"', '\\"')
-
-
 def serialize_ground(v: RuntimeValue) -> Optional[str]:
     """Concrete syntax for a ground value: ints, strings, unit, and lists
     or pairs thereof.  None when the value cannot be serialized."""
     if isinstance(v, VInt):
         return str(v.value)
     if isinstance(v, VStr):
-        return '"' + _escape(v.value) + '"'
+        return S.quote_string(v.value)
     if isinstance(v, VUnit):
         return "()"
     if isinstance(v, VList):
@@ -188,7 +184,7 @@ class StringBackend(Backend):
         if name == "str":
             (v,) = values
             assert isinstance(v, VStr)
-            return self._wrap('"' + _escape(v.value) + '"')
+            return self._wrap(S.quote_string(v.value))
         if name == "csp":
             (v,) = values
             text = serialize_ground(v)
@@ -401,7 +397,7 @@ _BACKENDS = {
 
 
 def evaluate(term, backend: str | None = "quote", name_start: int = 1) -> Evaluation:
-    """Evaluate a closed target term in a fresh session.
+    """Evaluate a closed translated term in a fresh session.
 
     The quote backend's final code value is automatically checked for
     scope extrusion.

@@ -7,7 +7,6 @@ import os
 import sys
 
 from . import syntax as S
-from . import target as T
 from .backends import QuoteCode, StringCode, evaluate
 from .diagnostics import Diagnostic, Kind, type_error
 from .engine import VCode, VClosure, VNative, parse_value_literal, render_value
@@ -52,7 +51,7 @@ def _cmd_typecheck(args: argparse.Namespace) -> int:
 
 def _cmd_translate(args: argparse.Namespace) -> int:
     expr = parse_source(_read(args.file))
-    print(T.pretty(translate(expr)))
+    print(S.pretty(translate(expr)))
     return 0
 
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import syntax as S
-from . import target as T
 from .diagnostics import Kind
 from .engine import VList, VRefCell
 
@@ -32,7 +31,7 @@ class CorpusEntry:
     name: str
     note: str
     source: Optional[str] = None
-    build_target: Optional[Callable[[], T.Term]] = None
+    build_target: Optional[Callable[[], S.Expr]] = None
     staged: Optional[str] = None  # "accept" | "reject"
     staged_scheme: Optional[str] = None  # canonical rendering
     host: Optional[str] = None  # verdict on the translation / built term
@@ -49,64 +48,64 @@ class CorpusEntry:
         return self.source is not None and self.source.lstrip().startswith(".<")
 
 
-def _ident(x: str = "x") -> T.Term:
-    return T.comb("lam", T.Fun(x, T.Var(x)))
+def _ident(x: str = "x") -> S.Expr:
+    return S.comb("lam", S.Fun(x, S.Var(x)))
 
 
-def _scope_no_genlet() -> T.Term:
-    pair = T.comb(
+def _scope_no_genlet() -> S.Expr:
+    pair = S.comb(
         "pair",
-        T.comb("cons", T.comb("int", T.IntLit(2)), T.Var("x")),
-        T.comb("cons", T.comb("str", T.StrLit("3")), T.Var("x")),
+        S.comb("cons", S.comb("int", S.IntLit(2)), S.Var("x")),
+        S.comb("cons", S.comb("str", S.StrLit("3")), S.Var("x")),
     )
-    return T.comb("new_scope", T.Fun("p", T.Let("x", T.comb("nil"), pair)))
+    return S.comb("new_scope", S.Fun("p", S.Let("x", S.comb("nil"), pair)))
 
 
-def _extrusion_open_code() -> T.Term:
-    inner = T.comb("genlet", T.Var("p"), T.comb("add", T.Var("x"), T.comb("int", T.IntLit(2))))
-    return T.comb(
+def _extrusion_open_code() -> S.Expr:
+    inner = S.comb("genlet", S.Var("p"), S.comb("add", S.Var("x"), S.comb("int", S.IntLit(2))))
+    return S.comb(
         "new_scope",
-        T.Fun("p", T.comb("lam", T.Fun("x", T.comb("add", T.Var("x"), inner)))),
+        S.Fun("p", S.comb("lam", S.Fun("x", S.comb("add", S.Var("x"), inner)))),
     )
 
 
-def _genlet_id_monomorphic() -> T.Term:
-    body = T.Let(
+def _genlet_id_monomorphic() -> S.Expr:
+    body = S.Let(
         "f",
-        T.comb("genlet", T.Var("p"), _ident()),
-        T.comb(
+        S.comb("genlet", S.Var("p"), _ident()),
+        S.comb(
             "pair",
-            T.comb("app", T.Var("f"), T.comb("int", T.IntLit(1))),
-            T.comb("app", T.Var("f"), T.comb("str", T.StrLit("3"))),
+            S.comb("app", S.Var("f"), S.comb("int", S.IntLit(1))),
+            S.comb("app", S.Var("f"), S.comb("str", S.StrLit("3"))),
         ),
     )
-    return T.comb("new_scope", T.Fun("p", body))
+    return S.comb("new_scope", S.Fun("p", body))
 
 
-def _thunk_sites(inner: T.Term) -> T.Term:
-    def call() -> T.Term:
-        return T.App(T.Var("f"), T.UnitLit())
+def _thunk_sites(inner: S.Expr) -> S.Expr:
+    def call() -> S.Expr:
+        return S.App(S.Var("f"), S.Unit())
 
-    body = T.Let(
+    body = S.Let(
         "f",
-        T.Fun(S.UNIT_BINDER, inner),
-        T.comb(
+        S.Fun(S.UNIT_BINDER, inner),
+        S.comb(
             "pair",
-            T.comb("app", call(), T.comb("int", T.IntLit(1))),
-            T.comb("app", call(), T.comb("str", T.StrLit("3"))),
+            S.comb("app", call(), S.comb("int", S.IntLit(1))),
+            S.comb("app", call(), S.comb("str", S.StrLit("3"))),
         ),
     )
     return body
 
 
-def _inline_identity_thunk() -> T.Term:
+def _inline_identity_thunk() -> S.Expr:
     return _thunk_sites(_ident())
 
 
-def _thunked_genlet_two_lets() -> T.Term:
-    return T.comb(
+def _thunked_genlet_two_lets() -> S.Expr:
+    return S.comb(
         "new_scope",
-        T.Fun("p", _thunk_sites(T.comb("genlet", T.Var("p"), _ident()))),
+        S.Fun("p", _thunk_sites(S.comb("genlet", S.Var("p"), _ident()))),
     )
 
 

@@ -49,38 +49,14 @@ def canonical_binders(e: S.Expr) -> S.Expr:
     def walk(e: S.Expr, env: dict[str, str]) -> S.Expr:
         if isinstance(e, S.Var):
             return S.Var(env.get(e.name, e.name))
-        if isinstance(e, S.Fun):
-            if S.binds(e.param):
-                fresh = f"b{next(counter)}"
-                return S.Fun(fresh, walk(e.body, {**env, e.param: fresh}))
-            return S.Fun(e.param, walk(e.body, env))
-        if isinstance(e, S.Let):
+        if isinstance(e, S.Fun) and S.binds(e.param):
+            fresh = f"b{next(counter)}"
+            return S.Fun(fresh, walk(e.body, {**env, e.param: fresh}))
+        if isinstance(e, S.Let) and S.binds(e.name):
             rhs = walk(e.rhs, env)
-            if S.binds(e.name):
-                fresh = f"b{next(counter)}"
-                return S.Let(fresh, rhs, walk(e.body, {**env, e.name: fresh}))
-            return S.Let(e.name, rhs, walk(e.body, env))
-        if isinstance(e, S.Add):
-            return S.Add(walk(e.left, env), walk(e.right, env))
-        if isinstance(e, S.Pair):
-            return S.Pair(walk(e.first, env), walk(e.second, env))
-        if isinstance(e, S.Cons):
-            return S.Cons(walk(e.head, env), walk(e.tail, env))
-        if isinstance(e, S.RefNew):
-            return S.RefNew(walk(e.init, env))
-        if isinstance(e, S.RefGet):
-            return S.RefGet(walk(e.ref, env))
-        if isinstance(e, S.Rset):
-            return S.Rset(walk(e.ref, env), walk(e.value, env))
-        if isinstance(e, S.App):
-            return S.App(walk(e.fn, env), walk(e.arg, env))
-        if isinstance(e, S.Bracket):
-            return S.Bracket(walk(e.body, env))
-        if isinstance(e, S.Escape):
-            return S.Escape(walk(e.body, env))
-        if isinstance(e, S.Csp):
-            return S.Csp(walk(e.body, env))
-        return e
+            fresh = f"b{next(counter)}"
+            return S.Let(fresh, rhs, walk(e.body, {**env, e.name: fresh}))
+        return S.rebuild(e, [walk(c, env) for c in S.children(e)])
 
     return walk(e, {})
 
@@ -97,7 +73,7 @@ def _first_use_rank(name: str, e: S.Expr, counter: itertools.count, shadowed: bo
         if rank is not None:
             return rank
         return _first_use_rank(name, e.body, counter, shadowed or e.name == name)
-    for child in S._children(e):
+    for child in S.children(e):
         rank = _first_use_rank(name, child, counter, shadowed)
         if rank is not None:
             return rank
@@ -138,25 +114,7 @@ def normalize_lets(e: S.Expr) -> S.Expr:
         for name, rhs in reversed(chain):
             body = S.Let(name, rhs, body)
         return body
-    if isinstance(e, S.Fun):
-        return S.Fun(e.param, normalize_lets(e.body))
-    if isinstance(e, S.Add):
-        return S.Add(normalize_lets(e.left), normalize_lets(e.right))
-    if isinstance(e, S.Pair):
-        return S.Pair(normalize_lets(e.first), normalize_lets(e.second))
-    if isinstance(e, S.Cons):
-        return S.Cons(normalize_lets(e.head), normalize_lets(e.tail))
-    if isinstance(e, S.RefNew):
-        return S.RefNew(normalize_lets(e.init))
-    if isinstance(e, S.RefGet):
-        return S.RefGet(normalize_lets(e.ref))
-    if isinstance(e, S.Rset):
-        return S.Rset(normalize_lets(e.ref), normalize_lets(e.value))
-    if isinstance(e, S.App):
-        return S.App(normalize_lets(e.fn), normalize_lets(e.arg))
-    if isinstance(e, (S.Bracket, S.Escape, S.Csp)):
-        return type(e)(normalize_lets(e.body))  # type: ignore[call-arg]
-    return e
+    return S.rebuild(e, list(map(normalize_lets, S.children(e))))
 
 
 def _let_key(rhs: S.Expr) -> str:
@@ -176,7 +134,7 @@ def code_equal(a: S.Expr, b: S.Expr) -> bool:
 
 
 def size(e: S.Expr) -> int:
-    return 1 + sum(size(c) for c in S._children(e))
+    return 1 + sum(size(c) for c in S.children(e))
 
 
 # --- corpus checks ---------------------------------------------------------
@@ -191,7 +149,7 @@ def _staged_verdict(e: S.Expr):
         raise
 
 
-def _host_verdict(t: T.Term):
+def _host_verdict(t: S.Expr):
     try:
         return infer_host(TypeEnv(), t), None
     except Diagnostic as d:
@@ -200,7 +158,7 @@ def _host_verdict(t: T.Term):
         raise
 
 
-def _entry_term(entry: CorpusEntry) -> T.Term:
+def _entry_term(entry: CorpusEntry) -> S.Expr:
     if entry.build_target is not None:
         return entry.build_target()
     assert entry.source is not None

@@ -1,15 +1,13 @@
-"""Call-by-value evaluator for target terms, with delimited control.
+"""Call-by-value evaluator for translated terms, with delimited control.
 
 The machine is defunctionalized: the continuation is an explicit stack of
 frames, so a prompt is a frame and capturing up to it is a slice.  Let
 insertion (shift0) removes the segment above the delimiter and re-installs
 it in place, parking the backend's wrap-up as a post-processing frame;
 nothing leaves the stack, so a capture inside the resumed segment still
-reaches prompts below it.  The reified form (`capture_upto`, `VCont`,
-`resume`) hands a continuation value to host code and replays it as a
-nested run.  Combinators that must apply object-level functions (lam, the
-scope builders, genletfun) run them on the main stack so captures may
-cross them.
+reaches prompts below it.  Combinators that must apply object-level
+functions (lam, the scope builders, genletfun) run them on the main stack
+so captures may cross them.
 
 Pair components evaluate right to left, mirroring the host language the
 generated traces come from; every other position is left to right.
@@ -21,9 +19,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from . import target as T
+from . import syntax as S
 from .diagnostics import Diagnostic, Kind, type_error, unbound_var
-from .syntax import UNIT_BINDER, binds
+from .syntax import UNIT_BINDER, binds, quote_string, unescape
 
 
 # --- runtime values --------------------------------------------------------
@@ -70,7 +68,7 @@ class VRefCell(RuntimeValue):
 @dataclass(eq=False, frozen=True)
 class VClosure(RuntimeValue):
     param: str
-    body: T.Term
+    body: S.Expr
     env: dict[str, RuntimeValue]
 
 
@@ -85,15 +83,6 @@ class VNative(RuntimeValue):
 @dataclass(eq=False, frozen=True)
 class VCode(RuntimeValue):
     code: object  # a backend CodeValue
-
-
-@dataclass(eq=False, frozen=True)
-class VNativeControl(RuntimeValue):
-    """A host function with direct machine access; applying it hands over
-    the machine and the live frame stack.  This is how host-driven code
-    exercises the control operators (capture_upto, resume) directly."""
-
-    fn: Callable
 
 
 @dataclass(eq=False)
@@ -111,16 +100,6 @@ class FunScopeMemo:
 class VScope(RuntimeValue):
     prompt: int
     memo: Optional[FunScopeMemo] = None
-
-
-@dataclass(eq=False, frozen=True)
-class VCont(RuntimeValue):
-    """A captured delimited continuation; single session, re-installs its
-    delimiter when resumed."""
-
-    frames: tuple
-    prompt: int
-    session: "Session"
 
 
 def runtime_tag(v: RuntimeValue) -> str:
@@ -175,7 +154,7 @@ def parse_value_literal(text: str) -> RuntimeValue:
     if text == "[]":
         return VList(())
     if text.startswith('"') and text.endswith('"') and len(text) >= 2:
-        return VStr(text[1:-1])
+        return VStr(unescape(text[1:-1]))
     try:
         return VInt(int(text))
     except ValueError:
@@ -186,7 +165,7 @@ def render_value(v: RuntimeValue) -> str:
     if isinstance(v, VInt):
         return str(v.value)
     if isinstance(v, VStr):
-        return '"' + v.value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        return quote_string(v.value)
     if isinstance(v, VUnit):
         return "()"
     if isinstance(v, VList):
@@ -201,8 +180,6 @@ def render_value(v: RuntimeValue) -> str:
         return "<code>"
     if isinstance(v, VScope):
         return "<scope>"
-    if isinstance(v, VCont):
-        return "<cont>"
     return repr(v)
 
 
@@ -266,7 +243,7 @@ class Frame:
 
 @dataclass(frozen=True)
 class FApp(Frame):
-    arg: T.Term
+    arg: S.Expr
     env: dict
 
 
@@ -278,13 +255,13 @@ class FCall(Frame):
 @dataclass(frozen=True)
 class FLet(Frame):
     name: str
-    body: T.Term
+    body: S.Expr
     env: dict
 
 
 @dataclass(frozen=True)
 class FAddL(Frame):
-    right: T.Term
+    right: S.Expr
     env: dict
 
 
@@ -295,7 +272,7 @@ class FAddR(Frame):
 
 @dataclass(frozen=True)
 class FConsL(Frame):
-    tail: T.Term
+    tail: S.Expr
     env: dict
 
 
@@ -306,7 +283,7 @@ class FConsR(Frame):
 
 @dataclass(frozen=True)
 class FPairSnd(Frame):
-    first: T.Term
+    first: S.Expr
     env: dict
 
 
@@ -327,7 +304,7 @@ class FRefGet(Frame):
 
 @dataclass(frozen=True)
 class FRsetL(Frame):
-    value: T.Term
+    value: S.Expr
     env: dict
 
 
@@ -339,7 +316,7 @@ class FRsetR(Frame):
 @dataclass(frozen=True)
 class FComb(Frame):
     name: str
-    args: tuple[T.Term, ...]
+    args: tuple[S.Expr, ...]
     env: dict
     order: tuple[int, ...]
     filled: tuple[tuple[int, RuntimeValue], ...]
@@ -382,23 +359,14 @@ class Machine:
     def __init__(self, session: Session):
         self.session = session
 
-    def execute(self, term: T.Term, env: dict[str, RuntimeValue] | None = None) -> RuntimeValue:
+    def execute(self, term: S.Expr, env: dict[str, RuntimeValue] | None = None) -> RuntimeValue:
         stack: list[Frame] = []
         return self._loop((_EXPR, term, env or {}), stack)
 
     def call(self, fn: RuntimeValue, arg: RuntimeValue) -> RuntimeValue:
         """Apply a function value outside the main loop (force time)."""
         stack: list[Frame] = []
-        return self._loop(self._apply(fn, arg, stack), stack)
-
-    def resume(self, k: VCont, v: RuntimeValue) -> RuntimeValue:
-        """Run a captured continuation to completion on the given value."""
-        if k.session is not self.session:
-            raise Diagnostic(
-                Kind.SCOPE_EXTRUSION, "continuation resumed outside its session"
-            )
-        stack: list[Frame] = [FPrompt(k.prompt), *k.frames]
-        return self._loop((_VALUE, v), stack)
+        return self._loop(self._apply(fn, arg), stack)
 
     # -- main loop --
 
@@ -411,49 +379,49 @@ class Machine:
                     return control[1]
                 control = self._step_frame(stack.pop(), control[1], stack)
 
-    def _step_expr(self, t: T.Term, env: dict, stack: list[Frame]):
-        if isinstance(t, T.Var):
+    def _step_expr(self, t: S.Expr, env: dict, stack: list[Frame]):
+        if isinstance(t, S.Var):
             try:
                 return (_VALUE, env[t.name])
             except KeyError:
                 raise unbound_var(t.name) from None
-        if isinstance(t, T.IntLit):
+        if isinstance(t, S.IntLit):
             return (_VALUE, VInt(t.value))
-        if isinstance(t, T.StrLit):
+        if isinstance(t, S.StrLit):
             return (_VALUE, VStr(t.value))
-        if isinstance(t, T.UnitLit):
+        if isinstance(t, S.Unit):
             return (_VALUE, VUnit())
-        if isinstance(t, T.NilLit):
+        if isinstance(t, S.Nil):
             return (_VALUE, VList(()))
-        if isinstance(t, T.ValueLit):
+        if isinstance(t, S.CspValue):
             return (_VALUE, t.value)
-        if isinstance(t, T.Fun):
+        if isinstance(t, S.Fun):
             return (_VALUE, VClosure(t.param, t.body, env))
-        if isinstance(t, T.App):
+        if isinstance(t, S.App):
             stack.append(FApp(t.arg, env))
             return (_EXPR, t.fn, env)
-        if isinstance(t, T.Let):
+        if isinstance(t, S.Let):
             stack.append(FLet(t.name, t.body, env))
             return (_EXPR, t.rhs, env)
-        if isinstance(t, T.Add):
+        if isinstance(t, S.Add):
             stack.append(FAddL(t.right, env))
             return (_EXPR, t.left, env)
-        if isinstance(t, T.Cons):
+        if isinstance(t, S.Cons):
             stack.append(FConsL(t.tail, env))
             return (_EXPR, t.head, env)
-        if isinstance(t, T.Pair):
+        if isinstance(t, S.Pair):
             stack.append(FPairSnd(t.first, env))
             return (_EXPR, t.second, env)
-        if isinstance(t, T.RefNew):
+        if isinstance(t, S.RefNew):
             stack.append(FRefNew())
             return (_EXPR, t.init, env)
-        if isinstance(t, T.RefGet):
+        if isinstance(t, S.RefGet):
             stack.append(FRefGet())
             return (_EXPR, t.ref, env)
-        if isinstance(t, T.Rset):
+        if isinstance(t, S.Rset):
             stack.append(FRsetL(t.value, env))
             return (_EXPR, t.ref, env)
-        if isinstance(t, T.Comb):
+        if isinstance(t, S.Comb):
             if not t.args:
                 return self._dispatch_comb(t.name, [], stack)
             order = tuple(reversed(range(len(t.args)))) if t.name == "pair" else tuple(
@@ -468,7 +436,7 @@ class Machine:
             stack.append(FCall(v))
             return (_EXPR, frame.arg, frame.env)
         if isinstance(frame, FCall):
-            return self._apply(frame.fn, v, stack)
+            return self._apply(frame.fn, v)
         if isinstance(frame, FLet):
             env = frame.env
             if binds(frame.name):
@@ -524,7 +492,7 @@ class Machine:
             return (_VALUE, frame.fn(v))
         raise TypeError(f"unexpected frame {frame!r}")
 
-    def _apply(self, fn: RuntimeValue, arg: RuntimeValue, stack: list[Frame]):
+    def _apply(self, fn: RuntimeValue, arg: RuntimeValue):
         if isinstance(fn, VClosure):
             if fn.param == UNIT_BINDER and not isinstance(arg, VUnit):
                 raise type_error("unit-pattern function applied to a non-unit value")
@@ -532,8 +500,6 @@ class Machine:
             return (_EXPR, fn.body, env)
         if isinstance(fn, VNative):
             return (_VALUE, fn.fn(arg))
-        if isinstance(fn, VNativeControl):
-            return fn.fn(self, stack, arg)
         raise type_error(f"cannot apply a {runtime_tag(fn)} value")
 
     # -- combinator dispatch --
@@ -555,13 +521,13 @@ class Machine:
             (fn,) = values
             binder, var_code = backend.begin_lam()
             stack.append(FLam(binder))
-            return self._apply(fn, var_code, stack)
+            return self._apply(fn, var_code)
         if name in ("new_scope", "new_funscope"):
             (fn,) = values
             memo = FunScopeMemo() if name == "new_funscope" else None
             scope = VScope(self.session.fresh_prompt(), memo)
             stack.append(FPrompt(scope.prompt))
-            return self._apply(fn, scope, stack)
+            return self._apply(fn, scope)
         if name == "genlet":
             scope, code = values
             if not isinstance(scope, VScope):
@@ -577,7 +543,7 @@ class Machine:
             stack.append(FGenletAfter(scope))
             binder, var_code = backend.begin_lam()
             stack.append(FLam(binder))
-            return self._apply(fn, var_code, stack)
+            return self._apply(fn, var_code)
         return (_VALUE, backend.apply_simple(name, values))
 
     def _find_prompt(self, prompt: int, stack: list[Frame]) -> int:
@@ -606,15 +572,6 @@ class Machine:
         stack.append(FPrompt(scope.prompt))
         stack.extend(captured)
         return (_VALUE, resume_value)
-
-    def capture_upto(self, prompt: int, consumer, stack: list[Frame]):
-        """Reify the continuation up to (and including) the delimiter for
-        `prompt` and hand it to `consumer`, whose result is delivered to
-        the context outside the delimiter."""
-        i = self._find_prompt(prompt, stack)
-        k = VCont(tuple(stack[i + 1 :]), prompt, self.session)
-        del stack[i:]
-        return (_VALUE, consumer(k))
 
 
 @dataclass(eq=False)

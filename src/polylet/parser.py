@@ -76,24 +76,14 @@ def tokenize(text: str) -> list[Token]:
             continue
         if c == '"':
             loc = here()
-            advance()
-            buf = []
-            while pos < len(text) and text[pos] != '"':
-                ch = text[pos]
-                if ch == "\\":
-                    advance()
-                    if pos >= len(text):
-                        break
-                    esc = text[pos]
-                    buf.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(esc, esc))
-                    advance()
-                else:
-                    buf.append(ch)
-                    advance()
-            if pos >= len(text):
+            end = pos + 1
+            while end < len(text) and text[end] != '"':
+                end += 2 if text[end] == "\\" else 1
+            if end >= len(text):
                 raise parse_error("unterminated string literal", loc)
-            advance()  # closing quote
-            tokens.append(Token("string", '"' + "".join(buf) + '"', "".join(buf), loc))
+            body = S.unescape(text[pos + 1 : end])
+            advance(end + 1 - pos)  # through the closing quote
+            tokens.append(Token("string", '"' + body + '"', body, loc))
             continue
         if c.isalpha() or c == "_":
             loc = here()

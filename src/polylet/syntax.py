@@ -1,15 +1,23 @@
-"""Abstract syntax of the two-stage source language.
+"""Abstract syntax: one node family for every tree the pipeline handles.
 
-Expressions carry at most one level of quotation: brackets never nest,
-and escapes only occur inside a bracket.  The same tree type doubles as
-the representation of generated code rebuilt by the quoting backend
-(which is why `CspValue` exists: a persisted run-time value spliced into
-rebuilt code).
+Source programs use the plain forms plus the staging forms (`Bracket`,
+`Escape`, `Csp`); the unstaging translation's image uses the plain forms
+plus `Comb`, saturated applications of code-combinator constants; code
+rebuilt by the quoting backend uses the plain forms plus `CspValue`, a
+persisted run-time value.  Expressions carry at most one level of
+quotation: brackets never nest, and escapes only occur inside a bracket.
+
+Traversals go through one generic pair: `children(e)` lists the
+subexpressions in field order, and `rebuild(e, kids)` makes the same
+node over new children.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from operator import attrgetter, is_
+from typing import Sequence
 
 from .diagnostics import Kind, Diagnostic
 
@@ -17,6 +25,27 @@ from .diagnostics import Kind, Diagnostic
 # bind nothing: "()" (unit pattern) and "_" (wildcard).
 UNIT_BINDER = "()"
 WILDCARD = "_"
+
+COMB_NAMES = frozenset(
+    {
+        "int",
+        "str",
+        "add",
+        "lam",
+        "app",
+        "pair",
+        "nil",
+        "cons",
+        "ref_",
+        "rget",
+        "rset",
+        "csp",
+        "new_scope",
+        "genlet",
+        "new_funscope",
+        "genletfun",
+    }
+)
 
 
 @dataclass(frozen=True)
@@ -119,7 +148,8 @@ class Csp(Expr):
 
 @dataclass(frozen=True, eq=False)
 class CspValue(Expr):
-    """A run-time value persisted into rebuilt code.
+    """A run-time value persisted into rebuilt code, or embedded in a
+    hand-built term.
 
     Only non-literal values appear this way; ground values are rebuilt as
     ordinary literals.  Not produced by the parser.
@@ -128,16 +158,89 @@ class CspValue(Expr):
     value: object
 
 
+@dataclass(frozen=True)
+class Comb(Expr):
+    """Saturated application of a code-combinator constant."""
+
+    name: str
+    args: tuple[Expr, ...]
+
+    def __post_init__(self) -> None:
+        if self.name not in COMB_NAMES:
+            raise ValueError(f"unknown combinator {self.name}")
+
+
+def comb(name: str, *args: Expr) -> Comb:
+    return Comb(name, tuple(args))
+
+
 def binds(name: str) -> bool:
     return name not in (UNIT_BINDER, WILDCARD)
+
+
+# --- generic traversal -------------------------------------------------------
+
+
+def _no_children(e: Expr) -> tuple[Expr, ...]:
+    return ()
+
+
+def _one_child(field: str):
+    get = attrgetter(field)
+    return lambda e: (get(e),)
+
+
+_CHILDREN = {
+    Var: _no_children,
+    IntLit: _no_children,
+    StrLit: _no_children,
+    Nil: _no_children,
+    Unit: _no_children,
+    CspValue: _no_children,
+    Add: attrgetter("left", "right"),
+    Pair: attrgetter("first", "second"),
+    Cons: attrgetter("head", "tail"),
+    RefNew: _one_child("init"),
+    RefGet: _one_child("ref"),
+    Rset: attrgetter("ref", "value"),
+    App: attrgetter("fn", "arg"),
+    Fun: _one_child("body"),
+    Let: attrgetter("rhs", "body"),
+    Bracket: _one_child("body"),
+    Escape: _one_child("body"),
+    Csp: _one_child("body"),
+    Comb: attrgetter("args"),
+}
+
+
+def children(e: Expr) -> tuple[Expr, ...]:
+    """The immediate subexpressions, in field order."""
+    try:
+        get = _CHILDREN[type(e)]
+    except KeyError:
+        raise TypeError(f"unexpected expression {e!r}") from None
+    return get(e)
+
+
+def rebuild(e: Expr, kids: Sequence[Expr]) -> Expr:
+    """The node `e` over new children; `e` itself when every child is the
+    same object, so a pass that changes nothing shares the whole tree."""
+    old = children(e)
+    if len(kids) == len(old) and all(map(is_, kids, old)):
+        return e
+    if isinstance(e, Fun):
+        return Fun(e.param, *kids)
+    if isinstance(e, Let):
+        return Let(e.name, *kids)
+    if isinstance(e, Comb):
+        return Comb(e.name, tuple(kids))
+    return type(e)(*kids)
 
 
 def free_vars(e: Expr) -> set[str]:
     """Variables not bound by any enclosing Fun or Let."""
     if isinstance(e, Var):
         return {e.name}
-    if isinstance(e, (IntLit, StrLit, Nil, Unit, CspValue)):
-        return set()
     if isinstance(e, Fun):
         inner = free_vars(e.body)
         return inner - {e.param} if binds(e.param) else inner
@@ -146,23 +249,10 @@ def free_vars(e: Expr) -> set[str]:
         if binds(e.name):
             body = body - {e.name}
         return free_vars(e.rhs) | body
-    if isinstance(e, (Bracket, Escape, Csp)):
-        return free_vars(e.body)
-    if isinstance(e, Add):
-        return free_vars(e.left) | free_vars(e.right)
-    if isinstance(e, Pair):
-        return free_vars(e.first) | free_vars(e.second)
-    if isinstance(e, Cons):
-        return free_vars(e.head) | free_vars(e.tail)
-    if isinstance(e, RefNew):
-        return free_vars(e.init)
-    if isinstance(e, RefGet):
-        return free_vars(e.ref)
-    if isinstance(e, Rset):
-        return free_vars(e.ref) | free_vars(e.value)
-    if isinstance(e, App):
-        return free_vars(e.fn) | free_vars(e.arg)
-    raise TypeError(f"unexpected expression {e!r}")
+    out: set[str] = set()
+    for child in children(e):
+        out |= free_vars(child)
+    return out
 
 
 def csp_values_equal(a: object, b: object) -> bool:
@@ -193,8 +283,6 @@ def _alpha(a: Expr, b: Expr, l2r: dict[str, str], r2l: dict[str, str]) -> bool:
         if a.name in l2r or b.name in r2l:
             return l2r.get(a.name) == b.name and r2l.get(b.name) == a.name
         return a.name == b.name
-    if isinstance(a, (Nil, Unit)):
-        return True
     if isinstance(a, (IntLit, StrLit)):
         return a.value == b.value  # type: ignore[attr-defined]
     if isinstance(a, CspValue):
@@ -208,30 +296,26 @@ def _alpha(a: Expr, b: Expr, l2r: dict[str, str], r2l: dict[str, str]) -> bool:
         return _alpha(a.rhs, b.rhs, l2r, r2l) and _alpha(
             a.body, b.body, l2r | {a.name: b.name}, r2l | {b.name: a.name}
         )
-    if isinstance(a, (Bracket, Escape, Csp)):
-        return _alpha(a.body, b.body, l2r, r2l)  # type: ignore[attr-defined]
-    if isinstance(a, Add):
-        assert isinstance(b, Add)
-        return _alpha(a.left, b.left, l2r, r2l) and _alpha(a.right, b.right, l2r, r2l)
-    if isinstance(a, Pair):
-        assert isinstance(b, Pair)
-        return _alpha(a.first, b.first, l2r, r2l) and _alpha(a.second, b.second, l2r, r2l)
-    if isinstance(a, Cons):
-        assert isinstance(b, Cons)
-        return _alpha(a.head, b.head, l2r, r2l) and _alpha(a.tail, b.tail, l2r, r2l)
-    if isinstance(a, RefNew):
-        assert isinstance(b, RefNew)
-        return _alpha(a.init, b.init, l2r, r2l)
-    if isinstance(a, RefGet):
-        assert isinstance(b, RefGet)
-        return _alpha(a.ref, b.ref, l2r, r2l)
-    if isinstance(a, Rset):
-        assert isinstance(b, Rset)
-        return _alpha(a.ref, b.ref, l2r, r2l) and _alpha(a.value, b.value, l2r, r2l)
-    if isinstance(a, App):
-        assert isinstance(b, App)
-        return _alpha(a.fn, b.fn, l2r, r2l) and _alpha(a.arg, b.arg, l2r, r2l)
-    raise TypeError(f"unexpected expression {a!r}")
+    if isinstance(a, Comb) and a.name != b.name:  # type: ignore[attr-defined]
+        return False
+    ca, cb = children(a), children(b)
+    return len(ca) == len(cb) and all(_alpha(x, y, l2r, r2l) for x, y in zip(ca, cb))
+
+
+_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
+
+
+def quote_string(s: str) -> str:
+    """A string literal's concrete syntax; `unescape` reads it back."""
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def unescape(body: str) -> str:
+    """A string literal's value from the text between its quotes: `\\n`,
+    `\\t`, `\\"` and `\\\\` are escapes, and a backslash before any other
+    character stands for that character."""
+    return _ESCAPE_RE.sub(lambda m: _ESCAPES.get(m.group(1), m.group(1)), body)
 
 
 # Precedence levels for printing.  Binary arithmetic/cons forms always
@@ -241,7 +325,8 @@ _EXPR, _OPER, _APP, _ATOM = 0, 1, 3, 4
 
 
 def pretty(e: Expr) -> str:
-    """Concrete syntax; re-parses to an alpha-equal tree."""
+    """Concrete syntax; a combinator-free tree re-parses to an alpha-equal
+    tree."""
     return _render(e, _EXPR)
 
 
@@ -258,7 +343,7 @@ def _render1(e: Expr) -> tuple[str, int]:
     if isinstance(e, IntLit):
         return str(e.value), _ATOM
     if isinstance(e, StrLit):
-        return '"' + e.value.replace("\\", "\\\\").replace('"', '\\"') + '"', _ATOM
+        return quote_string(e.value), _ATOM
     if isinstance(e, Nil):
         return "[]", _ATOM
     if isinstance(e, Unit):
@@ -286,6 +371,10 @@ def _render1(e: Expr) -> tuple[str, int]:
         return f".~{_render(e.body, _ATOM)}", _APP
     if isinstance(e, Csp):
         return f"%{_render(e.body, _ATOM)}", _APP
+    if isinstance(e, Comb):
+        if not e.args:
+            return e.name, _ATOM
+        return e.name + " " + " ".join(_render(a, _ATOM) for a in e.args), _APP
     if isinstance(e, Fun):
         return f"fun {e.param} -> {_render(e.body, _EXPR)}", _EXPR
     if isinstance(e, Let):
@@ -304,21 +393,18 @@ def check_staging(e: Expr, level: int = 0) -> None:
     if isinstance(e, Bracket):
         if level > 0:
             raise Diagnostic(Kind.PARSE_ERROR, "nested bracket")
-        check_staging(e.body, 1)
-        return
-    if isinstance(e, Escape):
+        level = 1
+    elif isinstance(e, Escape):
         if level == 0:
             raise Diagnostic(Kind.PARSE_ERROR, "escape at level 0")
-        check_staging(e.body, 0)
-        return
-    if isinstance(e, Csp):
-        check_staging(e.body, 0)
-        return
-    if isinstance(e, (Fun, Let)):
+        level = 0
+    elif isinstance(e, Csp):
+        level = 0
+    elif isinstance(e, (Fun, Let)):
         name = e.param if isinstance(e, Fun) else e.name
         if not name:
             raise Diagnostic(Kind.PARSE_ERROR, "empty binder name")
-    for child in _children(e):
+    for child in children(e):
         check_staging(child, level)
 
 
@@ -326,30 +412,4 @@ def is_plain(e: Expr) -> bool:
     """No staging forms anywhere in the tree."""
     if isinstance(e, (Bracket, Escape, Csp)):
         return False
-    return all(is_plain(c) for c in _children(e))
-
-
-def _children(e: Expr) -> tuple[Expr, ...]:
-    if isinstance(e, (Var, IntLit, StrLit, Nil, Unit, CspValue)):
-        return ()
-    if isinstance(e, Add):
-        return (e.left, e.right)
-    if isinstance(e, Pair):
-        return (e.first, e.second)
-    if isinstance(e, Cons):
-        return (e.head, e.tail)
-    if isinstance(e, RefNew):
-        return (e.init,)
-    if isinstance(e, RefGet):
-        return (e.ref,)
-    if isinstance(e, Rset):
-        return (e.ref, e.value)
-    if isinstance(e, App):
-        return (e.fn, e.arg)
-    if isinstance(e, Fun):
-        return (e.body,)
-    if isinstance(e, Let):
-        return (e.rhs, e.body)
-    if isinstance(e, (Bracket, Escape, Csp)):
-        return (e.body,)
-    raise TypeError(f"unexpected expression {e!r}")
+    return all(is_plain(c) for c in children(e))

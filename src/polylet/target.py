@@ -1,274 +1,15 @@
-"""Abstract syntax of the translation's image: plain lambda terms over
-code-combinator constants.  No staging forms exist here; quoted bindings
-have become ordinary host `fun` and `let` bindings.
+"""The translation's image and its scope discipline.
+
+Translated terms are ordinary `syntax.Expr` trees without staging forms,
+over `Comb` code-combinator constants: quoted bindings have become host
+`fun` and `let` bindings.  `Term` names that subset.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .syntax import Comb, Expr, Fun, Let, Var, children
 
-from .syntax import binds
-
-COMB_NAMES = frozenset(
-    {
-        "int",
-        "str",
-        "add",
-        "lam",
-        "app",
-        "pair",
-        "nil",
-        "cons",
-        "ref_",
-        "rget",
-        "rset",
-        "csp",
-        "new_scope",
-        "genlet",
-        "new_funscope",
-        "genletfun",
-    }
-)
-
-
-@dataclass(frozen=True)
-class Term:
-    pass
-
-
-@dataclass(frozen=True)
-class Var(Term):
-    name: str
-
-
-@dataclass(frozen=True)
-class IntLit(Term):
-    value: int
-
-
-@dataclass(frozen=True)
-class StrLit(Term):
-    value: str
-
-
-@dataclass(frozen=True)
-class UnitLit(Term):
-    pass
-
-
-@dataclass(frozen=True)
-class NilLit(Term):
-    pass
-
-
-@dataclass(frozen=True)
-class Add(Term):
-    left: Term
-    right: Term
-
-
-@dataclass(frozen=True)
-class Pair(Term):
-    first: Term
-    second: Term
-
-
-@dataclass(frozen=True)
-class Cons(Term):
-    head: Term
-    tail: Term
-
-
-@dataclass(frozen=True)
-class RefNew(Term):
-    init: Term
-
-
-@dataclass(frozen=True)
-class RefGet(Term):
-    ref: Term
-
-
-@dataclass(frozen=True)
-class Rset(Term):
-    ref: Term
-    value: Term
-
-
-@dataclass(frozen=True)
-class App(Term):
-    fn: Term
-    arg: Term
-
-
-@dataclass(frozen=True)
-class Fun(Term):
-    param: str
-    body: Term
-
-
-@dataclass(frozen=True)
-class Let(Term):
-    name: str
-    rhs: Term
-    body: Term
-
-
-@dataclass(frozen=True)
-class Comb(Term):
-    """Saturated application of a code-combinator constant."""
-
-    name: str
-    args: tuple[Term, ...]
-
-    def __post_init__(self) -> None:
-        if self.name not in COMB_NAMES:
-            raise ValueError(f"unknown combinator {self.name}")
-
-
-@dataclass(frozen=True, eq=False)
-class ValueLit(Term):
-    """A run-time value embedded directly in a term (re-ingested code)."""
-
-    value: object
-
-
-def comb(name: str, *args: Term) -> Comb:
-    return Comb(name, tuple(args))
-
-
-def free_vars(t: Term) -> set[str]:
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, (IntLit, StrLit, UnitLit, NilLit, ValueLit)):
-        return set()
-    if isinstance(t, Fun):
-        inner = free_vars(t.body)
-        return inner - {t.param} if binds(t.param) else inner
-    if isinstance(t, Let):
-        body = free_vars(t.body)
-        if binds(t.name):
-            body = body - {t.name}
-        return free_vars(t.rhs) | body
-    out: set[str] = set()
-    for child in children(t):
-        out |= free_vars(child)
-    return out
-
-
-def children(t: Term) -> tuple[Term, ...]:
-    if isinstance(t, (Var, IntLit, StrLit, UnitLit, NilLit, ValueLit)):
-        return ()
-    if isinstance(t, Add):
-        return (t.left, t.right)
-    if isinstance(t, Pair):
-        return (t.first, t.second)
-    if isinstance(t, Cons):
-        return (t.head, t.tail)
-    if isinstance(t, RefNew):
-        return (t.init,)
-    if isinstance(t, RefGet):
-        return (t.ref,)
-    if isinstance(t, Rset):
-        return (t.ref, t.value)
-    if isinstance(t, App):
-        return (t.fn, t.arg)
-    if isinstance(t, Fun):
-        return (t.body,)
-    if isinstance(t, Let):
-        return (t.rhs, t.body)
-    if isinstance(t, Comb):
-        return t.args
-    raise TypeError(f"unexpected term {t!r}")
-
-
-def alpha_equal(a: Term, b: Term) -> bool:
-    return _alpha(a, b, {}, {})
-
-
-def _alpha(a: Term, b: Term, l2r: dict[str, str], r2l: dict[str, str]) -> bool:
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Var):
-        assert isinstance(b, Var)
-        if a.name in l2r or b.name in r2l:
-            return l2r.get(a.name) == b.name and r2l.get(b.name) == a.name
-        return a.name == b.name
-    if isinstance(a, (IntLit, StrLit)):
-        return a.value == b.value  # type: ignore[attr-defined]
-    if isinstance(a, (UnitLit, NilLit)):
-        return True
-    if isinstance(a, ValueLit):
-        assert isinstance(b, ValueLit)
-        return a.value == b.value
-    if isinstance(a, Fun):
-        assert isinstance(b, Fun)
-        return _alpha(a.body, b.body, l2r | {a.param: b.param}, r2l | {b.param: a.param})
-    if isinstance(a, Let):
-        assert isinstance(b, Let)
-        return _alpha(a.rhs, b.rhs, l2r, r2l) and _alpha(
-            a.body, b.body, l2r | {a.name: b.name}, r2l | {b.name: a.name}
-        )
-    if isinstance(a, Comb):
-        assert isinstance(b, Comb)
-        if a.name != b.name or len(a.args) != len(b.args):
-            return False
-        return all(_alpha(x, y, l2r, r2l) for x, y in zip(a.args, b.args))
-    ca, cb = children(a), children(b)
-    return len(ca) == len(cb) and all(_alpha(x, y, l2r, r2l) for x, y in zip(ca, cb))
-
-
-_EXPR, _OPER, _APP, _ATOM = 0, 1, 3, 4
-
-
-def pretty(t: Term) -> str:
-    return _render(t, _EXPR)
-
-
-def _render(t: Term, min_level: int) -> str:
-    text, level = _render1(t)
-    if level < min_level:
-        return f"({text})"
-    return text
-
-
-def _render1(t: Term) -> tuple[str, int]:
-    if isinstance(t, Var):
-        return t.name, _ATOM
-    if isinstance(t, IntLit):
-        return str(t.value), _ATOM
-    if isinstance(t, StrLit):
-        return '"' + t.value.replace("\\", "\\\\").replace('"', '\\"') + '"', _ATOM
-    if isinstance(t, UnitLit):
-        return "()", _ATOM
-    if isinstance(t, NilLit):
-        return "[]", _ATOM
-    if isinstance(t, ValueLit):
-        return f"%<{t.value}>", _ATOM
-    if isinstance(t, Add):
-        return f"({_render(t.left, _OPER)} + {_render(t.right, _OPER)})", _ATOM
-    if isinstance(t, Cons):
-        return f"({_render(t.head, _OPER)} :: {_render(t.tail, _OPER)})", _ATOM
-    if isinstance(t, Pair):
-        return f"({_render(t.first, _EXPR)}, {_render(t.second, _EXPR)})", _ATOM
-    if isinstance(t, App):
-        return f"{_render(t.fn, _APP)} {_render(t.arg, _ATOM)}", _APP
-    if isinstance(t, RefNew):
-        return f"ref {_render(t.init, _ATOM)}", _APP
-    if isinstance(t, RefGet):
-        return f"!{_render(t.ref, _ATOM)}", _APP
-    if isinstance(t, Rset):
-        return f"rset {_render(t.ref, _ATOM)} {_render(t.value, _ATOM)}", _APP
-    if isinstance(t, Comb):
-        if not t.args:
-            return t.name, _ATOM
-        args = " ".join(_render(a, _ATOM) for a in t.args)
-        return f"{t.name} {args}", _APP
-    if isinstance(t, Fun):
-        return f"fun {t.param} -> {_render(t.body, _EXPR)}", _EXPR
-    if isinstance(t, Let):
-        return f"let {t.name} = {_render(t.rhs, _EXPR)} in {_render(t.body, _EXPR)}", _EXPR
-    raise TypeError(f"unexpected term {t!r}")
+Term = Expr
 
 
 def lint_scopes(t: Term, require_adjacent: bool = True) -> list[str]:

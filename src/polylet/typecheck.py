@@ -1,11 +1,13 @@
-"""Hindley-Milner inference with two frontends.
+"""Hindley-Milner inference over the one node family.
 
 `infer_staged` implements the level-indexed system over staged source
-programs; `infer_host` is plain single-level inference over combinator
-terms, where each combinator constant carries its library scheme.  Both
-share the generalization policies: the strict value restriction, the
-non-expansive extension, and the relaxed rule that also generalizes
-covariant (or unused) type variables of expansive right-hand sides.
+programs.  `infer_host` is the same walker at level 0 over the
+translation's image, where each combinator constant carries its library
+scheme; host terms bind and use every variable at level 0, so the level
+check never fires there.  Both share the generalization policies: the
+strict value restriction, the non-expansive extension, and the relaxed
+rule that also generalizes covariant (or unused) type variables of
+expansive right-hand sides.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import enum
 
 from . import syntax as S
-from . import target as T
 from .diagnostics import type_error, unbound_var
 from .typesys import (
     INT,
@@ -31,12 +32,11 @@ from .typesys import (
     Type,
     TypeEnv,
     Variance,
-    _parts,
     free_type_vars,
     monotype,
     resolve,
     unify,
-    variance_of,
+    variances,
 )
 
 
@@ -46,52 +46,27 @@ class GenPolicy(enum.Enum):
     RELAXED = "relaxed"
 
 
-def is_syntactic_value(e: S.Expr | T.Term) -> bool:
-    """The strict value class: literals, variables, functions, and
-    pair/cons cells of values."""
+def is_syntactic_value(e: S.Expr) -> bool:
+    """The strict value class: literals, variables, functions, pair/cons
+    cells of values, and combinator constants (zero-arity combinators)."""
     if isinstance(e, (S.Var, S.IntLit, S.StrLit, S.Nil, S.Unit, S.Fun, S.CspValue)):
         return True
-    if isinstance(e, (T.Var, T.IntLit, T.StrLit, T.NilLit, T.UnitLit, T.Fun, T.ValueLit)):
-        return True
-    if isinstance(e, S.Pair):
-        return is_syntactic_value(e.first) and is_syntactic_value(e.second)
-    if isinstance(e, T.Pair):
-        return is_syntactic_value(e.first) and is_syntactic_value(e.second)
-    if isinstance(e, S.Cons):
-        return is_syntactic_value(e.head) and is_syntactic_value(e.tail)
-    if isinstance(e, T.Cons):
-        return is_syntactic_value(e.head) and is_syntactic_value(e.tail)
-    if isinstance(e, T.Comb):
-        # A zero-arity combinator is a library constant, not an application.
-        return not e.args
-    return False
+    if isinstance(e, (S.Pair, S.Cons)):
+        return all(is_syntactic_value(c) for c in S.children(e))
+    return isinstance(e, S.Comb) and not e.args
 
 
-def is_nonexpansive(e: S.Expr | T.Term) -> bool:
+def is_nonexpansive(e: S.Expr) -> bool:
     """Expressions whose evaluation visibly contributes no effect.
 
     Values, brackets, CSP of non-expansive operands, and let-expressions
     over non-expansive parts qualify; applications, reference operations,
     escapes, and applied combinators do not.
     """
-    if is_syntactic_value(e):
+    if is_syntactic_value(e) or isinstance(e, S.Bracket):
         return True
-    if isinstance(e, S.Bracket):
-        return True
-    if isinstance(e, S.Csp):
-        return is_nonexpansive(e.body)
-    if isinstance(e, S.Pair):
-        return is_nonexpansive(e.first) and is_nonexpansive(e.second)
-    if isinstance(e, T.Pair):
-        return is_nonexpansive(e.first) and is_nonexpansive(e.second)
-    if isinstance(e, S.Cons):
-        return is_nonexpansive(e.head) and is_nonexpansive(e.tail)
-    if isinstance(e, T.Cons):
-        return is_nonexpansive(e.head) and is_nonexpansive(e.tail)
-    if isinstance(e, S.Let):
-        return is_nonexpansive(e.rhs) and is_nonexpansive(e.body)
-    if isinstance(e, T.Let):
-        return is_nonexpansive(e.rhs) and is_nonexpansive(e.body)
+    if isinstance(e, (S.Csp, S.Pair, S.Cons, S.Let)):
+        return all(is_nonexpansive(c) for c in S.children(e))
     return False
 
 
@@ -104,32 +79,19 @@ def generalize(t: Type, env: TypeEnv, rhs_nonexpansive: bool, policy: GenPolicy)
     if rhs_nonexpansive:
         quantified = candidates
     elif policy is GenPolicy.RELAXED:
+        variance = variances(t)
         quantified = [
-            v
-            for v in candidates
-            if variance_of(v, t) in (Variance.COVARIANT, Variance.UNUSED)
+            v for v in candidates if variance[v] in (Variance.COVARIANT, Variance.UNUSED)
         ]
     else:
         quantified = []
     return Scheme(tuple(quantified), t)
 
 
-def _gen_flag(e: S.Expr | T.Term, policy: GenPolicy) -> bool:
+def _gen_flag(e: S.Expr, policy: GenPolicy) -> bool:
     if policy is GenPolicy.STRICT_VALUE:
         return is_syntactic_value(e)
     return is_nonexpansive(e)
-
-
-Record = dict[int, Type]
-
-
-def _note(record: Record | None, node: object, t: Type) -> Type:
-    if record is not None:
-        record[id(node)] = t
-    return t
-
-
-# --- staged frontend -----------------------------------------------------
 
 
 def infer_staged(
@@ -137,18 +99,17 @@ def infer_staged(
     e: S.Expr,
     level: int = 0,
     policy: GenPolicy = GenPolicy.RELAXED,
-    record: Record | None = None,
 ) -> Scheme:
-    t = _staged(env, e, level, policy, record)
+    t = _infer(env, e, level, policy)
     return generalize(t, env, _gen_flag(e, policy), policy)
 
 
-def _staged(env: TypeEnv, e: S.Expr, level: int, policy: GenPolicy, record: Record | None) -> Type:
-    t = _staged1(env, e, level, policy, record)
-    return _note(record, e, t)
+def infer_host(env: TypeEnv, t: S.Expr, policy: GenPolicy = GenPolicy.RELAXED) -> Scheme:
+    """Single-level inference over a translated term."""
+    return infer_staged(env, t, 0, policy)
 
 
-def _staged1(env: TypeEnv, e: S.Expr, level: int, policy: GenPolicy, record: Record | None) -> Type:
+def _infer(env: TypeEnv, e: S.Expr, level: int, policy: GenPolicy) -> Type:
     if isinstance(e, S.Var):
         binding = env.lookup(e.name)
         if binding is None:
@@ -159,6 +120,14 @@ def _staged1(env: TypeEnv, e: S.Expr, level: int, policy: GenPolicy, record: Rec
                 f"but used at level {level}"
             )
         return binding.scheme.instantiate()
+    if isinstance(e, S.Comb):
+        ty = comb_scheme_type(e.name)
+        for arg in e.args:
+            arg_ty = _infer(env, arg, level, policy)
+            result = TVar()
+            unify(ty, TArrow(arg_ty, result))
+            ty = result
+        return ty
     if isinstance(e, S.IntLit):
         return INT
     if isinstance(e, S.StrLit):
@@ -170,42 +139,38 @@ def _staged1(env: TypeEnv, e: S.Expr, level: int, policy: GenPolicy, record: Rec
     if isinstance(e, S.CspValue):
         return TVar()
     if isinstance(e, S.Add):
-        unify(_staged(env, e.left, level, policy, record), INT)
-        unify(_staged(env, e.right, level, policy, record), INT)
+        unify(_infer(env, e.left, level, policy), INT)
+        unify(_infer(env, e.right, level, policy), INT)
         return INT
     if isinstance(e, S.Pair):
-        return TPair(
-            _staged(env, e.first, level, policy, record),
-            _staged(env, e.second, level, policy, record),
-        )
+        return TPair(_infer(env, e.first, level, policy), _infer(env, e.second, level, policy))
     if isinstance(e, S.Cons):
-        head = _staged(env, e.head, level, policy, record)
-        unify(_staged(env, e.tail, level, policy, record), TList(head))
+        head = _infer(env, e.head, level, policy)
+        unify(_infer(env, e.tail, level, policy), TList(head))
         return TList(head)
     if isinstance(e, S.RefNew):
-        return TRef(_staged(env, e.init, level, policy, record))
+        return TRef(_infer(env, e.init, level, policy))
     if isinstance(e, S.RefGet):
         item = TVar()
-        unify(_staged(env, e.ref, level, policy, record), TRef(item))
+        unify(_infer(env, e.ref, level, policy), TRef(item))
         return item
     if isinstance(e, S.Rset):
         item = TVar()
-        unify(_staged(env, e.ref, level, policy, record), TRef(TList(item)))
-        unify(_staged(env, e.value, level, policy, record), item)
+        unify(_infer(env, e.ref, level, policy), TRef(TList(item)))
+        unify(_infer(env, e.value, level, policy), item)
         return TList(item)
     if isinstance(e, S.App):
-        fn = _staged(env, e.fn, level, policy, record)
-        arg = _staged(env, e.arg, level, policy, record)
+        fn = _infer(env, e.fn, level, policy)
+        arg = _infer(env, e.arg, level, policy)
         result = TVar()
         unify(fn, TArrow(arg, result))
         return result
     if isinstance(e, S.Fun):
         param: Type = UNIT if e.param == S.UNIT_BINDER else TVar()
         inner = env.bind(e.param, level, monotype(param)) if S.binds(e.param) else env
-        body = _staged(inner, e.body, level, policy, record)
-        return TArrow(param, body)
+        return TArrow(param, _infer(inner, e.body, level, policy))
     if isinstance(e, S.Let):
-        rhs = _staged(env, e.rhs, level, policy, record)
+        rhs = _infer(env, e.rhs, level, policy)
         if S.binds(e.name):
             scheme = generalize(rhs, env, _gen_flag(e.rhs, policy), policy)
             inner = env.bind(e.name, level, scheme)
@@ -213,27 +178,24 @@ def _staged1(env: TypeEnv, e: S.Expr, level: int, policy: GenPolicy, record: Rec
             if e.name == S.UNIT_BINDER:
                 unify(rhs, UNIT)
             inner = env
-        return _staged(inner, e.body, level, policy, record)
+        return _infer(inner, e.body, level, policy)
     if isinstance(e, S.Bracket):
         if level != 0:
             raise type_error("nested bracket")
-        return TCode(_staged(env, e.body, 1, policy, record))
+        return TCode(_infer(env, e.body, 1, policy))
     if isinstance(e, S.Escape):
         if level != 1:
             raise type_error("escape at level 0")
-        code = _staged(env, e.body, 0, policy, record)
+        code = _infer(env, e.body, 0, policy)
         item = TVar()
         unify(code, TCode(item))
         return item
     if isinstance(e, S.Csp):
         # A level-0 judgment: at level 1 the value persists at its own
         # type; at level 0 the marker lifts the value into code.
-        t = _staged(env, e.body, 0, policy, record)
+        t = _infer(env, e.body, 0, policy)
         return t if level == 1 else TCode(t)
     raise TypeError(f"unexpected expression {e!r}")
-
-
-# --- host frontend -------------------------------------------------------
 
 
 def _cod(t: Type) -> Type:
@@ -287,160 +249,3 @@ def comb_scheme_type(name: str) -> Type:
         w, a, b = TVar(), TVar(), TVar()
         return TArrow(TFunScope(w), TArrow(TArrow(_cod(a), _cod(b)), _cod(TArrow(a, b))))
     raise ValueError(f"unknown combinator {name}")
-
-
-def infer_host(
-    env: TypeEnv,
-    t: T.Term,
-    policy: GenPolicy = GenPolicy.RELAXED,
-    record: Record | None = None,
-) -> Scheme:
-    ty = _host(env, t, policy, record)
-    return generalize(ty, env, _gen_flag(t, policy), policy)
-
-
-def _host(env: TypeEnv, t: T.Term, policy: GenPolicy, record: Record | None) -> Type:
-    ty = _host1(env, t, policy, record)
-    return _note(record, t, ty)
-
-
-def _host1(env: TypeEnv, t: T.Term, policy: GenPolicy, record: Record | None) -> Type:
-    if isinstance(t, T.Var):
-        binding = env.lookup(t.name)
-        if binding is None:
-            raise unbound_var(t.name)
-        return binding.scheme.instantiate()
-    if isinstance(t, T.IntLit):
-        return INT
-    if isinstance(t, T.StrLit):
-        return STR
-    if isinstance(t, T.UnitLit):
-        return UNIT
-    if isinstance(t, T.NilLit):
-        return TList(TVar())
-    if isinstance(t, T.ValueLit):
-        return TVar()
-    if isinstance(t, T.Add):
-        unify(_host(env, t.left, policy, record), INT)
-        unify(_host(env, t.right, policy, record), INT)
-        return INT
-    if isinstance(t, T.Pair):
-        return TPair(_host(env, t.first, policy, record), _host(env, t.second, policy, record))
-    if isinstance(t, T.Cons):
-        head = _host(env, t.head, policy, record)
-        unify(_host(env, t.tail, policy, record), TList(head))
-        return TList(head)
-    if isinstance(t, T.RefNew):
-        return TRef(_host(env, t.init, policy, record))
-    if isinstance(t, T.RefGet):
-        item = TVar()
-        unify(_host(env, t.ref, policy, record), TRef(item))
-        return item
-    if isinstance(t, T.Rset):
-        item = TVar()
-        unify(_host(env, t.ref, policy, record), TRef(TList(item)))
-        unify(_host(env, t.value, policy, record), item)
-        return TList(item)
-    if isinstance(t, T.App):
-        fn = _host(env, t.fn, policy, record)
-        arg = _host(env, t.arg, policy, record)
-        result = TVar()
-        unify(fn, TArrow(arg, result))
-        return result
-    if isinstance(t, T.Fun):
-        param: Type = UNIT if t.param == S.UNIT_BINDER else TVar()
-        inner = env.bind(t.param, 0, monotype(param)) if S.binds(t.param) else env
-        body = _host(inner, t.body, policy, record)
-        return TArrow(param, body)
-    if isinstance(t, T.Let):
-        rhs = _host(env, t.rhs, policy, record)
-        if S.binds(t.name):
-            scheme = generalize(rhs, env, _gen_flag(t.rhs, policy), policy)
-            inner = env.bind(t.name, 0, scheme)
-        else:
-            if t.name == S.UNIT_BINDER:
-                unify(rhs, UNIT)
-            inner = env
-        return _host(inner, t.body, policy, record)
-    if isinstance(t, T.Comb):
-        ty = comb_scheme_type(t.name)
-        for arg in t.args:
-            arg_ty = _host(env, arg, policy, record)
-            result = TVar()
-            unify(ty, TArrow(arg_ty, result))
-            ty = result
-        return ty
-    raise TypeError(f"unexpected term {t!r}")
-
-
-# --- replay validation ---------------------------------------------------
-
-
-def _types_agree(a: Type, b: Type) -> bool:
-    a, b = resolve(a), resolve(b)
-    if isinstance(a, TVar) or isinstance(b, TVar):
-        return a is b
-    if type(a) is not type(b):
-        return False
-    return all(_types_agree(x, y) for x, y in zip(_parts(a), _parts(b)))
-
-
-def validate_recorded(e: S.Expr, record: Record) -> list[str]:
-    """Replay structural typing constraints over recorded node types.
-
-    Returns complaints; empty means the recorded derivation is locally
-    consistent under the final substitution.
-    """
-    problems: list[str] = []
-
-    def get(node: S.Expr) -> Type | None:
-        t = record.get(id(node))
-        if t is None:
-            problems.append(f"no recorded type for {type(node).__name__}")
-        return t
-
-    def walk(node: S.Expr) -> None:
-        t = get(node)
-        if t is None:
-            return
-        t = resolve(t)
-        if isinstance(node, S.IntLit) and not isinstance(t, type(INT)):
-            problems.append("int literal not typed int")
-        if isinstance(node, S.Add):
-            for side in (node.left, node.right):
-                st = record.get(id(side))
-                if st is not None and not _types_agree(st, INT):
-                    problems.append("addition operand not int")
-        if isinstance(node, S.App):
-            fn_t = record.get(id(node.fn))
-            arg_t = record.get(id(node.arg))
-            if fn_t is not None and arg_t is not None:
-                fn_t = resolve(fn_t)
-                if not isinstance(fn_t, TArrow):
-                    problems.append("application head not a function type")
-                elif not (_types_agree(fn_t.arg, arg_t) and _types_agree(fn_t.result, t)):
-                    problems.append("application types inconsistent")
-        if isinstance(node, S.Fun):
-            ft = resolve(t)
-            body_t = record.get(id(node.body))
-            if not isinstance(ft, TArrow):
-                problems.append("function not typed as arrow")
-            elif body_t is not None and not _types_agree(ft.result, body_t):
-                problems.append("function body type inconsistent")
-        if isinstance(node, S.Let):
-            body_t = record.get(id(node.body))
-            if body_t is not None and not _types_agree(t, body_t):
-                problems.append("let type differs from body type")
-        if isinstance(node, S.Bracket):
-            body_t = record.get(id(node.body))
-            if body_t is not None and not _types_agree(t, TCode(body_t)):
-                problems.append("bracket type is not code of body type")
-        if isinstance(node, S.Escape):
-            body_t = record.get(id(node.body))
-            if body_t is not None and not _types_agree(TCode(t), body_t):
-                problems.append("escape type inconsistent with operand code type")
-        for child in S._children(node):
-            walk(child)
-
-    walk(e)
-    return problems

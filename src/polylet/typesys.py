@@ -209,30 +209,35 @@ def _join(a: Variance, b: Variance) -> Variance:
     return Variance.INVARIANT
 
 
-def variance_of(v: TVar, t: Type) -> Variance:
-    """How v occurs in t: the join over all occurrences.
+def variances(t: Type) -> dict[TVar, Variance]:
+    """How each unbound variable occurs in t: the join over all its
+    occurrences, in one pass.
 
     list, code, and both pair positions are covariant; the arrow is
     contravariant in its argument; ref, scope, and funscope are invariant.
     """
+    out: dict[TVar, Variance] = {}
+    _collect_variances(t, Variance.COVARIANT, out)
+    return out
+
+
+def _collect_variances(t: Type, polarity: Variance, out: dict[TVar, Variance]) -> None:
     t = resolve(t)
-    if t is v:
-        return Variance.COVARIANT
-    if isinstance(t, TVar) or not _parts(t):
-        return Variance.UNUSED
-    if isinstance(t, (TList, TCode)):
-        return variance_of(v, t.item)
-    if isinstance(t, TPair):
-        return _join(variance_of(v, t.first), variance_of(v, t.second))
-    if isinstance(t, TArrow):
-        return _join(_flip(variance_of(v, t.arg)), variance_of(v, t.result))
-    if isinstance(t, TRef):
-        inner = variance_of(v, t.item)
-        return Variance.UNUSED if inner is Variance.UNUSED else Variance.INVARIANT
-    if isinstance(t, (TScope, TFunScope)):
-        inner = variance_of(v, t.answer)
-        return Variance.UNUSED if inner is Variance.UNUSED else Variance.INVARIANT
-    raise TypeError(f"unexpected type {t!r}")
+    if isinstance(t, TVar):
+        out[t] = _join(out.get(t, Variance.UNUSED), polarity)
+    elif isinstance(t, TArrow):
+        _collect_variances(t.arg, _flip(polarity), out)
+        _collect_variances(t.result, polarity, out)
+    else:
+        if isinstance(t, (TRef, TScope, TFunScope)):
+            polarity = Variance.INVARIANT
+        for p in _parts(t):
+            _collect_variances(p, polarity, out)
+
+
+def variance_of(v: TVar, t: Type) -> Variance:
+    """How v occurs in t (see `variances`)."""
+    return variances(t).get(v, Variance.UNUSED)
 
 
 @dataclass(frozen=True)
@@ -297,8 +302,9 @@ class TypeEnv:
         env.binding = Binding(name, level, scheme)
         env.parent = self
         env.depth = depth = self.depth + 1
+        quantified = set(scheme.quantified)
         for v in free_type_vars(scheme.body):
-            if v.rank > depth and v not in scheme.quantified:
+            if v.rank > depth and v not in quantified:
                 v.rank = depth
         return env
 

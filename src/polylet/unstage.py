@@ -1,26 +1,38 @@
 """The unstaging translation: syntax-directed, type-oblivious.
 
-Present-stage expressions map to themselves; a bracket switches to the
-future-stage rules, which rebuild the expression as applications of code
-combinators.  Quoted lets become host lets: the general form wraps the
-right-hand side in `genlet` under a fresh `new_scope`, and a quoted
-`let f = fun z -> ...` instead binds a memoizing `genletfun` thunk, with
-every use of f in the body replaced by the application `f ()`.
+Present-stage expressions map to themselves (a tree without staging forms
+is returned as is); a bracket switches to the future-stage rules, which
+rebuild the expression as applications of code combinators.  Quoted lets
+become host lets: the general form wraps the right-hand side in `genlet`
+under a fresh `new_scope`, and a quoted `let f = fun z -> ...` instead
+binds a memoizing `genletfun` thunk, with every use of f in the body
+replaced by the application `f ()`.
 """
 
 from __future__ import annotations
 
 from . import syntax as S
-from . import target as T
+
+# The combinator that builds each compound future-stage form, its
+# arguments being the translated children in field order.
+_COMB_OF = {
+    S.Add: "add",
+    S.Pair: "pair",
+    S.Cons: "cons",
+    S.RefNew: "ref_",
+    S.RefGet: "rget",
+    S.Rset: "rset",
+    S.App: "app",
+}
 
 
-def translate(e: S.Expr) -> T.Term:
+def translate(e: S.Expr) -> S.Expr:
     """Translate a well-formed source expression; total, no typing needed."""
     return _Translator().level0(e)
 
 
 def _host_param(name: str) -> str:
-    # A quoted unit-pattern binder becomes a wildcard: the host function
+    # A quoted unit-pattern binder becomes a wildcard: the host binding
     # receives a code value, never the unit itself.
     return S.WILDCARD if name == S.UNIT_BINDER else name
 
@@ -33,124 +45,65 @@ class _Translator:
         self._scopes += 1
         return f"p_{self._scopes}"
 
-    def level0(self, e: S.Expr) -> T.Term:
-        if isinstance(e, S.Var):
-            return T.Var(e.name)
-        if isinstance(e, S.IntLit):
-            return T.IntLit(e.value)
-        if isinstance(e, S.StrLit):
-            return T.StrLit(e.value)
-        if isinstance(e, S.Nil):
-            return T.NilLit()
-        if isinstance(e, S.Unit):
-            return T.UnitLit()
-        if isinstance(e, S.CspValue):
-            return T.ValueLit(e.value)
-        if isinstance(e, S.Add):
-            return T.Add(self.level0(e.left), self.level0(e.right))
-        if isinstance(e, S.Pair):
-            return T.Pair(self.level0(e.first), self.level0(e.second))
-        if isinstance(e, S.Cons):
-            return T.Cons(self.level0(e.head), self.level0(e.tail))
-        if isinstance(e, S.RefNew):
-            return T.RefNew(self.level0(e.init))
-        if isinstance(e, S.RefGet):
-            return T.RefGet(self.level0(e.ref))
-        if isinstance(e, S.Rset):
-            return T.Rset(self.level0(e.ref), self.level0(e.value))
-        if isinstance(e, S.App):
-            return T.App(self.level0(e.fn), self.level0(e.arg))
-        if isinstance(e, S.Fun):
-            return T.Fun(e.param, self.level0(e.body))
-        if isinstance(e, S.Let):
-            return T.Let(e.name, self.level0(e.rhs), self.level0(e.body))
+    def level0(self, e: S.Expr) -> S.Expr:
         if isinstance(e, S.Bracket):
             return self.level1(e.body)
         if isinstance(e, S.Csp):
             # Present-stage CSP lifts the value into code.
-            return T.comb("csp", self.level0(e.body))
-        raise ValueError(f"escape at level 0: {e!r}")
+            return S.comb("csp", self.level0(e.body))
+        if isinstance(e, S.Escape):
+            raise ValueError(f"escape at level 0: {e!r}")
+        kids = S.children(e)
+        return S.rebuild(e, list(map(self.level0, kids))) if kids else e
 
-    def level1(self, e: S.Expr) -> T.Term:
+    def level1(self, e: S.Expr) -> S.Expr:
+        name = _COMB_OF.get(type(e))
+        if name is not None:
+            return S.Comb(name, tuple(map(self.level1, S.children(e))))
         if isinstance(e, S.Var):
-            return T.Var(e.name)
+            return e
         if isinstance(e, S.IntLit):
-            return T.comb("int", T.IntLit(e.value))
+            return S.comb("int", e)
         if isinstance(e, S.StrLit):
-            return T.comb("str", T.StrLit(e.value))
+            return S.comb("str", e)
         if isinstance(e, S.Nil):
-            return T.comb("nil")
-        if isinstance(e, S.Unit):
-            return T.comb("csp", T.UnitLit())
-        if isinstance(e, S.CspValue):
-            return T.comb("csp", T.ValueLit(e.value))
-        if isinstance(e, S.Add):
-            return T.comb("add", self.level1(e.left), self.level1(e.right))
-        if isinstance(e, S.Pair):
-            return T.comb("pair", self.level1(e.first), self.level1(e.second))
-        if isinstance(e, S.Cons):
-            return T.comb("cons", self.level1(e.head), self.level1(e.tail))
-        if isinstance(e, S.RefNew):
-            return T.comb("ref_", self.level1(e.init))
-        if isinstance(e, S.RefGet):
-            return T.comb("rget", self.level1(e.ref))
-        if isinstance(e, S.Rset):
-            return T.comb("rset", self.level1(e.ref), self.level1(e.value))
-        if isinstance(e, S.App):
-            return T.comb("app", self.level1(e.fn), self.level1(e.arg))
+            return S.comb("nil")
+        if isinstance(e, (S.Unit, S.CspValue)):
+            return S.comb("csp", e)
         if isinstance(e, S.Fun):
-            return T.comb("lam", T.Fun(_host_param(e.param), self.level1(e.body)))
+            return S.comb("lam", S.Fun(_host_param(e.param), self.level1(e.body)))
         if isinstance(e, S.Escape):
             return self.level0(e.body)
         if isinstance(e, S.Csp):
-            return T.comb("csp", self.level0(e.body))
+            return S.comb("csp", self.level0(e.body))
         if isinstance(e, S.Let):
             return self._let(e)
         if isinstance(e, S.Bracket):
             raise ValueError("nested bracket survived parsing")
         raise TypeError(f"unexpected expression {e!r}")
 
-    def _let(self, e: S.Let) -> T.Term:
+    def _let(self, e: S.Let) -> S.Expr:
         scope = self._fresh_scope()
         if isinstance(e.rhs, S.Fun):
-            fn = T.Fun(_host_param(e.rhs.param), self.level1(e.rhs.body))
+            fn = S.Fun(_host_param(e.rhs.param), self.level1(e.rhs.body))
             body = self.level1(e.body)
             if S.binds(e.name):
                 body = _thunkify(body, e.name)
-            thunk = T.Fun(S.UNIT_BINDER, T.comb("genletfun", T.Var(scope), fn))
-            return T.comb("new_funscope", T.Fun(scope, T.Let(e.name, thunk, body)))
-        rhs = T.comb("genlet", T.Var(scope), self.level1(e.rhs))
-        return T.comb("new_scope", T.Fun(scope, T.Let(e.name, rhs, self.level1(e.body))))
+            thunk = S.Fun(S.UNIT_BINDER, S.comb("genletfun", S.Var(scope), fn))
+            return S.comb("new_funscope", S.Fun(scope, S.Let(e.name, thunk, body)))
+        # The host let binds the inserted code, so a unit pattern becomes
+        # a wildcard, as in the fun rules.
+        rhs = S.comb("genlet", S.Var(scope), self.level1(e.rhs))
+        body = self.level1(e.body)
+        return S.comb("new_scope", S.Fun(scope, S.Let(_host_param(e.name), rhs, body)))
 
 
-def _thunkify(t: T.Term, name: str) -> T.Term:
+def _thunkify(t: S.Expr, name: str) -> S.Expr:
     """Replace every free occurrence of `name` with `name ()`."""
-    if isinstance(t, T.Var):
-        return T.App(t, T.UnitLit()) if t.name == name else t
-    if isinstance(t, (T.IntLit, T.StrLit, T.UnitLit, T.NilLit, T.ValueLit)):
+    if isinstance(t, S.Var):
+        return S.App(t, S.Unit()) if t.name == name else t
+    if isinstance(t, S.Fun) and t.param == name:
         return t
-    if isinstance(t, T.Fun):
-        if t.param == name:
-            return t
-        return T.Fun(t.param, _thunkify(t.body, name))
-    if isinstance(t, T.Let):
-        rhs = _thunkify(t.rhs, name)
-        body = t.body if t.name == name else _thunkify(t.body, name)
-        return T.Let(t.name, rhs, body)
-    if isinstance(t, T.Add):
-        return T.Add(_thunkify(t.left, name), _thunkify(t.right, name))
-    if isinstance(t, T.Pair):
-        return T.Pair(_thunkify(t.first, name), _thunkify(t.second, name))
-    if isinstance(t, T.Cons):
-        return T.Cons(_thunkify(t.head, name), _thunkify(t.tail, name))
-    if isinstance(t, T.RefNew):
-        return T.RefNew(_thunkify(t.init, name))
-    if isinstance(t, T.RefGet):
-        return T.RefGet(_thunkify(t.ref, name))
-    if isinstance(t, T.Rset):
-        return T.Rset(_thunkify(t.ref, name), _thunkify(t.value, name))
-    if isinstance(t, T.App):
-        return T.App(_thunkify(t.fn, name), _thunkify(t.arg, name))
-    if isinstance(t, T.Comb):
-        return T.Comb(t.name, tuple(_thunkify(a, name) for a in t.args))
-    raise TypeError(f"unexpected term {t!r}")
+    if isinstance(t, S.Let) and t.name == name:
+        return S.Let(t.name, _thunkify(t.rhs, name), t.body)
+    return S.rebuild(t, [_thunkify(c, name) for c in S.children(t)])

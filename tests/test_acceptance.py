@@ -8,7 +8,6 @@ import pytest
 
 from polylet import difftest
 from polylet import syntax as S
-from polylet import target as T
 from polylet.backends import QuoteCode, StringCode, evaluate
 from polylet.corpus import ENTRIES, by_name
 from polylet.diagnostics import Diagnostic, Kind
@@ -87,53 +86,53 @@ def test_criterion_2_host_typing_matrix():
 
 
 def test_criterion_3_translation_fidelity():
-    c = T.comb
+    c = S.comb
     image = translate(parse_source(_entry_source("splice_cons_fun")))
-    expected = T.Fun(
+    expected = S.Fun(
         "x",
-        c("lam", T.Fun("y", c("cons", c("add", T.Var("y"), c("int", T.IntLit(1))), T.Var("x")))),
+        c("lam", S.Fun("y", c("cons", c("add", S.Var("y"), c("int", S.IntLit(1))), S.Var("x")))),
     )
-    assert T.alpha_equal(image, expected)
+    assert S.alpha_equal(image, expected)
 
     nil_image = translate(parse_source(_entry_source("staged_poly_nil")))
     nil_expected = c(
         "new_scope",
-        T.Fun(
+        S.Fun(
             "p",
-            T.Let(
+            S.Let(
                 "x",
-                c("genlet", T.Var("p"), c("nil")),
+                c("genlet", S.Var("p"), c("nil")),
                 c(
                     "pair",
-                    c("cons", c("int", T.IntLit(2)), T.Var("x")),
-                    c("cons", c("str", T.StrLit("3")), T.Var("x")),
+                    c("cons", c("int", S.IntLit(2)), S.Var("x")),
+                    c("cons", c("str", S.StrLit("3")), S.Var("x")),
                 ),
             ),
         ),
     )
-    assert T.alpha_equal(nil_image, nil_expected)
+    assert S.alpha_equal(nil_image, nil_expected)
 
     id_image = translate(parse_source(_entry_source("staged_poly_id")))
 
     def call():
-        return T.App(T.Var("f"), T.UnitLit())
+        return S.App(S.Var("f"), S.Unit())
 
     id_expected = c(
         "new_funscope",
-        T.Fun(
+        S.Fun(
             "p",
-            T.Let(
+            S.Let(
                 "f",
-                T.Fun(S.UNIT_BINDER, c("genletfun", T.Var("p"), T.Fun("z", T.Var("z")))),
+                S.Fun(S.UNIT_BINDER, c("genletfun", S.Var("p"), S.Fun("z", S.Var("z")))),
                 c(
                     "pair",
-                    c("app", call(), c("int", T.IntLit(2))),
-                    c("app", call(), c("str", T.StrLit("3"))),
+                    c("app", call(), c("int", S.IntLit(2))),
+                    c("app", call(), c("str", S.StrLit("3"))),
                 ),
             ),
         ),
     )
-    assert T.alpha_equal(id_image, id_expected)
+    assert S.alpha_equal(id_image, id_expected)
     print("ACCEPTANCE 3 PASS: translation fidelity, including the thunk substitution")
 
 
@@ -150,12 +149,12 @@ def _function_lets(tree):
                 if isinstance(e, S.Let):
                     return uses(name, e.rhs)
                 return 0
-        return sum(uses(name, child) for child in S._children(e))
+        return sum(uses(name, child) for child in S.children(e))
 
     def walk(e):
         if isinstance(e, S.Let) and isinstance(e.rhs, S.Fun):
             out.append((e.name, uses(e.name, e.body)))
-        for child in S._children(e):
+        for child in S.children(e):
             walk(child)
 
     walk(tree)

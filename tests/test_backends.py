@@ -1,7 +1,6 @@
 import pytest
 
 from polylet import syntax as S
-from polylet import target as T
 from polylet.backends import (
     QuoteCode,
     StringCode,
@@ -18,7 +17,7 @@ from polylet.unstage import translate
 
 
 def c(name, *args):
-    return T.comb(name, *args)
+    return S.comb(name, *args)
 
 
 def string_of(term):
@@ -34,29 +33,29 @@ def quote_of(term):
 
 
 def test_string_add_parenthesizes():
-    assert string_of(c("add", c("int", T.IntLit(1)), c("int", T.IntLit(2)))) == "(1 + 2)"
+    assert string_of(c("add", c("int", S.IntLit(1)), c("int", S.IntLit(2)))) == "(1 + 2)"
 
 
 def test_string_combinators_emit_reparseable_text():
     term = c(
         "pair",
-        c("cons", c("int", T.IntLit(2)), c("nil")),
-        c("rset", c("ref_", c("nil")), c("str", T.StrLit("3"))),
+        c("cons", c("int", S.IntLit(2)), c("nil")),
+        c("rset", c("ref_", c("nil")), c("str", S.StrLit("3"))),
     )
     text = string_of(term)
     parse_plain(text)  # must not raise
 
 
 def test_quote_lam_builds_fresh_binder():
-    tree = quote_of(c("lam", T.Fun("x", T.Var("x"))))
+    tree = quote_of(c("lam", S.Fun("x", S.Var("x"))))
     assert S.alpha_equal(tree, parse_plain("fun q -> q"))
 
 
 def test_eval_beta():
     term = c(
         "app",
-        c("lam", T.Fun("x", c("add", T.Var("x"), c("int", T.IntLit(1))))),
-        c("int", T.IntLit(4)),
+        c("lam", S.Fun("x", c("add", S.Var("x"), c("int", S.IntLit(1))))),
+        c("int", S.IntLit(4)),
     )
     ev = evaluate(term, "eval")
     assert ev.force() == VInt(5)
@@ -65,16 +64,16 @@ def test_eval_beta():
 def test_genlet_inserts_binding_above_lam():
     term = c(
         "new_scope",
-        T.Fun(
+        S.Fun(
             "p",
             c(
                 "lam",
-                T.Fun(
+                S.Fun(
                     "x",
                     c(
                         "add",
-                        T.Var("x"),
-                        c("genlet", T.Var("p"), c("add", c("int", T.IntLit(1)), c("int", T.IntLit(2)))),
+                        S.Var("x"),
+                        c("genlet", S.Var("p"), c("add", c("int", S.IntLit(1)), c("int", S.IntLit(2)))),
                     ),
                 ),
             ),
@@ -186,12 +185,12 @@ def test_no_let_insertion_while_running_generated_code():
     # the capture would cross the running code's dynamic extent.
     term = c(
         "new_scope",
-        T.Fun(
+        S.Fun(
             "p",
             c(
                 "app",
-                c("csp", T.Fun("u", c("genlet", T.Var("p"), c("int", T.IntLit(1))))),
-                c("int", T.IntLit(0)),
+                c("csp", S.Fun("u", c("genlet", S.Var("p"), c("int", S.IntLit(1))))),
+                c("int", S.IntLit(0)),
             ),
         ),
     )

@@ -1,16 +1,13 @@
 import pytest
 
 from polylet import syntax as S
-from polylet import target as T
 from polylet.backends import evaluate
 from polylet.diagnostics import Diagnostic, Kind
 from polylet.engine import (
-    Machine,
     Session,
     VCode,
     VInt,
     VList,
-    VNativeControl,
     VPair,
     VRefCell,
     VStr,
@@ -19,7 +16,7 @@ from polylet.engine import (
     render_value,
     rset_runtime,
 )
-from polylet.parser import parse_plain, parse_source
+from polylet.parser import parse_plain, parse_source, tokenize
 from polylet.unstage import translate
 
 
@@ -50,7 +47,7 @@ def test_application_argument_order_left_to_right():
 
 def test_unbound_variable_is_diagnosed():
     with pytest.raises(Diagnostic) as exc:
-        evaluate(T.Var("ghost"), None)
+        evaluate(S.Var("ghost"), None)
     assert exc.value.kind is Kind.UNBOUND_VAR
 
 
@@ -118,71 +115,30 @@ def test_eval_backend_lam_binds_dynamically_per_application():
 # --- delimited control ---------------------------------------------------------
 
 
-def control_term(fn):
-    """new_scope whose body is a host function driving the machine."""
-    return T.comb("new_scope", T.ValueLit(VNativeControl(fn)))
-
-
-def test_capture_and_immediate_resume_is_identity():
-    def body(machine, stack, scope):
-        def consumer(k):
-            return machine.resume(k, VInt(42))
-
-        return machine.capture_upto(scope.prompt, consumer, stack)
-
-    ev = evaluate(control_term(body), "quote")
-    assert ev.value == VInt(42)
-
-
-def test_shift0_under_empty_context_runs_consumer_outside():
-    def body(machine, stack, scope):
-        def consumer(k):
-            assert k.frames == ()  # nothing between prompt and capture
-            return VStr("outside")
-
-        return machine.capture_upto(scope.prompt, consumer, stack)
-
-    ev = evaluate(control_term(body), "quote")
-    assert ev.value == VStr("outside")
-
-
-def test_capture_without_delimiter_is_diagnosed():
-    def body(machine, stack, scope):
-        return machine.capture_upto(scope.prompt + 41, lambda k: VUnit(), stack)
-
+def test_genlet_on_a_closed_scope_is_diagnosed():
+    # The persisted function escapes its scope; calling it after the scope
+    # has returned finds no prompt to insert at.
+    genlet = S.comb("genlet", S.Var("p"), S.comb("int", S.IntLit(1)))
+    term = S.comb("new_scope", S.Fun("p", S.comb("csp", S.Fun("u", genlet))))
+    ev = evaluate(term, "eval")
+    k = ev.force()
     with pytest.raises(Diagnostic) as exc:
-        evaluate(control_term(body), "quote")
+        ev.call(k, VUnit())
     assert exc.value.kind is Kind.SCOPE_EXTRUSION
     assert "prompt not active" in exc.value.message
-
-
-def test_captured_continuation_is_single_session():
-    grabbed = []
-
-    def body(machine, stack, scope):
-        def consumer(k):
-            grabbed.append(k)
-            return machine.resume(k, VInt(0))
-
-        return machine.capture_upto(scope.prompt, consumer, stack)
-
-    evaluate(control_term(body), "quote")
-    other = Machine(Session())
-    with pytest.raises(Diagnostic):
-        other.resume(grabbed[0], VInt(1))
 
 
 def test_insertion_reinstalls_delimiter():
     # Two insertions under one scope: the second capture must find the
     # prompt re-installed by the first one's splice.
-    term = T.comb(
+    term = S.comb(
         "new_scope",
-        T.Fun(
+        S.Fun(
             "p",
-            T.comb(
+            S.comb(
                 "pair",
-                T.comb("genlet", T.Var("p"), T.comb("int", T.IntLit(1))),
-                T.comb("genlet", T.Var("p"), T.comb("int", T.IntLit(2))),
+                S.comb("genlet", S.Var("p"), S.comb("int", S.IntLit(1))),
+                S.comb("genlet", S.Var("p"), S.comb("int", S.IntLit(2))),
             ),
         ),
     )
@@ -210,7 +166,16 @@ def test_gensym_start_override():
 
 def test_parse_value_literal():
     assert parse_value_literal("5") == VInt(5)
+    assert parse_value_literal(" -12 ") == VInt(-12)
+    assert parse_value_literal("+7") == VInt(7)
+    assert parse_value_literal("1_000") == VInt(1000)
     assert parse_value_literal('"hi"') == VStr("hi")
+    # Strings unescape exactly as string literals in source do.
+    for literal in ('"a\\"b"', '"tab\\there"', '"line\\n"', '"back\\\\slash"', '"\\q"'):
+        (token, _eof) = tokenize(literal)
+        assert parse_value_literal(literal) == VStr(token.value)
+    assert parse_value_literal('"a\\"b"') == VStr('a"b')
+    assert parse_value_literal('"x\\ny"') == VStr("x\ny")
     assert parse_value_literal("()") == VUnit()
     assert parse_value_literal("[]") == VList(())
     with pytest.raises(Diagnostic):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from polylet import syntax as S
 from polylet.diagnostics import Diagnostic
 from polylet.difftest import random_bracket_program
 from polylet.parser import parse_plain, parse_source
+from polylet.unstage import translate
 
 
 def test_free_vars_closed_fun():
@@ -130,3 +132,58 @@ def test_check_staging_allows_bracket_inside_escape():
 def test_is_plain():
     assert S.is_plain(parse_plain("let x = 1 in x + 1"))
     assert not S.is_plain(parse_source(".<1>."))
+
+
+# --- the node family's one traversal -------------------------------------------
+
+
+def _node_classes():
+    out, todo = [], [S.Expr]
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        if cls is not S.Expr:
+            out.append(cls)
+    return out
+
+
+def _instance(cls):
+    """One node of the class, its subexpressions distinct variables."""
+    kids = (S.Var(f"k{i}") for i in range(1, 10))
+    fill = {"str": lambda: "x", "int": lambda: 1, "object": lambda: 1}
+    fill["Expr"] = lambda: next(kids)
+    fill["tuple[Expr, ...]"] = lambda: (next(kids), next(kids))
+    values = [fill[f.type]() for f in dataclasses.fields(cls)]
+    if cls is S.Comb:
+        values[0] = "pair"
+    return cls(*values)
+
+
+@pytest.mark.parametrize("cls", _node_classes(), ids=lambda cls: cls.__name__)
+def test_every_node_kind_walks_through_children_and_rebuild(cls):
+    e = _instance(cls)
+    kids = S.children(e)
+    fields = [getattr(e, f.name) for f in dataclasses.fields(cls)]
+    expected = [k for v in fields for k in (v if isinstance(v, tuple) else (v,))]
+    assert list(kids) == [k for k in expected if isinstance(k, S.Expr)]
+    assert S.rebuild(e, kids) == e
+    fresh = tuple(S.IntLit(i) for i in range(len(kids)))
+    assert S.children(S.rebuild(e, fresh)) == fresh
+    S.pretty(e)
+    if S.is_plain(e):
+        assert translate(e) is e
+
+
+def test_translation_shares_a_plain_parsed_tree():
+    e = parse_plain('let f = fun x -> (x + 1, "s") in rset (ref (() :: [])) (f 2 :: !(ref []))')
+    seen = set()
+
+    def walk(node):
+        seen.add(type(node))
+        assert translate(node) is node
+        for child in S.children(node):
+            walk(child)
+
+    walk(e)
+    staging_only = {S.Bracket, S.Escape, S.Csp, S.CspValue, S.Comb}
+    assert seen == set(_node_classes()) - staging_only

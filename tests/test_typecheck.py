@@ -11,7 +11,6 @@ from polylet.typecheck import (
     infer_staged,
     is_nonexpansive,
     is_syntactic_value,
-    validate_recorded,
 )
 from polylet.typesys import (
     INT,
@@ -274,18 +273,6 @@ def test_inferred_scheme_stable_under_renaming():
     assert schemes_equal(a, b)
 
 
-def test_replay_validator_clean():
-    for text in (
-        ".<let x = [] in (2::x, \"3\"::x)>.",
-        "fun x -> .<fun y -> (y + 1) :: .~x>.",
-        "let c = .<1 + 2>. in .<fun x -> .~c + x>.",
-    ):
-        record = {}
-        e = parse_source(text)
-        infer_staged(TypeEnv(), e, record=record)
-        assert validate_recorded(e, record) == []
-
-
 def test_occurs_check_rejects_self_application():
     diag = staged_rejects("fun x -> x x")
     assert "occurs" in diag.message or "infinite" in diag.message
@@ -398,4 +385,35 @@ def test_generalization_work_linear_in_let_chain(monkeypatch, frontend):
 
     small, large = nodes(25), nodes(100)
     assert small >= 25  # at least one type node per let
+    assert large <= 5 * small, (small, large)
+
+
+def _wide_expansive_let(n):
+    lists = "[]"
+    for _ in range(n - 1):
+        lists = f"([], {lists})"
+    return f"let p = (let r = ref 0 in {lists}) in p"
+
+
+def test_relaxed_variance_work_linear_in_type_size(monkeypatch):
+    # An expansive right-hand side whose type holds n variables: relaxed
+    # generalization must find every variable's variance in one pass.
+    calls = [0]
+    original = typesys.resolve
+
+    def counting(t):
+        calls[0] += 1
+        return original(t)
+
+    monkeypatch.setattr(typesys, "resolve", counting)
+    monkeypatch.setattr(typecheck, "resolve", counting)
+
+    def resolves(n):
+        e = parse_source(_wide_expansive_let(n))
+        calls[0] = 0
+        scheme = infer_staged(TypeEnv(), e, policy=GenPolicy.RELAXED)
+        assert len(scheme.quantified) == n  # every list item type is covariant
+        return calls[0]
+
+    small, large = resolves(25), resolves(100)
     assert large <= 5 * small, (small, large)

@@ -1,92 +1,96 @@
+import pytest
+
 from polylet import syntax as S
 from polylet import target as T
 from polylet.parser import parse_source
+from polylet.typecheck import infer_host, infer_staged
+from polylet.typesys import TypeEnv, render_scheme
 from polylet.unstage import translate, _thunkify
 
 
 def c(name, *args):
-    return T.comb(name, *args)
+    return S.comb(name, *args)
 
 
 def test_identity_outside_lam_image_inside():
     # fun x -> quoted(fun y -> (y + 1) :: spliced x)
     e = parse_source("fun x -> .<fun y -> (y + 1) :: .~x>.")
-    expected = T.Fun(
+    expected = S.Fun(
         "x",
         c(
             "lam",
-            T.Fun(
+            S.Fun(
                 "y",
                 c(
                     "cons",
-                    c("add", T.Var("y"), c("int", T.IntLit(1))),
-                    T.Var("x"),
+                    c("add", S.Var("y"), c("int", S.IntLit(1))),
+                    S.Var("x"),
                 ),
             ),
         ),
     )
-    assert T.alpha_equal(translate(e), expected)
+    assert S.alpha_equal(translate(e), expected)
 
 
 def test_quoted_let_becomes_scoped_genlet():
     e = parse_source('.<let x = [] in (2::x, "3"::x)>.')
     expected = c(
         "new_scope",
-        T.Fun(
+        S.Fun(
             "p",
-            T.Let(
+            S.Let(
                 "x",
-                c("genlet", T.Var("p"), c("nil")),
+                c("genlet", S.Var("p"), c("nil")),
                 c(
                     "pair",
-                    c("cons", c("int", T.IntLit(2)), T.Var("x")),
-                    c("cons", c("str", T.StrLit("3")), T.Var("x")),
+                    c("cons", c("int", S.IntLit(2)), S.Var("x")),
+                    c("cons", c("str", S.StrLit("3")), S.Var("x")),
                 ),
             ),
         ),
     )
-    assert T.alpha_equal(translate(e), expected)
+    assert S.alpha_equal(translate(e), expected)
 
 
 def test_quoted_function_let_becomes_memoized_thunk():
     e = parse_source('.<let f = fun x -> x in (f 2, f "3")>.')
 
     def call_f():
-        return T.App(T.Var("f"), T.UnitLit())
+        return S.App(S.Var("f"), S.Unit())
 
     expected = c(
         "new_funscope",
-        T.Fun(
+        S.Fun(
             "p",
-            T.Let(
+            S.Let(
                 "f",
-                T.Fun(S.UNIT_BINDER, c("genletfun", T.Var("p"), T.Fun("x", T.Var("x")))),
+                S.Fun(S.UNIT_BINDER, c("genletfun", S.Var("p"), S.Fun("x", S.Var("x")))),
                 c(
                     "pair",
-                    c("app", call_f(), c("int", T.IntLit(2))),
-                    c("app", call_f(), c("str", T.StrLit("3"))),
+                    c("app", call_f(), c("int", S.IntLit(2))),
+                    c("app", call_f(), c("str", S.StrLit("3"))),
                 ),
             ),
         ),
     )
-    assert T.alpha_equal(translate(e), expected)
+    assert S.alpha_equal(translate(e), expected)
 
 
 def test_csp_of_computation():
     e = parse_source(".<fun x -> .~(%(1 + 2)) + x>.")
     expected = c(
         "lam",
-        T.Fun(
+        S.Fun(
             "x",
-            c("add", c("csp", T.Add(T.IntLit(1), T.IntLit(2))), T.Var("x")),
+            c("add", c("csp", S.Add(S.IntLit(1), S.IntLit(2))), S.Var("x")),
         ),
     )
-    assert T.alpha_equal(translate(e), expected)
+    assert S.alpha_equal(translate(e), expected)
 
 
 def test_unit_argument_becomes_csp_unit():
     e = parse_source(".<f ()>.")
-    assert translate(e) == c("app", T.Var("f"), c("csp", T.UnitLit()))
+    assert translate(e) == c("app", S.Var("f"), c("csp", S.Unit()))
 
 
 def test_nested_let_rhs_translates_inside_out():
@@ -94,27 +98,27 @@ def test_nested_let_rhs_translates_inside_out():
     t = translate(e)
     # outer scope genlets an inner new_scope; the lam sits inside the
     # inner scope, right below its genlet
-    assert isinstance(t, T.Comb) and t.name == "new_scope"
+    assert isinstance(t, S.Comb) and t.name == "new_scope"
     outer_let = t.args[0].body
-    assert isinstance(outer_let, T.Let)
+    assert isinstance(outer_let, S.Let)
     inner = outer_let.rhs
     assert inner.name == "genlet"
-    assert isinstance(inner.args[1], T.Comb) and inner.args[1].name == "new_scope"
+    assert isinstance(inner.args[1], S.Comb) and inner.args[1].name == "new_scope"
     assert T.lint_scopes(t) == []
 
 
 def test_unsound_csp_translation_shape():
     e = parse_source('.<let f = fun () -> %(ref []) in (rset (f ()) 2, rset (f ()) "3")>.')
     t = translate(e)
-    assert isinstance(t, T.Comb) and t.name == "new_funscope"
+    assert isinstance(t, S.Comb) and t.name == "new_funscope"
     let = t.args[0].body
     thunk = let.rhs
-    assert isinstance(thunk, T.Fun) and thunk.param == S.UNIT_BINDER
+    assert isinstance(thunk, S.Fun) and thunk.param == S.UNIT_BINDER
     gf = thunk.body
     assert gf.name == "genletfun"
     fn = gf.args[1]
-    assert isinstance(fn, T.Fun) and fn.param == S.WILDCARD
-    assert fn.body == c("csp", T.RefNew(T.NilLit()))
+    assert isinstance(fn, S.Fun) and fn.param == S.WILDCARD
+    assert fn.body == c("csp", S.RefNew(S.Nil()))
 
 
 def test_translation_is_deterministic_and_type_oblivious():
@@ -137,19 +141,19 @@ def test_no_lam_between_scope_and_genlet_in_translations():
 def test_free_vars_preserved():
     e = parse_source(".<fun y -> (y + 1) :: .~x>.")
     assert S.free_vars(e) == {"x"}
-    assert T.free_vars(translate(e)) == {"x"}
+    assert S.free_vars(translate(e)) == {"x"}
 
 
 def test_thunkify_respects_shadowing():
-    body = T.Let(
+    body = S.Let(
         "f",
-        T.Var("f"),  # refers to the outer f: substituted
-        T.App(T.Var("f"), T.IntLit(1)),  # refers to the inner f: untouched
+        S.Var("f"),  # refers to the outer f: substituted
+        S.App(S.Var("f"), S.IntLit(1)),  # refers to the inner f: untouched
     )
     out = _thunkify(body, "f")
-    assert out.rhs == T.App(T.Var("f"), T.UnitLit())
-    assert out.body == T.App(T.Var("f"), T.IntLit(1))
-    fn = T.Fun("f", T.Var("f"))
+    assert out.rhs == S.App(S.Var("f"), S.Unit())
+    assert out.body == S.App(S.Var("f"), S.IntLit(1))
+    fn = S.Fun("f", S.Var("f"))
     assert _thunkify(fn, "f") == fn
 
 
@@ -157,7 +161,7 @@ def test_value_lit_round_trips_through_translation():
     from polylet.engine import VInt
 
     e = S.CspValue(VInt(3))
-    assert translate(e) == T.ValueLit(VInt(3))
+    assert translate(e) is e
 
 
 def test_combinator_free_target_pretty_reparses():
@@ -168,5 +172,15 @@ def test_combinator_free_target_pretty_reparses():
     ]
     for text in texts:
         term = translate(parse_source(text))
-        reparsed = translate(parse_source(T.pretty(term)))
-        assert T.alpha_equal(term, reparsed), text
+        reparsed = translate(parse_source(S.pretty(term)))
+        assert S.alpha_equal(term, reparsed), text
+
+
+@pytest.mark.parametrize(
+    "text", [".<let () = () in 1>.", ".<let x = () in let () = x in 3>."]
+)
+def test_quoted_unit_pattern_let_preserves_typing(text):
+    # The host let binds the inserted code, not the unit itself.
+    e = parse_source(text)
+    assert render_scheme(infer_staged(TypeEnv(), e)) == "int code"
+    assert render_scheme(infer_host(TypeEnv(), translate(e)), "cod") == "int cod"
