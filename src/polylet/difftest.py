@@ -95,23 +95,23 @@ def normalize_lets(e: S.Expr) -> S.Expr:
             cursor = cursor.body
         body = normalize_lets(cursor)
 
-        def key(binding: tuple[str, S.Expr]):
-            name, rhs = binding
+        # Each binding's sort key and free variables, computed once: the
+        # bubble pass below only compares them.
+        def entry(name: str, rhs: S.Expr):
             rank = _first_use_rank(name, body, itertools.count(), False)
-            return (_let_key(rhs), rank if rank is not None else 1 << 30)
+            key = (_let_key(rhs), rank if rank is not None else 1 << 30)
+            return name, rhs, key, S.free_vars(rhs)
 
+        entries = [entry(name, rhs) for name, rhs in chain]
         changed = True
         while changed:
             changed = False
-            for i in range(len(chain) - 1):
-                (n1, r1), (n2, r2) = chain[i], chain[i + 1]
-                independent = (
-                    n1 != n2 and n1 not in S.free_vars(r2) and n2 not in S.free_vars(r1)
-                )
-                if independent and key(chain[i + 1]) < key(chain[i]):
-                    chain[i], chain[i + 1] = chain[i + 1], chain[i]
+            for i in range(len(entries) - 1):
+                (n1, _, k1, fv1), (n2, _, k2, fv2) = entries[i], entries[i + 1]
+                if n1 != n2 and n1 not in fv2 and n2 not in fv1 and k2 < k1:
+                    entries[i], entries[i + 1] = entries[i + 1], entries[i]
                     changed = True
-        for name, rhs in reversed(chain):
+        for name, rhs, _, _ in reversed(entries):
             body = S.Let(name, rhs, body)
         return body
     return S.rebuild(e, list(map(normalize_lets, S.children(e))))

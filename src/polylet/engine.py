@@ -9,6 +9,13 @@ reaches prompts below it.  Combinators that must apply object-level
 functions (lam, the scope builders, genletfun) run them on the main stack
 so captures may cross them.
 
+The control is a pair: `(term, env)` evaluates a term, by the step
+function that `_STEP` maps the term's class to, and `(None, value)`
+returns a value to the frame on top of the stack.  A frame is a tuple
+whose first item is the function that resumes it with a value.  Step
+functions and resumers push frames instead of recursing, so a deep
+program costs stack entries, not Python frames.
+
 Pair components evaluate right to left, mirroring the host language the
 generated traces come from; every other position is left to right.
 """
@@ -234,125 +241,182 @@ class Session:
             self.dynenv = saved
 
 
-# --- frames ----------------------------------------------------------------
-
-
-class Frame:
-    pass
-
-
-@dataclass(frozen=True)
-class FApp(Frame):
-    arg: S.Expr
-    env: dict
-
-
-@dataclass(frozen=True)
-class FCall(Frame):
-    fn: RuntimeValue
-
-
-@dataclass(frozen=True)
-class FLet(Frame):
-    name: str
-    body: S.Expr
-    env: dict
-
-
-@dataclass(frozen=True)
-class FAddL(Frame):
-    right: S.Expr
-    env: dict
-
-
-@dataclass(frozen=True)
-class FAddR(Frame):
-    left: RuntimeValue
-
-
-@dataclass(frozen=True)
-class FConsL(Frame):
-    tail: S.Expr
-    env: dict
-
-
-@dataclass(frozen=True)
-class FConsR(Frame):
-    head: RuntimeValue
-
-
-@dataclass(frozen=True)
-class FPairSnd(Frame):
-    first: S.Expr
-    env: dict
-
-
-@dataclass(frozen=True)
-class FPairFst(Frame):
-    second: RuntimeValue
-
-
-@dataclass(frozen=True)
-class FRefNew(Frame):
-    pass
-
-
-@dataclass(frozen=True)
-class FRefGet(Frame):
-    pass
-
-
-@dataclass(frozen=True)
-class FRsetL(Frame):
-    value: S.Expr
-    env: dict
-
-
-@dataclass(frozen=True)
-class FRsetR(Frame):
-    cell: RuntimeValue
-
-
-@dataclass(frozen=True)
-class FComb(Frame):
-    name: str
-    args: tuple[S.Expr, ...]
-    env: dict
-    order: tuple[int, ...]
-    filled: tuple[tuple[int, RuntimeValue], ...]
-
-
-@dataclass(frozen=True)
-class FPrompt(Frame):
-    prompt: int
-
-
-@dataclass(frozen=True)
-class FLam(Frame):
-    binder: object  # backend-specific handle
-
-
-@dataclass(frozen=True)
-class FMemo(Frame):
-    memo: FunScopeMemo
-
-
-@dataclass(frozen=True)
-class FGenletAfter(Frame):
-    scope: VScope
-
-
-@dataclass(frozen=True, eq=False)
-class FPost(Frame):
-    """Backend post-processing of a delimited result (e.g. wrapping the
-    rest of a scope's code in an inserted let binding)."""
-
-    fn: Callable[[RuntimeValue], RuntimeValue]
-
-
 # --- the machine -------------------------------------------------------------
+#
+# Step functions take (machine, term, env, stack) and resumers take
+# (machine, frame, value, stack); both return the next control.
 
-_EXPR, _VALUE = 0, 1
+
+def _apply(fn: RuntimeValue, arg: RuntimeValue):
+    if isinstance(fn, VClosure):
+        if fn.param == UNIT_BINDER and not isinstance(arg, VUnit):
+            raise type_error("unit-pattern function applied to a non-unit value")
+        env = {**fn.env, fn.param: arg} if binds(fn.param) else fn.env
+        return fn.body, env
+    if isinstance(fn, VNative):
+        return None, fn.fn(arg)
+    raise type_error(f"cannot apply a {runtime_tag(fn)} value")
+
+
+def _as_code(v: RuntimeValue) -> VCode:
+    if not isinstance(v, VCode):
+        raise type_error(f"expected a code value, got {runtime_tag(v)}")
+    return v
+
+
+def _step_var(m, t, env, stack):
+    try:
+        return None, env[t.name]
+    except KeyError:
+        raise unbound_var(t.name) from None
+
+
+def _step_app(m, t, env, stack):
+    stack.append((_k_second, t.arg, env, _k_call))
+    return t.fn, env
+
+
+def _step_let(m, t, env, stack):
+    stack.append((_k_let, t, env))
+    return t.rhs, env
+
+
+def _step_add(m, t, env, stack):
+    stack.append((_k_second, t.right, env, _k_add))
+    return t.left, env
+
+
+def _step_cons(m, t, env, stack):
+    stack.append((_k_second, t.tail, env, _k_cons))
+    return t.head, env
+
+
+def _step_pair(m, t, env, stack):
+    stack.append((_k_second, t.first, env, _k_pair))
+    return t.second, env
+
+
+def _step_ref_new(m, t, env, stack):
+    stack.append((_k_ref_new,))
+    return t.init, env
+
+
+def _step_ref_get(m, t, env, stack):
+    stack.append((_k_ref_get,))
+    return t.ref, env
+
+
+def _step_rset(m, t, env, stack):
+    stack.append((_k_second, t.value, env, _k_rset))
+    return t.ref, env
+
+
+def _step_comb(m, t, env, stack):
+    if not t.args:
+        return m._dispatch_comb(t.name, [], stack)
+    stack.append((_k_comb, t, env, ()))
+    return t.args[-1 if t.name == "pair" else 0], env
+
+
+_STEP = {
+    S.Var: _step_var,
+    S.IntLit: lambda m, t, env, stack: (None, VInt(t.value)),
+    S.StrLit: lambda m, t, env, stack: (None, VStr(t.value)),
+    S.Unit: lambda m, t, env, stack: (None, VUnit()),
+    S.Nil: lambda m, t, env, stack: (None, VList(())),
+    S.CspValue: lambda m, t, env, stack: (None, t.value),
+    S.Fun: lambda m, t, env, stack: (None, VClosure(t.param, t.body, env)),
+    S.App: _step_app,
+    S.Let: _step_let,
+    S.Add: _step_add,
+    S.Cons: _step_cons,
+    S.Pair: _step_pair,
+    S.RefNew: _step_ref_new,
+    S.RefGet: _step_ref_get,
+    S.Rset: _step_rset,
+    S.Comb: _step_comb,
+}
+
+
+def _k_second(m, f, v, stack):
+    """A binary form's first operand is v: evaluate the second, then let
+    the form's own resumer combine the two."""
+    _, second, env, combine = f
+    stack.append((combine, v))
+    return second, env
+
+
+def _k_call(m, f, v, stack):
+    return _apply(f[1], v)
+
+
+def _k_let(m, f, v, stack):
+    _, t, env = f
+    if binds(t.name):
+        env = {**env, t.name: v}
+    return t.body, env
+
+
+def _k_add(m, f, v, stack):
+    left = f[1]
+    if not (isinstance(left, VInt) and isinstance(v, VInt)):
+        raise type_error("addition of non-integers")
+    return None, VInt(left.value + v.value)
+
+
+def _k_cons(m, f, v, stack):
+    if not isinstance(v, VList):
+        raise type_error("cons onto a non-list")
+    return None, VList((f[1],) + v.items)
+
+
+def _k_pair(m, f, v, stack):
+    return None, VPair(v, f[1])
+
+
+def _k_ref_new(m, f, v, stack):
+    return None, VRefCell(v)
+
+
+def _k_ref_get(m, f, v, stack):
+    if not isinstance(v, VRefCell):
+        raise type_error("dereference of a non-cell")
+    return None, v.contents
+
+
+def _k_rset(m, f, v, stack):
+    return None, rset_runtime(f[1], v)
+
+
+def _k_comb(m, f, v, stack):
+    _, t, env, done = f
+    done += (v,)
+    n, reverse = len(done), t.name == "pair"
+    if n < len(t.args):
+        stack.append((_k_comb, t, env, done))
+        return t.args[-1 - n if reverse else n], env
+    return m._dispatch_comb(t.name, list(reversed(done) if reverse else done), stack)
+
+
+def _k_prompt(m, f, v, stack):
+    return None, v
+
+
+def _k_lam(m, f, v, stack):
+    return None, m._backend().finish_lam(f[1], _as_code(v))
+
+
+def _k_memo(m, f, v, stack):
+    f[1].store(_as_code(v))
+    return None, v
+
+
+def _k_genlet_after(m, f, v, stack):
+    return m._genlet(f[1], _as_code(v), stack)
+
+
+def _k_post(m, f, v, stack):
+    return None, f[1](v)
 
 
 class Machine:
@@ -360,147 +424,27 @@ class Machine:
         self.session = session
 
     def execute(self, term: S.Expr, env: dict[str, RuntimeValue] | None = None) -> RuntimeValue:
-        stack: list[Frame] = []
-        return self._loop((_EXPR, term, env or {}), stack)
+        return self._loop((term, env or {}), [])
 
     def call(self, fn: RuntimeValue, arg: RuntimeValue) -> RuntimeValue:
         """Apply a function value outside the main loop (force time)."""
-        stack: list[Frame] = []
-        return self._loop(self._apply(fn, arg), stack)
+        return self._loop(_apply(fn, arg), [])
 
-    # -- main loop --
-
-    def _loop(self, control, stack: list[Frame]) -> RuntimeValue:
+    def _loop(self, control, stack: list[tuple]) -> RuntimeValue:
+        step = _STEP
         while True:
-            if control[0] == _EXPR:
-                control = self._step_expr(control[1], control[2], stack)
+            t, x = control
+            if t is not None:
+                try:
+                    fn = step[type(t)]
+                except KeyError:
+                    raise TypeError(f"unexpected term {t!r}") from None
+                control = fn(self, t, x, stack)
+            elif stack:
+                frame = stack.pop()
+                control = frame[0](self, frame, x, stack)
             else:
-                if not stack:
-                    return control[1]
-                control = self._step_frame(stack.pop(), control[1], stack)
-
-    def _step_expr(self, t: S.Expr, env: dict, stack: list[Frame]):
-        if isinstance(t, S.Var):
-            try:
-                return (_VALUE, env[t.name])
-            except KeyError:
-                raise unbound_var(t.name) from None
-        if isinstance(t, S.IntLit):
-            return (_VALUE, VInt(t.value))
-        if isinstance(t, S.StrLit):
-            return (_VALUE, VStr(t.value))
-        if isinstance(t, S.Unit):
-            return (_VALUE, VUnit())
-        if isinstance(t, S.Nil):
-            return (_VALUE, VList(()))
-        if isinstance(t, S.CspValue):
-            return (_VALUE, t.value)
-        if isinstance(t, S.Fun):
-            return (_VALUE, VClosure(t.param, t.body, env))
-        if isinstance(t, S.App):
-            stack.append(FApp(t.arg, env))
-            return (_EXPR, t.fn, env)
-        if isinstance(t, S.Let):
-            stack.append(FLet(t.name, t.body, env))
-            return (_EXPR, t.rhs, env)
-        if isinstance(t, S.Add):
-            stack.append(FAddL(t.right, env))
-            return (_EXPR, t.left, env)
-        if isinstance(t, S.Cons):
-            stack.append(FConsL(t.tail, env))
-            return (_EXPR, t.head, env)
-        if isinstance(t, S.Pair):
-            stack.append(FPairSnd(t.first, env))
-            return (_EXPR, t.second, env)
-        if isinstance(t, S.RefNew):
-            stack.append(FRefNew())
-            return (_EXPR, t.init, env)
-        if isinstance(t, S.RefGet):
-            stack.append(FRefGet())
-            return (_EXPR, t.ref, env)
-        if isinstance(t, S.Rset):
-            stack.append(FRsetL(t.value, env))
-            return (_EXPR, t.ref, env)
-        if isinstance(t, S.Comb):
-            if not t.args:
-                return self._dispatch_comb(t.name, [], stack)
-            order = tuple(reversed(range(len(t.args)))) if t.name == "pair" else tuple(
-                range(len(t.args))
-            )
-            stack.append(FComb(t.name, t.args, env, order, ()))
-            return (_EXPR, t.args[order[0]], env)
-        raise TypeError(f"unexpected term {t!r}")
-
-    def _step_frame(self, frame: Frame, v: RuntimeValue, stack: list[Frame]):
-        if isinstance(frame, FApp):
-            stack.append(FCall(v))
-            return (_EXPR, frame.arg, frame.env)
-        if isinstance(frame, FCall):
-            return self._apply(frame.fn, v)
-        if isinstance(frame, FLet):
-            env = frame.env
-            if binds(frame.name):
-                env = {**env, frame.name: v}
-            return (_EXPR, frame.body, env)
-        if isinstance(frame, FAddL):
-            stack.append(FAddR(v))
-            return (_EXPR, frame.right, frame.env)
-        if isinstance(frame, FAddR):
-            if not (isinstance(frame.left, VInt) and isinstance(v, VInt)):
-                raise type_error("addition of non-integers")
-            return (_VALUE, VInt(frame.left.value + v.value))
-        if isinstance(frame, FConsL):
-            stack.append(FConsR(v))
-            return (_EXPR, frame.tail, frame.env)
-        if isinstance(frame, FConsR):
-            if not isinstance(v, VList):
-                raise type_error("cons onto a non-list")
-            return (_VALUE, VList((frame.head,) + v.items))
-        if isinstance(frame, FPairSnd):
-            stack.append(FPairFst(v))
-            return (_EXPR, frame.first, frame.env)
-        if isinstance(frame, FPairFst):
-            return (_VALUE, VPair(v, frame.second))
-        if isinstance(frame, FRefNew):
-            return (_VALUE, VRefCell(v))
-        if isinstance(frame, FRefGet):
-            if not isinstance(v, VRefCell):
-                raise type_error("dereference of a non-cell")
-            return (_VALUE, v.contents)
-        if isinstance(frame, FRsetL):
-            stack.append(FRsetR(v))
-            return (_EXPR, frame.value, frame.env)
-        if isinstance(frame, FRsetR):
-            return (_VALUE, rset_runtime(frame.cell, v))
-        if isinstance(frame, FComb):
-            filled = frame.filled + ((frame.order[len(frame.filled)], v),)
-            if len(filled) < len(frame.args):
-                stack.append(FComb(frame.name, frame.args, frame.env, frame.order, filled))
-                return (_EXPR, frame.args[frame.order[len(filled)]], frame.env)
-            values = [val for _, val in sorted(filled)]
-            return self._dispatch_comb(frame.name, values, stack)
-        if isinstance(frame, FPrompt):
-            return (_VALUE, v)
-        if isinstance(frame, FLam):
-            return (_VALUE, self._backend().finish_lam(frame.binder, self._as_code(v)))
-        if isinstance(frame, FMemo):
-            frame.memo.store(self._as_code(v))
-            return (_VALUE, v)
-        if isinstance(frame, FGenletAfter):
-            return self._genlet(frame.scope, self._as_code(v), stack)
-        if isinstance(frame, FPost):
-            return (_VALUE, frame.fn(v))
-        raise TypeError(f"unexpected frame {frame!r}")
-
-    def _apply(self, fn: RuntimeValue, arg: RuntimeValue):
-        if isinstance(fn, VClosure):
-            if fn.param == UNIT_BINDER and not isinstance(arg, VUnit):
-                raise type_error("unit-pattern function applied to a non-unit value")
-            env = {**fn.env, fn.param: arg} if binds(fn.param) else fn.env
-            return (_EXPR, fn.body, env)
-        if isinstance(fn, VNative):
-            return (_VALUE, fn.fn(arg))
-        raise type_error(f"cannot apply a {runtime_tag(fn)} value")
+                return x
 
     # -- combinator dispatch --
 
@@ -510,43 +454,38 @@ class Machine:
             raise type_error("code combinator encountered in plain evaluation")
         return backend
 
-    def _as_code(self, v: RuntimeValue) -> VCode:
-        if not isinstance(v, VCode):
-            raise type_error(f"expected a code value, got {runtime_tag(v)}")
-        return v
-
-    def _dispatch_comb(self, name: str, values: list[RuntimeValue], stack: list[Frame]):
+    def _dispatch_comb(self, name: str, values: list[RuntimeValue], stack: list[tuple]):
         backend = self._backend()
         if name == "lam":
             (fn,) = values
             binder, var_code = backend.begin_lam()
-            stack.append(FLam(binder))
-            return self._apply(fn, var_code)
+            stack.append((_k_lam, binder))
+            return _apply(fn, var_code)
         if name in ("new_scope", "new_funscope"):
             (fn,) = values
             memo = FunScopeMemo() if name == "new_funscope" else None
             scope = VScope(self.session.fresh_prompt(), memo)
-            stack.append(FPrompt(scope.prompt))
-            return self._apply(fn, scope)
+            stack.append((_k_prompt, scope.prompt))
+            return _apply(fn, scope)
         if name == "genlet":
             scope, code = values
             if not isinstance(scope, VScope):
                 raise type_error("genlet expects a scope")
-            return self._genlet(scope, self._as_code(code), stack)
+            return self._genlet(scope, _as_code(code), stack)
         if name == "genletfun":
             scope, fn = values
             if not (isinstance(scope, VScope) and scope.memo is not None):
                 raise type_error("genletfun expects a funscope")
             if scope.memo.value is not None:
-                return (_VALUE, scope.memo.value)
-            stack.append(FMemo(scope.memo))
-            stack.append(FGenletAfter(scope))
+                return None, scope.memo.value
+            stack.append((_k_memo, scope.memo))
+            stack.append((_k_genlet_after, scope))
             binder, var_code = backend.begin_lam()
-            stack.append(FLam(binder))
-            return self._apply(fn, var_code)
-        return (_VALUE, backend.apply_simple(name, values))
+            stack.append((_k_lam, binder))
+            return _apply(fn, var_code)
+        return None, backend.apply_simple(name, values)
 
-    def _find_prompt(self, prompt: int, stack: list[Frame]) -> int:
+    def _find_prompt(self, prompt: int, stack: list[tuple]) -> int:
         if self.session.force_depth > 0:
             raise Diagnostic(
                 Kind.SCOPE_EXTRUSION,
@@ -554,11 +493,11 @@ class Machine:
             )
         for i in range(len(stack) - 1, -1, -1):
             frame = stack[i]
-            if isinstance(frame, FPrompt) and frame.prompt == prompt:
+            if frame[0] is _k_prompt and frame[1] == prompt:
                 return i
         raise Diagnostic(Kind.SCOPE_EXTRUSION, "prompt not active: scope already closed")
 
-    def _genlet(self, scope: VScope, code: VCode, stack: list[Frame]):
+    def _genlet(self, scope: VScope, code: VCode, stack: list[tuple]):
         # shift0: remove up to and including the delimiter, let the backend
         # decide what the resumption sees and how to post-process the
         # delimited result, then re-install the segment in place.  Keeping
@@ -568,10 +507,10 @@ class Machine:
         del stack[i:]
         resume_value, post = self._backend().genlet_parts(code)
         if post is not None:
-            stack.append(FPost(post))
-        stack.append(FPrompt(scope.prompt))
+            stack.append((_k_post, post))
+        stack.append((_k_prompt, scope.prompt))
         stack.extend(captured)
-        return (_VALUE, resume_value)
+        return None, resume_value
 
 
 @dataclass(eq=False)

@@ -132,6 +132,20 @@ def test_console_entry_point(write):
     assert proc.stdout.strip() == "int code"
 
 
+def test_module_entry_point(write):
+    path = write(".<1 + 2>.")
+    src = os.path.dirname(os.path.dirname(polylet.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "polylet", "typecheck", path],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "int code\n"
+
+
 def test_seed_env_controls_gensym(write, capsys, monkeypatch):
     path = write(".<let y = 1 + 2 in fun x -> x + y>.")
     monkeypatch.setenv("POLYLET_SEED", "5")

@@ -3,9 +3,11 @@ import random
 from polylet import difftest
 from polylet import syntax as S
 from polylet.corpus import ENTRIES, KNOWN_DIVERGENCES
-from polylet.parser import parse_plain
+from polylet.backends import evaluate
+from polylet.parser import parse_plain, parse_source
 from polylet.typecheck import infer_staged
 from polylet.typesys import TypeEnv
+from polylet.unstage import translate
 
 
 def test_corpus_names_unique():
@@ -83,3 +85,32 @@ def test_canonical_binders_alpha_invariant_key():
     a = parse_plain("fun x -> fun y -> x")
     b = parse_plain("fun p -> fun q -> p")
     assert S.pretty(difftest.canonical_binders(a)) == S.pretty(difftest.canonical_binders(b))
+
+
+def test_normalize_lets_key_work_linear_in_chain_length(monkeypatch):
+    """Each binding's reorder key is computed once per chain, not at every
+    comparison of the bubble pass."""
+    calls = {"rank": 0, "pretty": 0}
+    first_use_rank, pretty = difftest._first_use_rank, S.pretty
+
+    def counting_rank(*args):
+        calls["rank"] += 1
+        return first_use_rank(*args)
+
+    def counting_pretty(e):
+        calls["pretty"] += 1
+        return pretty(e)
+
+    monkeypatch.setattr(difftest, "_first_use_rank", counting_rank)
+    monkeypatch.setattr(S, "pretty", counting_pretty)
+
+    def work(n):
+        lets = "".join(f"let x{k} = {k} in " for k in range(n))
+        tree = evaluate(translate(parse_source(f".<{lets}x0>.")), "quote").value.code.tree
+        calls.update(rank=0, pretty=0)
+        assert difftest.code_equal(tree, tree)
+        return dict(calls)
+
+    small, large = work(32), work(128)
+    assert large["rank"] <= 5 * small["rank"]
+    assert large["pretty"] <= 5 * small["pretty"]

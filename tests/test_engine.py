@@ -1,9 +1,13 @@
+import sys
+
 import pytest
 
+from polylet import engine
 from polylet import syntax as S
 from polylet.backends import evaluate
 from polylet.diagnostics import Diagnostic, Kind
 from polylet.engine import (
+    Machine,
     Session,
     VCode,
     VInt,
@@ -49,6 +53,74 @@ def test_unbound_variable_is_diagnosed():
     with pytest.raises(Diagnostic) as exc:
         evaluate(S.Var("ghost"), None)
     assert exc.value.kind is Kind.UNBOUND_VAR
+
+
+# --- the step table -------------------------------------------------------------
+
+# One case per evaluable node kind, the case's root of that kind, with the
+# rendering of its value; `x` is bound to 7.  Comb runs under the quote
+# backend and gives the pretty-printed code it builds.
+_NODE_CASES = {
+    S.Var: (S.Var("x"), "7"),
+    S.IntLit: (S.IntLit(1), "1"),
+    S.StrLit: (S.StrLit("s"), '"s"'),
+    S.Unit: (S.Unit(), "()"),
+    S.Nil: (S.Nil(), "[]"),
+    S.CspValue: (S.CspValue(VInt(5)), "5"),
+    S.Fun: (S.Fun("y", S.Var("y")), "<fun>"),
+    S.App: (S.App(S.Fun("y", S.Add(S.Var("y"), S.Var("x"))), S.IntLit(1)), "8"),
+    S.Let: (S.Let("y", S.IntLit(2), S.Add(S.Var("y"), S.Var("x"))), "9"),
+    S.Add: (S.Add(S.Var("x"), S.IntLit(1)), "8"),
+    S.Cons: (S.Cons(S.IntLit(1), S.Nil()), "[1]"),
+    S.Pair: (S.Pair(S.IntLit(1), S.StrLit("s")), '(1, "s")'),
+    S.RefNew: (S.RefNew(S.IntLit(4)), "{contents = 4}"),
+    S.RefGet: (S.RefGet(S.RefNew(S.IntLit(4))), "4"),
+    S.Rset: (S.Rset(S.RefNew(S.Nil()), S.IntLit(2)), "[2]"),
+    S.Comb: (S.comb("pair", S.comb("int", S.IntLit(1)), S.comb("str", S.StrLit("s"))), '(1, "s")'),
+}
+_STAGING_FORMS = (S.Bracket, S.Escape, S.Csp)
+
+
+def _node_classes():
+    out, todo = set(), [S.Expr]
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        out.add(cls)
+    return out - {S.Expr}
+
+
+@pytest.mark.parametrize("cls", list(_NODE_CASES), ids=lambda cls: cls.__name__)
+def test_every_evaluable_node_kind_steps_to_its_value(cls):
+    term, expected = _NODE_CASES[cls]
+    assert type(term) is cls
+    if cls is S.Comb:
+        assert S.pretty(evaluate(term, "quote").value.code.tree) == expected
+    else:
+        assert render_value(Machine(Session()).execute(term, {"x": VInt(7)})) == expected
+
+
+def test_step_table_covers_every_node_kind_but_staging_forms():
+    assert set(engine._STEP) == set(_NODE_CASES) == _node_classes() - set(_STAGING_FORMS)
+    for cls in _STAGING_FORMS:
+        with pytest.raises(TypeError, match="unexpected term"):
+            Machine(Session()).execute(cls(S.IntLit(1)))
+
+
+def test_deep_terms_run_without_python_recursion():
+    nest = S.IntLit(0)
+    for i in range(50_000):
+        nest = S.Add(nest, S.IntLit(1)) if i % 2 else S.Add(S.IntLit(1), nest)
+    chain = S.IntLit(0)
+    for _ in range(20_000):
+        chain = S.App(S.Fun("x", S.Add(S.Var("x"), chain)), S.IntLit(1))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        assert evaluate(nest, None).value == VInt(50_000)
+        assert evaluate(chain, None).value == VInt(20_000)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # --- rset tag check -----------------------------------------------------------
