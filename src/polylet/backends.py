@@ -1,7 +1,8 @@
-"""Three interpretations of the code combinators.
+"""Interpretations of the code combinators.
 
-* string  -- emits concrete syntax as text (re-parseable plain programs);
 * quote   -- rebuilds source trees, the hygienic quotation semantics;
+* string  -- the quote backend's tree, checked and printed once as
+             concrete syntax (re-parseable plain programs);
 * eval    -- a meta-circular interpretation: code values are thunks, and
              generated functions capture the dynamic environment at force
              time, binding their parameter with dlet on each application.
@@ -40,7 +41,6 @@ __all__ = [
     "StringCode",
     "QuoteCode",
     "EvalCode",
-    "StringBackend",
     "QuoteBackend",
     "EvalBackend",
     "evaluate",
@@ -63,31 +63,6 @@ class QuoteCode:
 @dataclass(frozen=True, eq=False)
 class EvalCode:
     thunk: Callable[[], RuntimeValue]
-
-
-def serialize_ground(v: RuntimeValue) -> Optional[str]:
-    """Concrete syntax for a ground value: ints, strings, unit, and lists
-    or pairs thereof.  None when the value cannot be serialized."""
-    if isinstance(v, VInt):
-        return str(v.value)
-    if isinstance(v, VStr):
-        return S.quote_string(v.value)
-    if isinstance(v, VUnit):
-        return "()"
-    if isinstance(v, VList):
-        text = "[]"
-        for item in reversed(v.items):
-            part = serialize_ground(item)
-            if part is None:
-                return None
-            text = f"({part} :: {text})"
-        return text
-    if isinstance(v, VPair):
-        a, b = serialize_ground(v.first), serialize_ground(v.second)
-        if a is None or b is None:
-            return None
-        return f"({a}, {b})"
-    return None
 
 
 def value_to_literal(v: RuntimeValue) -> Optional[S.Expr]:
@@ -114,14 +89,16 @@ def value_to_literal(v: RuntimeValue) -> Optional[S.Expr]:
     return None
 
 
-def check_scope(code: QuoteCode) -> None:
-    """Reject rebuilt code with unbound variables (extruded binders)."""
-    free = S.free_vars(code.tree)
+def check_scope(code: QuoteCode) -> list[RuntimeValue]:
+    """Reject rebuilt code with unbound variables (extruded binders);
+    returns the run-time values the code persists."""
+    free, persisted = S.scan(code.tree)
     if free:
         raise Diagnostic(
             Kind.SCOPE_EXTRUSION,
             "generated code has unbound variables: " + ", ".join(sorted(free)),
         )
+    return persisted
 
 
 class Backend:
@@ -149,129 +126,47 @@ class Backend:
         raise NotImplementedError
 
 
-class StringBackend(Backend):
-    name = "string"
-
-    def _text(self, v: RuntimeValue) -> str:
-        if isinstance(v, VCode) and isinstance(v.code, StringCode):
-            return v.code.text
-        raise type_error(f"string backend got a non-code operand ({runtime_tag(v)})")
-
-    def _wrap(self, text: str) -> VCode:
-        return VCode(StringCode(text))
-
-    def begin_lam(self) -> tuple[object, VCode]:
-        name = self.session.gensym("x")
-        return name, self._wrap(name)
-
-    def finish_lam(self, binder: object, body: VCode) -> VCode:
-        return self._wrap(f"(fun {binder} -> {self._text(body)})")
-
-    def genlet_parts(self, code: VCode):
-        tvar = self.session.gensym("t")
-        bound = self._text(code)
-
-        def wrap(rest: RuntimeValue) -> RuntimeValue:
-            return self._wrap(f"(let {tvar} = {bound} in {self._text(rest)})")
-
-        return self._wrap(tvar), wrap
-
-    def apply_simple(self, name: str, values: list[RuntimeValue]) -> RuntimeValue:
-        if name == "int":
-            (v,) = values
-            assert isinstance(v, VInt)
-            return self._wrap(str(v.value))
-        if name == "str":
-            (v,) = values
-            assert isinstance(v, VStr)
-            return self._wrap(S.quote_string(v.value))
-        if name == "csp":
-            (v,) = values
-            text = serialize_ground(v)
-            if text is None:
-                raise Diagnostic(
-                    Kind.CSP_SERIALIZATION,
-                    f"cannot serialize a {runtime_tag(v)} value into emitted code",
-                )
-            return self._wrap(text)
-        if name == "nil":
-            return self._wrap("[]")
-        texts = [self._text(v) for v in values]
-        if name == "add":
-            return self._wrap(f"({texts[0]} + {texts[1]})")
-        if name == "app":
-            return self._wrap(f"({texts[0]} {texts[1]})")
-        if name == "pair":
-            return self._wrap(f"({texts[0]}, {texts[1]})")
-        if name == "cons":
-            return self._wrap(f"({texts[0]} :: {texts[1]})")
-        if name == "ref_":
-            return self._wrap(f"(ref {texts[0]})")
-        if name == "rget":
-            return self._wrap(f"(!{texts[0]})")
-        if name == "rset":
-            return self._wrap(f"(rset {texts[0]} {texts[1]})")
-        raise type_error(f"unknown combinator {name}")
+# The node class each compound combinator builds.
+_NODE_OF = {name: cls for cls, name in S.COMB_OF.items()}
 
 
 class QuoteBackend(Backend):
+    """Code values are bare trees; `evaluate` wraps the final one."""
+
     name = "quote"
 
     def _tree(self, v: RuntimeValue) -> S.Expr:
-        if isinstance(v, VCode) and isinstance(v.code, QuoteCode):
-            return v.code.tree
+        if isinstance(v, VCode):
+            return v.code
         raise type_error(f"quote backend got a non-code operand ({runtime_tag(v)})")
-
-    def _wrap(self, tree: S.Expr) -> VCode:
-        return VCode(QuoteCode(tree))
 
     def begin_lam(self) -> tuple[object, VCode]:
         name = self.session.gensym("x")
-        return name, self._wrap(S.Var(name))
+        return name, VCode(S.Var(name))
 
     def finish_lam(self, binder: object, body: VCode) -> VCode:
         assert isinstance(binder, str)
-        return self._wrap(S.Fun(binder, self._tree(body)))
+        return VCode(S.Fun(binder, self._tree(body)))
 
     def genlet_parts(self, code: VCode):
         tvar = self.session.gensym("t")
         bound = self._tree(code)
 
         def wrap(rest: RuntimeValue) -> RuntimeValue:
-            return self._wrap(S.Let(tvar, bound, self._tree(rest)))
+            return VCode(S.Let(tvar, bound, self._tree(rest)))
 
-        return self._wrap(S.Var(tvar)), wrap
+        return VCode(S.Var(tvar)), wrap
 
     def apply_simple(self, name: str, values: list[RuntimeValue]) -> RuntimeValue:
-        if name == "int":
-            (v,) = values
-            assert isinstance(v, VInt)
-            return self._wrap(S.IntLit(v.value))
-        if name == "str":
-            (v,) = values
-            assert isinstance(v, VStr)
-            return self._wrap(S.StrLit(v.value))
-        if name == "csp":
+        node = _NODE_OF.get(name)
+        if node is not None:
+            return VCode(node(*map(self._tree, values)))
+        if name in ("int", "str", "csp"):
             (v,) = values
             lit = value_to_literal(v)
-            return self._wrap(lit if lit is not None else S.CspValue(v))
+            return VCode(lit if lit is not None else S.CspValue(v))
         if name == "nil":
-            return self._wrap(S.Nil())
-        trees = [self._tree(v) for v in values]
-        if name == "add":
-            return self._wrap(S.Add(trees[0], trees[1]))
-        if name == "app":
-            return self._wrap(S.App(trees[0], trees[1]))
-        if name == "pair":
-            return self._wrap(S.Pair(trees[0], trees[1]))
-        if name == "cons":
-            return self._wrap(S.Cons(trees[0], trees[1]))
-        if name == "ref_":
-            return self._wrap(S.RefNew(trees[0]))
-        if name == "rget":
-            return self._wrap(S.RefGet(trees[0]))
-        if name == "rset":
-            return self._wrap(S.Rset(trees[0], trees[1]))
+            return VCode(S.Nil())
         raise type_error(f"unknown combinator {name}")
 
 
@@ -390,7 +285,7 @@ class EvalBackend(Backend):
 BACKEND_NAMES = ("string", "quote", "eval")
 
 _BACKENDS = {
-    "string": StringBackend,
+    "string": QuoteBackend,
     "quote": QuoteBackend,
     "eval": EvalBackend,
 }
@@ -399,8 +294,9 @@ _BACKENDS = {
 def evaluate(term, backend: str | None = "quote", name_start: int = 1) -> Evaluation:
     """Evaluate a closed translated term in a fresh session.
 
-    The quote backend's final code value is automatically checked for
-    scope extrusion.
+    Under both printing backends the final code value is checked for
+    scope extrusion; the string backend then prints the tree, and rejects
+    one that persists a run-time value, which has no concrete syntax.
     """
     session = Session(name_start)
     machine = Machine(session)
@@ -409,6 +305,15 @@ def evaluate(term, backend: str | None = "quote", name_start: int = 1) -> Evalua
         impl = _BACKENDS[backend](session, machine)
         session.backend = impl
     value = machine.execute(term)
-    if backend == "quote" and isinstance(value, VCode) and isinstance(value.code, QuoteCode):
-        check_scope(value.code)
+    if isinstance(impl, QuoteBackend) and isinstance(value, VCode):
+        code = QuoteCode(value.code)
+        persisted = check_scope(code)
+        if backend == "string":
+            if persisted:
+                raise Diagnostic(
+                    Kind.CSP_SERIALIZATION,
+                    f"cannot serialize a {runtime_tag(persisted[0])} value into emitted code",
+                )
+            code = StringCode(S.pretty(code.tree))
+        value = VCode(code)
     return Evaluation(value=value, session=session, machine=machine, backend=impl)

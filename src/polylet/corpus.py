@@ -41,7 +41,7 @@ class CorpusEntry:
     string_golden: Optional[str] = None  # compared mod alpha + let reorder
     observe: Optional[Observe] = None
     run_diag: Optional[Kind] = None  # diagnostic from forcing the eval result
-    quote_diag: Optional[Kind] = None  # diagnostic from quote evaluation
+    quote_diag: Optional[Kind] = None  # diagnostic from either printing backend
 
     @property
     def is_bracket_program(self) -> bool:

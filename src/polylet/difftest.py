@@ -350,14 +350,15 @@ def check_goldens(entry: CorpusEntry) -> list[CheckResult]:
                     )
                 )
     if entry.quote_diag is not None:
-        name = f"diagnostic-quote/{entry.name}"
         term = _entry_term(entry)
-        try:
-            evaluate(term, "quote")
-            results.append(CheckResult(name, "fail", "expected a diagnostic"))
-        except Diagnostic as d:
-            status = "pass" if d.kind is entry.quote_diag else "fail"
-            results.append(CheckResult(name, status, d.message if status == "fail" else ""))
+        for backend in ("quote", "string"):
+            name = f"diagnostic-{backend}/{entry.name}"
+            try:
+                evaluate(term, backend)
+                results.append(CheckResult(name, "fail", "expected a diagnostic"))
+            except Diagnostic as d:
+                status = "pass" if d.kind is entry.quote_diag else "fail"
+                results.append(CheckResult(name, status, d.message if status == "fail" else ""))
     if entry.run_diag is not None:
         name = f"diagnostic-run/{entry.name}"
         term = _entry_term(entry)

@@ -170,6 +170,19 @@ class Comb(Expr):
             raise ValueError(f"unknown combinator {self.name}")
 
 
+# The combinator that builds each compound plain form, its arguments being
+# the form's children in field order.
+COMB_OF = {
+    Add: "add",
+    Pair: "pair",
+    Cons: "cons",
+    RefNew: "ref_",
+    RefGet: "rget",
+    Rset: "rset",
+    App: "app",
+}
+
+
 def comb(name: str, *args: Expr) -> Comb:
     return Comb(name, tuple(args))
 
@@ -237,22 +250,45 @@ def rebuild(e: Expr, kids: Sequence[Expr]) -> Expr:
     return type(e)(*kids)
 
 
+def scan(e: Expr) -> tuple[set[str], list[object]]:
+    """The variables not bound by any enclosing Fun or Let, and the values
+    the tree's `CspValue` nodes persist: one walk, on an explicit stack,
+    so any depth of tree is fine."""
+    free: set[str] = set()
+    persisted: list[object] = []
+    bound: dict[str, int] = {}
+    stack: list = [e]
+    while stack:
+        e = stack.pop()
+        cls = type(e)
+        if cls is Var:
+            if e.name not in bound:
+                free.add(e.name)
+        elif cls is tuple:  # entering (+1) or leaving (-1) a binder's scope
+            name, step = e
+            count = bound.get(name, 0) + step
+            if count:
+                bound[name] = count
+            else:
+                del bound[name]
+        elif cls is CspValue:
+            persisted.append(e.value)
+        elif cls is Fun or cls is Let:
+            if cls is Let:
+                stack.append(e.rhs)  # outside the binder's scope
+            name = e.name if cls is Let else e.param
+            if binds(name):
+                stack += ((name, -1), e.body, (name, 1))
+            else:
+                stack.append(e.body)
+        else:
+            stack += _CHILDREN[cls](e)
+    return free, persisted
+
+
 def free_vars(e: Expr) -> set[str]:
     """Variables not bound by any enclosing Fun or Let."""
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, Fun):
-        inner = free_vars(e.body)
-        return inner - {e.param} if binds(e.param) else inner
-    if isinstance(e, Let):
-        body = free_vars(e.body)
-        if binds(e.name):
-            body = body - {e.name}
-        return free_vars(e.rhs) | body
-    out: set[str] = set()
-    for child in children(e):
-        out |= free_vars(child)
-    return out
+    return scan(e)[0]
 
 
 def csp_values_equal(a: object, b: object) -> bool:
@@ -324,62 +360,67 @@ def unescape(body: str) -> str:
 _EXPR, _OPER, _APP, _ATOM = 0, 1, 3, 4
 
 
+def _comb_layout(e: Comb):
+    if not e.args:
+        return e.name
+    parts: list = [e.name]
+    for a in e.args:
+        parts += (" ", (a, _ATOM))
+    return _APP, parts
+
+
+# Each class's layout: the text of an atom, or the node's own precedence
+# level and its text as a sequence of strings and (child, least level the
+# child may print at without parentheses).
+_LAYOUT = {
+    Var: lambda e: e.name,
+    IntLit: lambda e: str(e.value),
+    StrLit: lambda e: quote_string(e.value),
+    Nil: lambda e: "[]",
+    Unit: lambda e: "()",
+    # Display-only: a persisted value has no source syntax.
+    CspValue: lambda e: f"%<{e.value}>",
+    Bracket: lambda e: (_ATOM, (".<", (e.body, _EXPR), ">.")),
+    Add: lambda e: (_ATOM, ("(", (e.left, _OPER), " + ", (e.right, _OPER), ")")),
+    Cons: lambda e: (_ATOM, ("(", (e.head, _OPER), " :: ", (e.tail, _OPER), ")")),
+    Pair: lambda e: (_ATOM, ("(", (e.first, _EXPR), ", ", (e.second, _EXPR), ")")),
+    App: lambda e: (_APP, ((e.fn, _APP), " ", (e.arg, _ATOM))),
+    RefNew: lambda e: (_APP, ("ref ", (e.init, _ATOM))),
+    RefGet: lambda e: (_APP, ("!", (e.ref, _ATOM))),
+    Rset: lambda e: (_APP, ("rset ", (e.ref, _ATOM), " ", (e.value, _ATOM))),
+    Escape: lambda e: (_APP, (".~", (e.body, _ATOM))),
+    Csp: lambda e: (_APP, ("%", (e.body, _ATOM))),
+    Comb: _comb_layout,
+    Fun: lambda e: (_EXPR, ("fun ", e.param, " -> ", (e.body, _EXPR))),
+    Let: lambda e: (_EXPR, ("let ", e.name, " = ", (e.rhs, _EXPR), " in ", (e.body, _EXPR))),
+}
+
+
 def pretty(e: Expr) -> str:
     """Concrete syntax; a combinator-free tree re-parses to an alpha-equal
-    tree."""
-    return _render(e, _EXPR)
-
-
-def _render(e: Expr, min_level: int) -> str:
-    text, level = _render1(e)
-    if level < min_level:
-        return f"({text})"
-    return text
-
-
-def _render1(e: Expr) -> tuple[str, int]:
-    if isinstance(e, Var):
-        return e.name, _ATOM
-    if isinstance(e, IntLit):
-        return str(e.value), _ATOM
-    if isinstance(e, StrLit):
-        return quote_string(e.value), _ATOM
-    if isinstance(e, Nil):
-        return "[]", _ATOM
-    if isinstance(e, Unit):
-        return "()", _ATOM
-    if isinstance(e, CspValue):
-        # Display-only: a persisted value has no source syntax.
-        return f"%<{e.value}>", _ATOM
-    if isinstance(e, Bracket):
-        return f".<{_render(e.body, _EXPR)}>.", _ATOM
-    if isinstance(e, Add):
-        return f"({_render(e.left, _OPER)} + {_render(e.right, _OPER)})", _ATOM
-    if isinstance(e, Cons):
-        return f"({_render(e.head, _OPER)} :: {_render(e.tail, _OPER)})", _ATOM
-    if isinstance(e, Pair):
-        return f"({_render(e.first, _EXPR)}, {_render(e.second, _EXPR)})", _ATOM
-    if isinstance(e, App):
-        return f"{_render(e.fn, _APP)} {_render(e.arg, _ATOM)}", _APP
-    if isinstance(e, RefNew):
-        return f"ref {_render(e.init, _ATOM)}", _APP
-    if isinstance(e, RefGet):
-        return f"!{_render(e.ref, _ATOM)}", _APP
-    if isinstance(e, Rset):
-        return f"rset {_render(e.ref, _ATOM)} {_render(e.value, _ATOM)}", _APP
-    if isinstance(e, Escape):
-        return f".~{_render(e.body, _ATOM)}", _APP
-    if isinstance(e, Csp):
-        return f"%{_render(e.body, _ATOM)}", _APP
-    if isinstance(e, Comb):
-        if not e.args:
-            return e.name, _ATOM
-        return e.name + " " + " ".join(_render(a, _ATOM) for a in e.args), _APP
-    if isinstance(e, Fun):
-        return f"fun {e.param} -> {_render(e.body, _EXPR)}", _EXPR
-    if isinstance(e, Let):
-        return f"let {e.name} = {_render(e.rhs, _EXPR)} in {_render(e.body, _EXPR)}", _EXPR
-    raise TypeError(f"unexpected expression {e!r}")
+    tree.  Prints from an explicit stack, so any depth of tree is fine."""
+    out: list[str] = []
+    emit = out.append
+    stack: list = [(e, _EXPR)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            emit(item)
+            continue
+        e, min_level = item
+        try:
+            layout = _LAYOUT[type(e)](e)
+        except KeyError:
+            raise TypeError(f"unexpected expression {e!r}") from None
+        if type(layout) is str:
+            emit(layout)
+            continue
+        level, parts = layout
+        if level < min_level:
+            emit("(")
+            stack.append(")")
+        stack += parts[::-1]
+    return "".join(out)
 
 
 def check_staging(e: Expr, level: int = 0) -> None:

@@ -13,19 +13,6 @@ from __future__ import annotations
 
 from . import syntax as S
 
-# The combinator that builds each compound future-stage form, its
-# arguments being the translated children in field order.
-_COMB_OF = {
-    S.Add: "add",
-    S.Pair: "pair",
-    S.Cons: "cons",
-    S.RefNew: "ref_",
-    S.RefGet: "rget",
-    S.Rset: "rset",
-    S.App: "app",
-}
-
-
 def translate(e: S.Expr) -> S.Expr:
     """Translate a well-formed source expression; total, no typing needed."""
     return _Translator().level0(e)
@@ -40,10 +27,32 @@ def _host_param(name: str) -> str:
 class _Translator:
     def __init__(self) -> None:
         self._scopes = 0
+        # For each name some binder in scope rebinds: whether the innermost
+        # such binder is a genletfun, whose uses become `name ()`.
+        self._thunked: dict[str, bool] = {}
 
     def _fresh_scope(self) -> str:
         self._scopes += 1
         return f"p_{self._scopes}"
+
+    def _scoped(self, name: str, body: S.Expr, level, thunk: bool = False) -> S.Expr:
+        """Translate `body` in the scope of binder `name`: a genletfun
+        binder (`thunk`) makes its uses thunk calls, any other binder of
+        the name shadows that."""
+        thunked = self._thunked
+        if not (thunk or name in thunked):
+            return level(body)
+        saved = thunked.get(name)
+        thunked[name] = thunk and S.binds(name)
+        out = level(body)
+        if saved is None:
+            del thunked[name]
+        else:
+            thunked[name] = saved
+        return out
+
+    def _var(self, e: S.Var) -> S.Expr:
+        return S.App(e, S.Unit()) if self._thunked.get(e.name) else e
 
     def level0(self, e: S.Expr) -> S.Expr:
         if isinstance(e, S.Bracket):
@@ -53,15 +62,23 @@ class _Translator:
             return S.comb("csp", self.level0(e.body))
         if isinstance(e, S.Escape):
             raise ValueError(f"escape at level 0: {e!r}")
+        if self._thunked:
+            if isinstance(e, S.Var):
+                return self._var(e)
+            if isinstance(e, S.Fun):
+                return S.Fun(e.param, self._scoped(e.param, e.body, self.level0))
+            if isinstance(e, S.Let):
+                rhs = self.level0(e.rhs)
+                return S.Let(e.name, rhs, self._scoped(e.name, e.body, self.level0))
         kids = S.children(e)
         return S.rebuild(e, list(map(self.level0, kids))) if kids else e
 
     def level1(self, e: S.Expr) -> S.Expr:
-        name = _COMB_OF.get(type(e))
+        name = S.COMB_OF.get(type(e))
         if name is not None:
             return S.Comb(name, tuple(map(self.level1, S.children(e))))
         if isinstance(e, S.Var):
-            return e
+            return self._var(e)
         if isinstance(e, S.IntLit):
             return S.comb("int", e)
         if isinstance(e, S.StrLit):
@@ -71,7 +88,7 @@ class _Translator:
         if isinstance(e, (S.Unit, S.CspValue)):
             return S.comb("csp", e)
         if isinstance(e, S.Fun):
-            return S.comb("lam", S.Fun(_host_param(e.param), self.level1(e.body)))
+            return S.comb("lam", self._fun(e))
         if isinstance(e, S.Escape):
             return self.level0(e.body)
         if isinstance(e, S.Csp):
@@ -82,28 +99,18 @@ class _Translator:
             raise ValueError("nested bracket survived parsing")
         raise TypeError(f"unexpected expression {e!r}")
 
+    def _fun(self, e: S.Fun) -> S.Fun:
+        return S.Fun(_host_param(e.param), self._scoped(e.param, e.body, self.level1))
+
     def _let(self, e: S.Let) -> S.Expr:
         scope = self._fresh_scope()
         if isinstance(e.rhs, S.Fun):
-            fn = S.Fun(_host_param(e.rhs.param), self.level1(e.rhs.body))
-            body = self.level1(e.body)
-            if S.binds(e.name):
-                body = _thunkify(body, e.name)
+            fn = self._fun(e.rhs)
+            body = self._scoped(e.name, e.body, self.level1, thunk=True)
             thunk = S.Fun(S.UNIT_BINDER, S.comb("genletfun", S.Var(scope), fn))
             return S.comb("new_funscope", S.Fun(scope, S.Let(e.name, thunk, body)))
         # The host let binds the inserted code, so a unit pattern becomes
         # a wildcard, as in the fun rules.
         rhs = S.comb("genlet", S.Var(scope), self.level1(e.rhs))
-        body = self.level1(e.body)
+        body = self._scoped(e.name, e.body, self.level1)
         return S.comb("new_scope", S.Fun(scope, S.Let(_host_param(e.name), rhs, body)))
-
-
-def _thunkify(t: S.Expr, name: str) -> S.Expr:
-    """Replace every free occurrence of `name` with `name ()`."""
-    if isinstance(t, S.Var):
-        return S.App(t, S.Unit()) if t.name == name else t
-    if isinstance(t, S.Fun) and t.param == name:
-        return t
-    if isinstance(t, S.Let) and t.name == name:
-        return S.Let(t.name, _thunkify(t.rhs, name), t.body)
-    return S.rebuild(t, [_thunkify(c, name) for c in S.children(t)])

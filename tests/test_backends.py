@@ -6,7 +6,6 @@ from polylet.backends import (
     StringCode,
     check_scope,
     evaluate,
-    serialize_ground,
     value_to_literal,
 )
 from polylet.corpus import ENTRIES, by_name
@@ -107,12 +106,16 @@ def test_genletfun_behind_plain_genlet_duplicates():
 
 
 def test_string_csp_serializes_ground_values():
-    assert serialize_ground(VInt(3)) == "3"
-    assert serialize_ground(VStr("a")) == '"a"'
-    assert serialize_ground(VUnit()) == "()"
-    assert serialize_ground(VList((VInt(1), VInt(2)))) == "(1 :: (2 :: []))"
-    assert serialize_ground(VPair(VInt(1), VStr("b"))) == '(1, "b")'
-    assert serialize_ground(VRefCell(VList(()))) is None
+    values = [
+        VInt(3),
+        VStr('a"b\\c'),
+        VUnit(),
+        VList((VInt(1), VInt(2))),
+        VPair(VInt(1), VStr("b")),
+    ]
+    for v in values:
+        text = string_of(translate(S.Bracket(S.Csp(S.CspValue(v)))))
+        assert text == S.pretty(value_to_literal(v))
 
 
 def test_string_csp_rejects_cells():
@@ -120,6 +123,12 @@ def test_string_csp_rejects_cells():
     with pytest.raises(Diagnostic) as exc:
         evaluate(term, "string")
     assert exc.value.kind is Kind.CSP_SERIALIZATION
+
+
+def test_string_csp_cell_outside_the_emitted_code_is_fine():
+    # The cell is persisted into code that the result does not contain.
+    term = translate(parse_source("let r = ref [] in let c = .<%r>. in .<1>."))
+    assert string_of(term) == "1"
 
 
 def test_quote_csp_ground_becomes_literal():
@@ -151,9 +160,10 @@ def test_check_scope_flags_open_code():
 
 
 def test_extrusion_detected_on_final_result():
-    with pytest.raises(Diagnostic) as exc:
-        evaluate(by_name("extrusion_open_code").build_target(), "quote")
-    assert exc.value.kind is Kind.SCOPE_EXTRUSION
+    for backend in ("quote", "string"):
+        with pytest.raises(Diagnostic) as exc:
+            evaluate(by_name("extrusion_open_code").build_target(), backend)
+        assert exc.value.kind is Kind.SCOPE_EXTRUSION
 
 
 def test_unsound_program_trips_tag_check_not_silence():

@@ -65,7 +65,7 @@ def test_codegen_string(write, capsys):
     path = write(".<let y = 1 + 2 in fun x -> x + y>.")
     assert main(["codegen", "--backend", "string", path]) == 0
     out = capsys.readouterr().out.strip()
-    assert out == "(let t_1 = (1 + 2) in (fun x_1 -> (x_1 + t_1)))"
+    assert out == "let t_1 = (1 + 2) in fun x_1 -> (x_1 + t_1)"
 
 
 def test_codegen_quote(write, capsys):

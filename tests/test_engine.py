@@ -109,8 +109,21 @@ def test_step_table_covers_every_node_kind_but_staging_forms():
 
 def test_deep_terms_run_without_python_recursion():
     nest = S.IntLit(0)
+    code_nest = S.comb("int", S.IntLit(0))
+    one = S.comb("int", S.IntLit(1))
+    opens, closes = [], []
     for i in range(50_000):
-        nest = S.Add(nest, S.IntLit(1)) if i % 2 else S.Add(S.IntLit(1), nest)
+        if i % 2:
+            nest = S.Add(nest, S.IntLit(1))
+            code_nest = S.comb("add", code_nest, one)
+            opens.append("(")
+            closes.append(" + 1)")
+        else:
+            nest = S.Add(S.IntLit(1), nest)
+            code_nest = S.comb("add", one, code_nest)
+            opens.append("(1 + ")
+            closes.append(")")
+    text = "".join(reversed(opens)) + "0" + "".join(closes)
     chain = S.IntLit(0)
     for _ in range(20_000):
         chain = S.App(S.Fun("x", S.Add(S.Var("x"), chain)), S.IntLit(1))
@@ -119,6 +132,10 @@ def test_deep_terms_run_without_python_recursion():
     try:
         assert evaluate(nest, None).value == VInt(50_000)
         assert evaluate(chain, None).value == VInt(20_000)
+        assert S.pretty(nest) == text
+        tree = evaluate(code_nest, "quote").value.code.tree
+        assert S.pretty(tree) == text
+        assert evaluate(code_nest, "string").value.code.text == text
     finally:
         sys.setrecursionlimit(limit)
 

@@ -5,7 +5,7 @@ from polylet import target as T
 from polylet.parser import parse_source
 from polylet.typecheck import infer_host, infer_staged
 from polylet.typesys import TypeEnv, render_scheme
-from polylet.unstage import translate, _thunkify
+from polylet.unstage import translate
 
 
 def c(name, *args):
@@ -145,16 +145,47 @@ def test_free_vars_preserved():
 
 
 def test_thunkify_respects_shadowing():
-    body = S.Let(
-        "f",
-        S.Var("f"),  # refers to the outer f: substituted
-        S.App(S.Var("f"), S.IntLit(1)),  # refers to the inner f: untouched
+    # Uses of a quoted `let f = fun ...` become `f ()`, at both levels and
+    # through escapes into nested brackets, except where a quoted fun, the
+    # body of a quoted let, or a present-stage fun rebinds f; the
+    # right-hand side of a quoted let still sees the outer f.
+    src = (
+        ".<let f = fun x -> x in"
+        " (f 1, (fun f -> f, (let f = f in f, .~((fun f -> f) .<f 2>.))))>."
     )
-    out = _thunkify(body, "f")
-    assert out.rhs == S.App(S.Var("f"), S.Unit())
-    assert out.body == S.App(S.Var("f"), S.IntLit(1))
-    fn = S.Fun("f", S.Var("f"))
-    assert _thunkify(fn, "f") == fn
+    assert S.pretty(translate(parse_source(src))) == (
+        "new_funscope (fun p_1 -> let f = fun () -> genletfun p_1 (fun x -> x) in"
+        " pair (app (f ()) (int 1))"
+        " (pair (lam (fun f -> f))"
+        " (pair (new_scope (fun p_2 -> let f = genlet p_2 (f ()) in f))"
+        " ((fun f -> f) (app (f ()) (int 2))))))"
+    )
+
+
+def test_thunking_is_linear_in_genletfun_chain_length(monkeypatch):
+    """Uses are thunked as the body is translated, not by re-walking the
+    translated body of every quoted `let f = fun ...`."""
+    calls = 0
+    children = S.children
+
+    def counting_children(e):
+        nonlocal calls
+        calls += 1
+        return children(e)
+
+    monkeypatch.setattr(S, "children", counting_children)
+
+    def work(n):
+        nonlocal calls
+        lets = "let f0 = fun x -> x in " + "".join(
+            f"let f{k} = fun x -> f{k - 1} x in " for k in range(1, n)
+        )
+        source = parse_source(f".<{lets}f{n - 1} 1>.")
+        calls = 0
+        translate(source)
+        return calls
+
+    assert work(100) <= 5 * work(25)
 
 
 def test_value_lit_round_trips_through_translation():
