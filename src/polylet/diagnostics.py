@@ -32,6 +32,12 @@ class Location:
         return f"{self.line}:{self.column}"
 
 
+def location(text: str, offset: int) -> Location:
+    """The Location of `offset` in `text`.  Tokens carry bare offsets, and
+    lines are counted only here, when a diagnostic is raised."""
+    return Location(offset, text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
+
+
 class Diagnostic(Exception):
     def __init__(self, kind: Kind, message: str, location: Location | None = None):
         super().__init__(message)

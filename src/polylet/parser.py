@@ -4,285 +4,246 @@ ML-flavored grammar with two staging forms: brackets `.< e >.` and
 escapes `.~e`, plus the CSP marker `%e`.  Application binds tighter than
 `::`, which binds tighter than `+`; `,` builds pairs inside parentheses
 only.  Comments are `(* ... *)` and nest.
+
+A token is a tuple `(kind, text, value, offset)`.  Punctuation and
+keywords are recognised by their text alone: no other token has the same
+text, since a string token's text keeps its quotes.  Line and column are
+computed from the offset only when a diagnostic is raised.  Chains of
+`let ... in`, `fun ... ->` and `::` are read in loops, so their length
+costs no recursion depth.  The parser enforces the two-level staging
+discipline of `syntax.check_staging`, with located diagnostics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from . import syntax as S
-from .diagnostics import Diagnostic, Kind, Location, parse_error
+from .diagnostics import Diagnostic, location, parse_error
 
-KEYWORDS = {"let", "in", "fun", "ref", "rset"}
+KEYWORDS = frozenset({"let", "in", "fun", "ref", "rset"})
 
-_PUNCT = ["::", "->", ".<", ">.", ".~", "(", ")", "[", "]", "+", ",", "=", "!", "%"]
+# Texts of the tokens that cannot start an application's argument; `""`
+# is the end of input.
+_STOP = KEYWORDS | {"", ")", "]", ",", "+", "::", "->", "=", ">."}
+
+# One token after any whitespace, in a group named after its kind; no
+# group matches at the end of the text.  `\s` is `str.isspace`, `\d` is
+# `str.isdecimal` and `\w` is `str.isalnum` or `_`.  A `word` is a
+# non-ASCII identifier, which must start with a letter: `[^\W\d]` also
+# admits numerals such as `²`.
+_TOKEN = re.compile(
+    r"""\s*(?:
+      (?P<punct>::|->|\.<|>\.|\.~|[)\[\]+,=!%]|\((?!\*))
+    | (?P<ident>[A-Za-z_][\w']*)
+    | (?P<int>\d+)
+    | (?P<string>"[^"\\]*(?:\\.[^"\\]*)*")
+    | (?P<comment>\(\*)
+    | (?P<word>[^\W\d][\w']*)
+    | (?P<bad>\S)
+    )?""",
+    re.VERBOSE | re.DOTALL,
+)
+_COMMENT = re.compile(r"\(\*|\*\)")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "int" | "string" | "ident" | "punct" | "eof"
-    text: str
-    value: object
-    loc: Location
-
-
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    pos, line, col = 0, 1, 1
-
-    def here() -> Location:
-        return Location(pos, line, col)
-
-    def advance(n: int = 1) -> None:
-        nonlocal pos, line, col
-        for _ in range(n):
-            if pos < len(text) and text[pos] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            pos += 1
-
-    while pos < len(text):
-        c = text[pos]
-        if c.isspace():
-            advance()
-            continue
-        if text.startswith("(*", pos):
-            start = here()
-            depth = 0
-            while pos < len(text):
-                if text.startswith("(*", pos):
-                    depth += 1
-                    advance(2)
-                elif text.startswith("*)", pos):
-                    depth -= 1
-                    advance(2)
-                    if depth == 0:
-                        break
-                else:
-                    advance()
-            else:
-                raise parse_error("unterminated comment", start)
-            if depth != 0:
-                raise parse_error("unterminated comment", start)
-            continue
-        if c.isdigit():
-            loc = here()
-            start = pos
-            while pos < len(text) and text[pos].isdigit():
-                advance()
-            tokens.append(Token("int", text[start:pos], int(text[start:pos]), loc))
-            continue
-        if c == '"':
-            loc = here()
-            end = pos + 1
-            while end < len(text) and text[end] != '"':
-                end += 2 if text[end] == "\\" else 1
-            if end >= len(text):
-                raise parse_error("unterminated string literal", loc)
-            body = S.unescape(text[pos + 1 : end])
-            advance(end + 1 - pos)  # through the closing quote
-            tokens.append(Token("string", '"' + body + '"', body, loc))
-            continue
-        if c.isalpha() or c == "_":
-            loc = here()
-            start = pos
-            while pos < len(text) and (text[pos].isalnum() or text[pos] in "_'"):
-                advance()
-            tokens.append(Token("ident", text[start:pos], text[start:pos], loc))
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, pos):
-                loc = here()
-                advance(len(p))
-                tokens.append(Token("punct", p, p, loc))
-                break
-        else:
-            raise parse_error(f"unexpected character {c!r}", here())
-    tokens.append(Token("eof", "", None, Location(pos, line, max(col, 1))))
-    return tokens
+def tokenize(text: str) -> list[tuple]:
+    """The tokens of `text`, the last of kind `eof`; a bad character, an
+    unterminated string or an unterminated comment raises a ParseError."""
+    tokens: list[tuple] = []
+    append = tokens.append
+    match = _TOKEN.match
+    pos = 0
+    while True:
+        m = match(text, pos)
+        kind = m.lastgroup
+        pos = m.end()
+        if kind == "punct" or kind == "ident":
+            t = m[kind]
+            append((kind, t, t, pos - len(t)))
+        elif kind == "int":
+            t = m[kind]
+            append((kind, t, int(t), pos - len(t)))
+        elif kind == "string":
+            t = m[kind]
+            body = S.unescape(t[1:-1])
+            append((kind, '"' + body + '"', body, pos - len(t)))
+        elif kind == "comment":
+            depth = 1
+            while depth:
+                delim = _COMMENT.search(text, pos)
+                if delim is None:
+                    raise parse_error("unterminated comment", location(text, m.start(kind)))
+                pos = delim.end()
+                depth += 1 if delim[0] == "(*" else -1
+        elif kind is None:
+            append(("eof", "", None, pos))
+            return tokens
+        elif kind == "word" and m[kind][0].isalpha():
+            t = m[kind]
+            append(("ident", t, t, pos - len(t)))
+        else:  # a stray character, an unclosed string's quote, or `²`
+            c = m[kind][0]
+            message = "unterminated string literal" if c == '"' else f"unexpected character {c!r}"
+            raise parse_error(message, location(text, m.start(kind)))
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], allow_staging: bool):
-        self.tokens = tokens
-        self.idx = 0
+    """Recursive descent over the token list; `tok` is the next token."""
+
+    def __init__(self, text: str, allow_staging: bool):
+        self.text = text
+        self.next = iter(tokenize(text)).__next__
+        self.tok = self.next()
         self.level = 0
         self.allow_staging = allow_staging
 
-    def peek(self) -> Token:
-        return self.tokens[self.idx]
-
-    def next(self) -> Token:
-        tok = self.tokens[self.idx]
-        self.idx += 1
-        return tok
-
-    def at_punct(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.text == text
-
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.text == word
-
-    def expect_punct(self, text: str) -> Token:
-        if not self.at_punct(text):
-            tok = self.peek()
-            raise parse_error(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok.loc)
-        return self.next()
-
     def fail(self, message: str) -> Diagnostic:
-        return parse_error(message, self.peek().loc)
+        return parse_error(message, location(self.text, self.tok[3]))
 
-    # --- grammar ---
+    def expect(self, text: str) -> None:
+        found = self.tok[1]
+        if found != text:
+            raise self.fail(f"expected {text!r}, found {found or 'end of input'!r}")
+        self.tok = self.next()
 
     def expr(self) -> S.Expr:
-        if self.at_keyword("let"):
-            self.next()
-            name = self.binder()
-            self.expect_punct("=")
-            rhs = self.expr()
-            if not self.at_keyword("in"):
-                raise self.fail("expected 'in'")
-            self.next()
-            body = self.expr()
-            return S.Let(name, rhs, body)
-        if self.at_keyword("fun"):
-            self.next()
-            name = self.binder()
-            self.expect_punct("->")
-            body = self.expr()
-            return S.Fun(name, body)
-        return self.add_expr()
+        """Any `let x = e in` and `fun x ->` heads, then a sum: `+` folds
+        to the left over `::` chains, which fold to the right."""
+        heads: list[tuple[str, S.Expr | None]] = []
+        while True:
+            word = self.tok[1]
+            if word == "let":
+                self.tok = self.next()
+                name = self.binder()
+                self.expect("=")
+                rhs = self.expr()
+                if self.tok[1] != "in":
+                    raise self.fail("expected 'in'")
+                self.tok = self.next()
+                heads.append((name, rhs))
+            elif word == "fun":
+                self.tok = self.next()
+                name = self.binder()
+                self.expect("->")
+                heads.append((name, None))
+            else:
+                break
+        e = None
+        while True:
+            operand = self.app()
+            if self.tok[1] == "::":
+                operand = self.cons(operand)
+            e = operand if e is None else S.Add(e, operand)
+            if self.tok[1] != "+":
+                break
+            self.tok = self.next()
+        for name, rhs in reversed(heads):
+            e = S.Fun(name, e) if rhs is None else S.Let(name, rhs, e)
+        return e
 
     def binder(self) -> str:
-        tok = self.peek()
-        if tok.kind == "ident":
-            if tok.text in KEYWORDS:
-                raise self.fail(f"keyword {tok.text!r} cannot be a binder")
-            self.next()
-            return tok.text
-        if self.at_punct("("):
-            self.next()
-            self.expect_punct(")")
+        kind, text = self.tok[:2]
+        if kind == "ident":
+            if text in KEYWORDS:
+                raise self.fail(f"keyword {text!r} cannot be a binder")
+            self.tok = self.next()
+            return text
+        if text == "(":
+            self.tok = self.next()
+            self.expect(")")
             return S.UNIT_BINDER
         raise self.fail("expected a binder")
 
-    def add_expr(self) -> S.Expr:
-        e = self.cons_expr()
-        while self.at_punct("+"):
-            self.next()
-            e = S.Add(e, self.cons_expr())
+    def cons(self, head: S.Expr) -> S.Expr:
+        """The rest of a `::` chain that starts with `head`."""
+        items = [head]
+        while self.tok[1] == "::":
+            self.tok = self.next()
+            items.append(self.app())
+        e = items.pop()
+        for head in reversed(items):
+            e = S.Cons(head, e)
         return e
 
-    def cons_expr(self) -> S.Expr:
-        e = self.app_expr()
-        if self.at_punct("::"):
-            self.next()
-            return S.Cons(e, self.cons_expr())
-        return e
-
-    def app_expr(self) -> S.Expr:
-        if self.at_keyword("ref"):
-            self.next()
+    def app(self) -> S.Expr:
+        word = self.tok[1]
+        if word == "ref":
+            self.tok = self.next()
             return S.RefNew(self.prefix())
-        if self.at_keyword("rset"):
-            self.next()
+        if word == "rset":
+            self.tok = self.next()
             ref = self.prefix()
-            value = self.prefix()
-            return S.Rset(ref, value)
+            return S.Rset(ref, self.prefix())
         e = self.prefix()
-        while self.starts_atom():
+        while self.tok[1] not in _STOP:
             e = S.App(e, self.prefix())
         return e
 
     def prefix(self) -> S.Expr:
-        if self.at_punct("!"):
-            self.next()
-            return S.RefGet(self.prefix())
-        if self.at_punct("%"):
-            loc = self.next().loc
-            if not self.allow_staging:
-                raise Diagnostic(Kind.PARSE_ERROR, "CSP marker in plain input", loc)
-            saved, self.level = self.level, 0
-            body = self.prefix()
-            self.level = saved
-            return S.Csp(body)
-        if self.at_punct(".~"):
-            loc = self.next().loc
-            if not self.allow_staging:
-                raise Diagnostic(Kind.PARSE_ERROR, "escape in plain input", loc)
-            if self.level == 0:
-                raise Diagnostic(Kind.PARSE_ERROR, "escape at level 0", loc)
-            saved, self.level = self.level, 0
-            body = self.prefix()
-            self.level = saved
-            return S.Escape(body)
-        return self.atom()
-
-    def starts_atom(self) -> bool:
-        tok = self.peek()
-        if tok.kind in ("int", "string"):
-            return True
-        if tok.kind == "ident":
-            return tok.text not in KEYWORDS
-        if tok.kind == "punct":
-            return tok.text in ("(", "[", ".<", "!", "%", ".~")
-        return False
-
-    def atom(self) -> S.Expr:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.next()
-            return S.IntLit(tok.value)  # type: ignore[arg-type]
-        if tok.kind == "string":
-            self.next()
-            return S.StrLit(tok.value)  # type: ignore[arg-type]
-        if tok.kind == "ident":
-            if tok.text in KEYWORDS:
-                raise self.fail(f"unexpected keyword {tok.text!r}")
-            self.next()
-            return S.Var(tok.text)
-        if self.at_punct("["):
-            self.next()
-            self.expect_punct("]")
-            return S.Nil()
-        if self.at_punct("("):
-            self.next()
-            if self.at_punct(")"):
-                self.next()
+        """An atom, or a prefix operator (`!`, `%`, `.~`) before one."""
+        tok = self.tok
+        kind, text = tok[0], tok[1]
+        if kind == "int":
+            self.tok = self.next()
+            return S.IntLit(tok[2])
+        if kind == "ident":
+            if text in KEYWORDS:
+                raise self.fail(f"unexpected keyword {text!r}")
+            self.tok = self.next()
+            return S.Var(text)
+        if kind == "string":
+            self.tok = self.next()
+            return S.StrLit(tok[2])
+        if text == "(":
+            self.tok = self.next()
+            if self.tok[1] == ")":
+                self.tok = self.next()
                 return S.Unit()
             first = self.expr()
-            if self.at_punct(","):
-                self.next()
+            if self.tok[1] == ",":
+                self.tok = self.next()
                 second = self.expr()
-                self.expect_punct(")")
+                self.expect(")")
                 return S.Pair(first, second)
-            self.expect_punct(")")
+            self.expect(")")
             return first
-        if self.at_punct(".<"):
-            loc = self.next().loc
+        if text == "[":
+            self.tok = self.next()
+            self.expect("]")
+            return S.Nil()
+        if text == ".<":
             if not self.allow_staging:
-                raise Diagnostic(Kind.PARSE_ERROR, "bracket in plain input", loc)
+                raise self.fail("bracket in plain input")
             if self.level > 0:
-                raise Diagnostic(Kind.PARSE_ERROR, "nested bracket", loc)
+                raise self.fail("nested bracket")
+            self.tok = self.next()
             self.level = 1
             body = self.expr()
             self.level = 0
-            self.expect_punct(">.")
+            self.expect(">.")
             return S.Bracket(body)
-        raise self.fail(f"unexpected token {tok.text or 'end of input'!r}")
+        if text == "!":
+            self.tok = self.next()
+            return S.RefGet(self.prefix())
+        if text == "%" or text == ".~":  # each reads its operand at level 0
+            if not self.allow_staging:
+                raise self.fail("CSP marker in plain input" if text == "%" else "escape in plain input")
+            if text == ".~" and self.level == 0:
+                raise self.fail("escape at level 0")
+            self.tok = self.next()
+            saved, self.level = self.level, 0
+            body = self.prefix()
+            self.level = saved
+            return S.Csp(body) if text == "%" else S.Escape(body)
+        raise self.fail(f"unexpected token {text or 'end of input'!r}")
 
 
 def _parse(text: str, allow_staging: bool) -> S.Expr:
-    parser = _Parser(tokenize(text), allow_staging)
+    parser = _Parser(text, allow_staging)
     e = parser.expr()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise parse_error(f"trailing input starting at {tok.text!r}", tok.loc)
-    S.check_staging(e)
+    if parser.tok[0] != "eof":
+        raise parser.fail(f"trailing input starting at {parser.tok[1]!r}")
     return e
 
 

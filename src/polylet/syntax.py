@@ -425,6 +425,8 @@ def pretty(e: Expr) -> str:
 
 def check_staging(e: Expr, level: int = 0) -> None:
     """Enforce the two-level discipline; raises a ParseError diagnostic.
+    The parser enforces the same rules as it reads, so this serves trees
+    built by other means.
 
     Inside a bracket no further bracket may occur except within an escape
     (which returns to level 0).  Escapes occur only at level 1.  The CSP

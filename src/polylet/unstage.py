@@ -15,7 +15,7 @@ from . import syntax as S
 
 def translate(e: S.Expr) -> S.Expr:
     """Translate a well-formed source expression; total, no typing needed."""
-    return _Translator().level0(e)
+    return _Translator(e).level0(e)
 
 
 def _host_param(name: str) -> str:
@@ -25,15 +25,34 @@ def _host_param(name: str) -> str:
 
 
 class _Translator:
-    def __init__(self) -> None:
+    def __init__(self, root: S.Expr) -> None:
+        self._root = root
         self._scopes = 0
+        # The names the tree binds or uses, which a scope binder must not
+        # capture; collected when the first scope is made.
+        self._taken: set[str] | None = None
         # For each name some binder in scope rebinds: whether the innermost
         # such binder is a genletfun, whose uses become `name ()`.
         self._thunked: dict[str, bool] = {}
 
     def _fresh_scope(self) -> str:
-        self._scopes += 1
-        return f"p_{self._scopes}"
+        if self._taken is None:
+            self._taken = taken = set()
+            stack = [self._root]
+            while stack:
+                e = stack.pop()
+                if isinstance(e, S.Var):
+                    taken.add(e.name)
+                elif isinstance(e, S.Fun):
+                    taken.add(e.param)
+                elif isinstance(e, S.Let):
+                    taken.add(e.name)
+                stack += S.children(e)
+        while True:
+            self._scopes += 1
+            name = f"p_{self._scopes}"
+            if name not in self._taken:
+                return name
 
     def _scoped(self, name: str, body: S.Expr, level, thunk: bool = False) -> S.Expr:
         """Translate `body` in the scope of binder `name`: a genletfun

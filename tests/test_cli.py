@@ -155,7 +155,7 @@ def test_seed_env_controls_gensym(write, capsys, monkeypatch):
 
 
 def test_deep_nesting_reports_resource_limit(write):
-    path = write("(1 + " * 200 + "1" + ")" * 200)
+    path = write("(1 + " * 400 + "1" + ")" * 400)
     src = os.path.dirname(os.path.dirname(polylet.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "polylet.cli", "typecheck", path],

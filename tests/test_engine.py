@@ -261,8 +261,8 @@ def test_parse_value_literal():
     assert parse_value_literal('"hi"') == VStr("hi")
     # Strings unescape exactly as string literals in source do.
     for literal in ('"a\\"b"', '"tab\\there"', '"line\\n"', '"back\\\\slash"', '"\\q"'):
-        (token, _eof) = tokenize(literal)
-        assert parse_value_literal(literal) == VStr(token.value)
+        (_kind, _text, value, _offset), _eof = tokenize(literal)
+        assert parse_value_literal(literal) == VStr(value)
     assert parse_value_literal('"a\\"b"') == VStr('a"b')
     assert parse_value_literal('"x\\ny"') == VStr("x\ny")
     assert parse_value_literal("()") == VUnit()

@@ -1,7 +1,10 @@
+import sys
+
 import pytest
 
+from polylet import parser
 from polylet import syntax as S
-from polylet.diagnostics import Diagnostic, Kind
+from polylet.diagnostics import Diagnostic, Kind, location
 from polylet.parser import parse_plain, parse_source, tokenize
 
 
@@ -124,11 +127,75 @@ def test_trailing_input_rejected():
 
 
 def test_tokenizer_positions():
-    toks = tokenize("let x =\n  1")
-    assert toks[0].loc.line == 1 and toks[0].loc.column == 1
-    assert toks[-2].loc.line == 2 and toks[-2].loc.column == 3
+    text = "let x =\n  1"
+    toks = tokenize(text)
+    first, last = location(text, toks[0][3]), location(text, toks[-2][3])
+    assert first.line == 1 and first.column == 1
+    assert last.line == 2 and last.column == 3
 
 
 def test_escape_binds_tightly():
     e = parse_source(".<.~f 1>.")
     assert e.body == S.App(S.Escape(S.Var("f")), S.IntLit(1))
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [("٣", S.IntLit(3)), ("é", S.Var("é")), ("x²", S.Var("x²")), ("1 + ٣٤", S.Add(S.IntLit(1), S.IntLit(34)))],
+)
+def test_unicode_digits_and_letters(text, expected):
+    assert parse_source(text) == expected
+
+
+@pytest.mark.parametrize(
+    "text, char, where",
+    [("²", "²", "1:1"), ("1²", "²", "1:2"), (".<1 + ²>.", "²", "1:7"), ("x\n ½", "½", "2:2")],
+)
+def test_numerals_that_are_not_decimal_digits_are_rejected(text, char, where):
+    # `²` is `isdigit()` but not a decimal digit, and `½` is neither.
+    with pytest.raises(Diagnostic) as exc:
+        parse_source(text)
+    assert exc.value.kind is Kind.PARSE_ERROR
+    assert exc.value.message == f"unexpected character {char!r}"
+    assert str(exc.value.location) == where
+
+
+def _chain_length(e, cls, child):
+    """How many `cls` nodes lead from `e` along the field `child`, and the
+    node after them; a loop, so depth costs no recursion."""
+    n = 0
+    while isinstance(e, cls):
+        e, n = getattr(e, child), n + 1
+    return n, e
+
+
+def test_long_chains_parse_at_the_default_recursion_limit():
+    n = 100_000
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        lets = parse_source("let x = 1 in " * n + "x")
+        funs = parse_source(".<" + "fun x -> " * n + "x>.").body
+        conses = parse_plain("1 :: " * n + "[]")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert _chain_length(lets, S.Let, "body") == (n, S.Var("x"))
+    assert _chain_length(funs, S.Fun, "body") == (n, S.Var("x"))
+    assert _chain_length(conses, S.Cons, "tail") == (n, S.Nil())
+
+
+def test_locations_are_built_only_for_diagnostics(monkeypatch):
+    built = []
+
+    def counting(text, offset):
+        built.append(offset)
+        return location(text, offset)
+
+    monkeypatch.setattr(parser, "location", counting)
+    parse_source('(* a (* nested *) comment *)\n.<let f = fun () -> ref [] in\n  (rset (f ()) 2, "s\\n")>.')
+    assert built == []
+    for text in ("let x = in x", "(1 + ²)", "(* open", '"open'):
+        with pytest.raises(Diagnostic):
+            parse_source(text)
+        assert len(built) == 1, text
+        built.clear()

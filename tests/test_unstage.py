@@ -2,6 +2,8 @@ import pytest
 
 from polylet import syntax as S
 from polylet import target as T
+from polylet.backends import evaluate
+from polylet.engine import VInt
 from polylet.parser import parse_source
 from polylet.typecheck import infer_host, infer_staged
 from polylet.typesys import TypeEnv, render_scheme
@@ -215,3 +217,14 @@ def test_quoted_unit_pattern_let_preserves_typing(text):
     e = parse_source(text)
     assert render_scheme(infer_staged(TypeEnv(), e)) == "int code"
     assert render_scheme(infer_host(TypeEnv(), translate(e)), "cod") == "int cod"
+
+
+def test_scope_binders_avoid_the_programs_names():
+    # A source binder spelled like a scope binder must not be captured.
+    e = parse_source(".<fun p_1 -> let y = 1 in p_1 + y>.")
+    term = translate(e)
+    assert render_scheme(infer_host(TypeEnv(), term), "cod") == "(int -> int) cod"
+    tree = evaluate(term, "quote").value.code.tree
+    assert S.alpha_equal(tree, parse_source("fun x -> let y = 1 in x + y"))
+    ev = evaluate(tree, "eval")
+    assert ev.call(ev.force(), VInt(4)) == VInt(5)
