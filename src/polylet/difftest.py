@@ -379,7 +379,7 @@ def check_translation_lint(entry: CorpusEntry) -> CheckResult | None:
     if entry.source is None:
         return None
     term = translate(parse_source(entry.source))
-    problems = T.lint_scopes(term, require_adjacent=True)
+    problems = T.lint_scopes(term)
     name = f"lint/{entry.name}"
     if problems:
         return CheckResult(name, "fail", "; ".join(problems))
@@ -498,7 +498,7 @@ def _first_order(t) -> bool:
     t = ts.resolve(t)
     if isinstance(t, (ts.TArrow, ts.TRef, ts.TCode, ts.TScope, ts.TFunScope, ts.TVar)):
         return False
-    return all(_first_order(p) for p in ts._parts(t))
+    return all(_first_order(p) for p in ts._PARTS[type(t)](t))
 
 
 def check_random_program(e: S.Expr, label: str) -> CheckResult:

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 from . import syntax as S
 from .diagnostics import Diagnostic, Kind, type_error, unbound_var
-from .syntax import UNIT_BINDER, binds, quote_string, unescape
+from .syntax import UNIT_BINDER, binds, int_text, quote_string, unescape
 
 
 # --- runtime values --------------------------------------------------------
@@ -170,7 +170,7 @@ def parse_value_literal(text: str) -> RuntimeValue:
 
 def render_value(v: RuntimeValue) -> str:
     if isinstance(v, VInt):
-        return str(v.value)
+        return int_text(v.value)
     if isinstance(v, VStr):
         return quote_string(v.value)
     if isinstance(v, VUnit):

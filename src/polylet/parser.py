@@ -17,6 +17,7 @@ discipline of `syntax.check_staging`, with located diagnostics.
 from __future__ import annotations
 
 import re
+import sys
 
 from . import syntax as S
 from .diagnostics import Diagnostic, location, parse_error
@@ -63,7 +64,13 @@ def tokenize(text: str) -> list[tuple]:
             append((kind, t, t, pos - len(t)))
         elif kind == "int":
             t = m[kind]
-            append((kind, t, int(t), pos - len(t)))
+            try:
+                value = int(t)
+            except ValueError:  # Python's integer-string limit, left in force
+                limit = sys.get_int_max_str_digits()
+                message = f"integer literal has more than {limit} digits"
+                raise parse_error(message, location(text, pos - len(t))) from None
+            append((kind, t, value, pos - len(t)))
         elif kind == "string":
             t = m[kind]
             body = S.unescape(t[1:-1])

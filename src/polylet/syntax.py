@@ -15,6 +15,7 @@ node over new children.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from operator import attrgetter, is_
 from typing import Sequence
@@ -347,6 +348,18 @@ def quote_string(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def int_text(n: int) -> str:
+    """An integer's decimal digits.  Past Python's integer-string limit,
+    which is left in force, a ResourceLimit diagnostic names the limit."""
+    try:
+        return str(n)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise Diagnostic(
+            Kind.RESOURCE_LIMIT, f"integer has more than {limit} digits, too many to print"
+        ) from None
+
+
 def unescape(body: str) -> str:
     """A string literal's value from the text between its quotes: `\\n`,
     `\\t`, `\\"` and `\\\\` are escapes, and a backslash before any other
@@ -374,7 +387,7 @@ def _comb_layout(e: Comb):
 # child may print at without parentheses).
 _LAYOUT = {
     Var: lambda e: e.name,
-    IntLit: lambda e: str(e.value),
+    IntLit: lambda e: int_text(e.value),
     StrLit: lambda e: quote_string(e.value),
     Nil: lambda e: "[]",
     Unit: lambda e: "()",

@@ -121,7 +121,7 @@ def _infer(env: TypeEnv, e: S.Expr, level: int, policy: GenPolicy) -> Type:
             )
         return binding.scheme.instantiate()
     if isinstance(e, S.Comb):
-        ty = comb_scheme_type(e.name)
+        ty = _COMB_TYPES[e.name](TVar(), TVar(), TVar())
         for arg in e.args:
             arg_ty = _infer(env, arg, level, policy)
             result = TVar()
@@ -198,54 +198,25 @@ def _infer(env: TypeEnv, e: S.Expr, level: int, policy: GenPolicy) -> Type:
     raise TypeError(f"unexpected expression {e!r}")
 
 
-def _cod(t: Type) -> Type:
-    return TCode(t)
-
-
-def comb_scheme_type(name: str) -> Type:
-    """A fresh instance of the combinator constant's library type."""
-    if name == "int":
-        return TArrow(INT, _cod(INT))
-    if name == "str":
-        return TArrow(STR, _cod(STR))
-    if name == "add":
-        return TArrow(_cod(INT), TArrow(_cod(INT), _cod(INT)))
-    if name == "lam":
-        a, b = TVar(), TVar()
-        return TArrow(TArrow(_cod(a), _cod(b)), _cod(TArrow(a, b)))
-    if name == "app":
-        a, b = TVar(), TVar()
-        return TArrow(_cod(TArrow(a, b)), TArrow(_cod(a), _cod(b)))
-    if name == "pair":
-        a, b = TVar(), TVar()
-        return TArrow(_cod(a), TArrow(_cod(b), _cod(TPair(a, b))))
-    if name == "nil":
-        return _cod(TList(TVar()))
-    if name == "cons":
-        a = TVar()
-        return TArrow(_cod(a), TArrow(_cod(TList(a)), _cod(TList(a))))
-    if name == "ref_":
-        a = TVar()
-        return TArrow(_cod(a), _cod(TRef(a)))
-    if name == "rget":
-        a = TVar()
-        return TArrow(_cod(TRef(a)), _cod(a))
-    if name == "rset":
-        a = TVar()
-        return TArrow(_cod(TRef(TList(a))), TArrow(_cod(a), _cod(TList(a))))
-    if name == "csp":
-        a = TVar()
-        return TArrow(a, _cod(a))
-    if name == "new_scope":
-        w = TVar()
-        return TArrow(TArrow(TScope(w), _cod(w)), _cod(w))
-    if name == "genlet":
-        w, a = TVar(), TVar()
-        return TArrow(TScope(w), TArrow(_cod(a), _cod(a)))
-    if name == "new_funscope":
-        w = TVar()
-        return TArrow(TArrow(TFunScope(w), _cod(w)), _cod(w))
-    if name == "genletfun":
-        w, a, b = TVar(), TVar(), TVar()
-        return TArrow(TFunScope(w), TArrow(TArrow(_cod(a), _cod(b)), _cod(TArrow(a, b))))
-    raise ValueError(f"unknown combinator {name}")
+# Each combinator constant's library type, built over fresh variables: a
+# and b for code types, w for a scope's answer type.
+_COMB_TYPES = {
+    "int": lambda a, b, w: TArrow(INT, TCode(INT)),
+    "str": lambda a, b, w: TArrow(STR, TCode(STR)),
+    "add": lambda a, b, w: TArrow(TCode(INT), TArrow(TCode(INT), TCode(INT))),
+    "lam": lambda a, b, w: TArrow(TArrow(TCode(a), TCode(b)), TCode(TArrow(a, b))),
+    "app": lambda a, b, w: TArrow(TCode(TArrow(a, b)), TArrow(TCode(a), TCode(b))),
+    "pair": lambda a, b, w: TArrow(TCode(a), TArrow(TCode(b), TCode(TPair(a, b)))),
+    "nil": lambda a, b, w: TCode(TList(a)),
+    "cons": lambda a, b, w: TArrow(TCode(a), TArrow(TCode(TList(a)), TCode(TList(a)))),
+    "ref_": lambda a, b, w: TArrow(TCode(a), TCode(TRef(a))),
+    "rget": lambda a, b, w: TArrow(TCode(TRef(a)), TCode(a)),
+    "rset": lambda a, b, w: TArrow(TCode(TRef(TList(a))), TArrow(TCode(a), TCode(TList(a)))),
+    "csp": lambda a, b, w: TArrow(a, TCode(a)),
+    "new_scope": lambda a, b, w: TArrow(TArrow(TScope(w), TCode(w)), TCode(w)),
+    "genlet": lambda a, b, w: TArrow(TScope(w), TArrow(TCode(a), TCode(a))),
+    "new_funscope": lambda a, b, w: TArrow(TArrow(TFunScope(w), TCode(w)), TCode(w)),
+    "genletfun": lambda a, b, w: TArrow(
+        TFunScope(w), TArrow(TArrow(TCode(a), TCode(b)), TCode(TArrow(a, b)))
+    ),
+}

@@ -30,6 +30,7 @@ import enum
 import itertools
 import sys
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .diagnostics import type_error
 
@@ -120,16 +121,14 @@ def resolve(t: Type) -> Type:
     return t
 
 
-def _parts(t: Type) -> tuple[Type, ...]:
-    if isinstance(t, (TList, TRef, TCode)):
-        return (t.item,)
-    if isinstance(t, (TScope, TFunScope)):
-        return (t.answer,)
-    if isinstance(t, TPair):
-        return (t.first, t.second)
-    if isinstance(t, TArrow):
-        return (t.arg, t.result)
-    return ()
+# Each class's component types, in field order.
+_PARTS = {
+    **dict.fromkeys((TVar, TInt, TStr, TUnit), lambda t: ()),
+    **dict.fromkeys((TList, TRef, TCode), lambda t: (t.item,)),
+    **dict.fromkeys((TScope, TFunScope), lambda t: (t.answer,)),
+    TPair: attrgetter("first", "second"),
+    TArrow: attrgetter("arg", "result"),
+}
 
 
 def occurs(v: TVar, t: Type) -> bool:
@@ -142,7 +141,7 @@ def occurs(v: TVar, t: Type) -> bool:
         if t.rank > v.rank:
             t.rank = v.rank
         return False
-    for p in _parts(t):
+    for p in _PARTS[type(t)](t):
         if occurs(v, p):
             return True
     return False
@@ -160,11 +159,11 @@ def unify(a: Type, b: Type) -> None:
     if isinstance(b, TVar):
         unify(b, a)
         return
-    if type(a) is not type(b):
+    cls = type(a)
+    if cls is not type(b):
         raise type_error(f"cannot unify {render(a)} with {render(b)}")
-    pa, pb = _parts(a), _parts(b)
-    assert len(pa) == len(pb)
-    for x, y in zip(pa, pb):
+    parts = _PARTS[cls]
+    for x, y in zip(parts(a), parts(b)):
         unify(x, y)
 
 
@@ -180,7 +179,7 @@ def _collect_vars(t: Type, out: dict[TVar, None]) -> None:
     if isinstance(t, TVar):
         out[t] = None
         return
-    for p in _parts(t):
+    for p in _PARTS[type(t)](t):
         _collect_vars(p, out)
 
 
@@ -231,13 +230,8 @@ def _collect_variances(t: Type, polarity: Variance, out: dict[TVar, Variance]) -
     else:
         if isinstance(t, (TRef, TScope, TFunScope)):
             polarity = Variance.INVARIANT
-        for p in _parts(t):
+        for p in _PARTS[type(t)](t):
             _collect_variances(p, polarity, out)
-
-
-def variance_of(v: TVar, t: Type) -> Variance:
-    """How v occurs in t (see `variances`)."""
-    return variances(t).get(v, Variance.UNUSED)
 
 
 @dataclass(frozen=True)
@@ -246,6 +240,10 @@ class Scheme:
     body: Type
 
     def instantiate(self) -> Type:
+        """A fresh instance: `body` itself when nothing is quantified, as
+        only variable cells are ever mutated."""
+        if not self.quantified:
+            return self.body
         mapping = {v: TVar() for v in self.quantified}
         return _subst(self.body, mapping)
 
@@ -258,21 +256,8 @@ def _subst(t: Type, mapping: dict[TVar, Type]) -> Type:
     t = resolve(t)
     if isinstance(t, TVar):
         return mapping.get(t, t)
-    if isinstance(t, TList):
-        return TList(_subst(t.item, mapping))
-    if isinstance(t, TRef):
-        return TRef(_subst(t.item, mapping))
-    if isinstance(t, TCode):
-        return TCode(_subst(t.item, mapping))
-    if isinstance(t, TScope):
-        return TScope(_subst(t.answer, mapping))
-    if isinstance(t, TFunScope):
-        return TFunScope(_subst(t.answer, mapping))
-    if isinstance(t, TPair):
-        return TPair(_subst(t.first, mapping), _subst(t.second, mapping))
-    if isinstance(t, TArrow):
-        return TArrow(_subst(t.arg, mapping), _subst(t.result, mapping))
-    return t
+    parts = _PARTS[type(t)](t)
+    return type(t)(*[_subst(p, mapping) for p in parts]) if parts else t
 
 
 @dataclass(frozen=True)
@@ -349,53 +334,27 @@ def _render(t: Type, level: int, code_word: str, names: dict[TVar, str]) -> str:
     return text
 
 
+# The base types' names, and the word that follows each one-parameter
+# constructor's argument; None stands for the code word.
+_BASE = {TInt: "int", TStr: "string", TUnit: "unit"}
+_POSTFIX = {TList: "list", TRef: "ref", TCode: None, TScope: "scope", TFunScope: "funscope"}
+
+
 def _render1(t: Type, code_word: str, names: dict[TVar, str]) -> tuple[str, int]:
-    if isinstance(t, TVar):
+    cls = type(t)
+    if cls is TVar:
         return names.get(t, f"'_{t.id}"), _POST
-    if isinstance(t, TInt):
-        return "int", _POST
-    if isinstance(t, TStr):
-        return "string", _POST
-    if isinstance(t, TUnit):
-        return "unit", _POST
-    if isinstance(t, TList):
-        return f"{_render(t.item, _POST, code_word, names)} list", _POST
-    if isinstance(t, TRef):
-        return f"{_render(t.item, _POST, code_word, names)} ref", _POST
-    if isinstance(t, TCode):
-        return f"{_render(t.item, _POST, code_word, names)} {code_word}", _POST
-    if isinstance(t, TScope):
-        return f"{_render(t.answer, _POST, code_word, names)} scope", _POST
-    if isinstance(t, TFunScope):
-        return f"{_render(t.answer, _POST, code_word, names)} funscope", _POST
-    if isinstance(t, TPair):
+    if cls in _BASE:
+        return _BASE[cls], _POST
+    if cls in _POSTFIX:
+        (item,) = _PARTS[cls](t)
+        return f"{_render(item, _POST, code_word, names)} {_POSTFIX[cls] or code_word}", _POST
+    if cls is TPair:
         left = _render(t.first, _POST, code_word, names)
         right = _render(t.second, _POST, code_word, names)
         return f"{left} * {right}", _PAIR
-    if isinstance(t, TArrow):
+    if cls is TArrow:
         left = _render(t.arg, _PAIR, code_word, names)
         right = _render(t.result, _ARROW, code_word, names)
         return f"{left} -> {right}", _ARROW
     raise TypeError(f"unexpected type {t!r}")
-
-
-def canonical_key(s: Scheme) -> object:
-    """Hashable shape of a scheme, quantified variables numbered by first
-    occurrence; schemes are equal up to renaming iff their keys are equal."""
-    order: dict[TVar, int] = {}
-
-    def walk(t: Type) -> object:
-        t = resolve(t)
-        if isinstance(t, TVar):
-            if t in s.quantified:
-                if t not in order:
-                    order[t] = len(order)
-                return ("q", order[t])
-            return ("free", t.id)
-        return (type(t).__name__,) + tuple(walk(p) for p in _parts(t))
-
-    return walk(s.body)
-
-
-def schemes_equal(a: Scheme, b: Scheme) -> bool:
-    return canonical_key(a) == canonical_key(b)

@@ -170,3 +170,30 @@ def test_deep_nesting_reports_resource_limit(write):
         re.escape(path) + r": ResourceLimit: nesting exceeds the recursion limit \(\d+\)\n",
         proc.stderr,
     )
+
+
+# Python refuses to convert integers of more digits than this between int
+# and str; polylet leaves the limit in force and names it in a diagnostic.
+DIGITS = sys.get_int_max_str_digits()
+HUGE = "9" * DIGITS
+DOUBLED = f"let a0 = {HUGE} in " + "".join(f"let a{i} = a{i - 1} + a{i - 1} in " for i in range(1, 40))
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        (["typecheck"], ".<" + "9" * (DIGITS + 700) + ">.",
+         f":1:3: ParseError: integer literal has more than {DIGITS} digits"),
+        (["codegen", "--backend", "string"], DOUBLED + ".<%a39>.",
+         f": ResourceLimit: integer has more than {DIGITS} digits, too many to print"),
+        (["codegen", "--backend", "quote"], DOUBLED + ".<%a39>.",
+         f": ResourceLimit: integer has more than {DIGITS} digits, too many to print"),
+        (["run"], f"{HUGE} + {HUGE}",
+         f": ResourceLimit: integer has more than {DIGITS} digits, too many to print"),
+    ],
+    ids=["tokenize", "pretty-string", "pretty-quote", "render_value"],
+)  # fmt: skip
+def test_integers_past_the_digit_limit_get_a_diagnostic(write, capsys, command, text, message):
+    path = write(text)
+    assert main([*command, path]) == 1
+    assert capsys.readouterr().err == path + message + "\n"

@@ -10,10 +10,12 @@ from polylet.corpus import ENTRIES
 # Pieces inserted or substituted: punctuation, keywords, string and
 # comment delimiters, newlines, and non-ASCII characters that test the
 # tokenizer's Unicode classes (a superscript digit, an Arabic-Indic
-# digit, a letter and a no-break space).
+# digit, a letter and a no-break space), and a numeral longer than
+# Python's integer-string conversion limit.
 ALPHABET = (
     "(", ")", "[", "]", "+", ",", "=", "!", "%", "::", "->", ".<", ">.", ".~",
     "(*", "*)", "let", "in", "fun", "ref", "rset", '"', "\\", "\n", "²", "٣", "é", "\u00a0",
+    "9" * 5000,
 )  # fmt: skip
 
 COMMANDS = (
