@@ -19,16 +19,6 @@ from . import difftest
 _POLICIES = {p.value: p for p in GenPolicy}
 
 
-def _name_start() -> int:
-    raw = os.environ.get("POLYLET_SEED")
-    if raw is None:
-        return 1
-    try:
-        return int(raw)
-    except ValueError:
-        return 1
-
-
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as handle:
         return handle.read()
@@ -58,7 +48,7 @@ def _cmd_translate(args: argparse.Namespace) -> int:
 def _cmd_codegen(args: argparse.Namespace) -> int:
     expr = parse_source(_read(args.file))
     infer_staged(TypeEnv(), expr)  # reject ill-typed generators up front
-    ev = evaluate(translate(expr), args.backend, name_start=_name_start())
+    ev = evaluate(translate(expr), args.backend, name_start=args.name_start)
     value = ev.value
     if not isinstance(value, VCode):
         print(render_value(value))
@@ -75,7 +65,7 @@ def _cmd_codegen(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     expr = parse_source(_read(args.file))
     infer_staged(TypeEnv(), expr)
-    ev = evaluate(translate(expr), "eval", name_start=_name_start())
+    ev = evaluate(translate(expr), "eval", name_start=args.name_start)
     value = ev.force()
     if args.arg is not None:
         if not isinstance(value, (VClosure, VNative)):
@@ -132,6 +122,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Generated names are `x_N`: only a plain number keeps them re-parseable.
+    seed = os.environ.get("POLYLET_SEED", "1")
+    try:
+        if not (seed.isascii() and seed.isdecimal()):
+            raise ValueError
+        args.name_start = int(seed)  # raises past Python's integer-string limit
+    except ValueError:
+        parser.error(f"POLYLET_SEED must be a non-negative decimal integer, not {seed!r}")
     filename = getattr(args, "file", "<input>")
     try:
         return args.fn(args)

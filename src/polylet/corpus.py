@@ -35,10 +35,9 @@ class CorpusEntry:
     staged: Optional[str] = None  # "accept" | "reject"
     staged_scheme: Optional[str] = None  # canonical rendering
     host: Optional[str] = None  # verdict on the translation / built term
-    round_trip: str = "default"  # "default" | "explicit" | "skip"
     expected_quote: Optional[str] = None  # parsed with parse_plain
     build_expected_quote: Optional[Callable[[], S.Expr]] = None
-    string_golden: Optional[str] = None  # compared mod alpha + let reorder
+    string_golden: Optional[str] = None  # compared mod alpha
     observe: Optional[Observe] = None
     run_diag: Optional[Kind] = None  # diagnostic from forcing the eval result
     quote_diag: Optional[Kind] = None  # diagnostic from either printing backend
@@ -235,7 +234,6 @@ ENTRIES: tuple[CorpusEntry, ...] = (
         staged="accept",
         staged_scheme="(int -> int) code",
         host="accept",
-        round_trip="explicit",
         expected_quote="fun x -> ((1 + 2) + x)",
         observe=Observe("5", apply_arg="2"),
     ),
@@ -246,7 +244,6 @@ ENTRIES: tuple[CorpusEntry, ...] = (
         staged="accept",
         staged_scheme="('a -> 'b -> 'a) code",
         host="accept",
-        round_trip="explicit",
         expected_quote="fun x -> fun y -> x",
     ),
     CorpusEntry(
@@ -256,7 +253,6 @@ ENTRIES: tuple[CorpusEntry, ...] = (
         staged="accept",
         staged_scheme="('a -> 'b -> 'a) code",
         host="accept",
-        round_trip="explicit",
         expected_quote="fun x -> fun y -> x",
     ),
     CorpusEntry(
@@ -266,7 +262,6 @@ ENTRIES: tuple[CorpusEntry, ...] = (
         staged="accept",
         staged_scheme="(int -> int) code",
         host="accept",
-        round_trip="explicit",
         expected_quote="fun x -> (3 + x)",
         observe=Observe("4", apply_arg="1"),
     ),
@@ -277,7 +272,6 @@ ENTRIES: tuple[CorpusEntry, ...] = (
         staged="accept",
         staged_scheme="(int -> int) code",
         host="accept",
-        round_trip="explicit",
         expected_quote="fun x -> (3 + x)",
         observe=Observe("4", apply_arg="1"),
     ),
@@ -288,7 +282,6 @@ ENTRIES: tuple[CorpusEntry, ...] = (
         staged="accept",
         staged_scheme="int list code",
         host="accept",
-        round_trip="explicit",
         build_expected_quote=_counter_expected_quote,
         observe=Observe("[0]", mutable_csp=True),
     ),
@@ -319,7 +312,6 @@ ENTRIES: tuple[CorpusEntry, ...] = (
         source='.<let x = ref [] in (rset x 2, rset x "3")>.',
         staged="reject",
         host="reject",
-        round_trip="skip",
     ),
     CorpusEntry(
         name="thunked_ref_cells",
@@ -338,7 +330,6 @@ ENTRIES: tuple[CorpusEntry, ...] = (
         staged="accept",
         staged_scheme="(int list * string list) code",
         host="accept",
-        round_trip="explicit",
         build_expected_quote=_unsound_expected_quote,
         run_diag=Kind.SOUNDNESS_VIOLATION,
     ),
@@ -368,7 +359,6 @@ ENTRIES: tuple[CorpusEntry, ...] = (
         staged="accept",
         staged_scheme="int list code -> (int -> int list) code",
         host="accept",
-        round_trip="skip",
     ),
     CorpusEntry(
         name="ref_let_villain",
@@ -376,7 +366,6 @@ ENTRIES: tuple[CorpusEntry, ...] = (
         source='.<let f = (let r = ref [] in fun x -> rset r x) in (f 1, f "3")>.',
         staged="reject",
         host="reject",
-        round_trip="skip",
     ),
     CorpusEntry(
         name="cons_poly_value_divergence",
@@ -394,7 +383,6 @@ ENTRIES: tuple[CorpusEntry, ...] = (
         note="without genlet the binding is inlined, not shared",
         build_target=_scope_no_genlet,
         host="accept",
-        round_trip="explicit",
         expected_quote='(2 :: [], "3" :: [])',
     ),
     CorpusEntry(

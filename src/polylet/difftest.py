@@ -39,119 +39,14 @@ class CheckResult:
     detail: str = ""
 
 
-# --- comparison helpers ----------------------------------------------------
-
-
-def canonical_binders(e: S.Expr) -> S.Expr:
-    """Rename every binder positionally so alpha-equal trees print alike."""
-    counter = itertools.count(1)
-
-    def walk(e: S.Expr, env: dict[str, str]) -> S.Expr:
-        if isinstance(e, S.Var):
-            return S.Var(env.get(e.name, e.name))
-        if isinstance(e, S.Fun) and S.binds(e.param):
-            fresh = f"b{next(counter)}"
-            return S.Fun(fresh, walk(e.body, {**env, e.param: fresh}))
-        if isinstance(e, S.Let) and S.binds(e.name):
-            rhs = walk(e.rhs, env)
-            fresh = f"b{next(counter)}"
-            return S.Let(fresh, rhs, walk(e.body, {**env, e.name: fresh}))
-        return S.rebuild(e, [walk(c, env) for c in S.children(e)])
-
-    return walk(e, {})
-
-
-def _first_use_rank(name: str, e: S.Expr, counter: itertools.count, shadowed: bool) -> int | None:
-    """Preorder index of the first unshadowed occurrence of name."""
-    if isinstance(e, S.Var):
-        idx = next(counter)
-        return idx if (e.name == name and not shadowed) else None
-    if isinstance(e, S.Fun):
-        return _first_use_rank(name, e.body, counter, shadowed or e.param == name)
-    if isinstance(e, S.Let):
-        rank = _first_use_rank(name, e.rhs, counter, shadowed)
-        if rank is not None:
-            return rank
-        return _first_use_rank(name, e.body, counter, shadowed or e.name == name)
-    for child in S.children(e):
-        rank = _first_use_rank(name, child, counter, shadowed)
-        if rank is not None:
-            return rank
-    return None
-
-
-def normalize_lets(e: S.Expr) -> S.Expr:
-    """Put chains of independent adjacent lets into a canonical order.
-
-    Bindings sort by the shape of their right-hand side, tie-broken by
-    where the binder is first used in the chain's body; dependent
-    neighbours never commute.
-    """
-    if isinstance(e, S.Let):
-        chain: list[tuple[str, S.Expr]] = []
-        cursor: S.Expr = e
-        while isinstance(cursor, S.Let):
-            chain.append((cursor.name, normalize_lets(cursor.rhs)))
-            cursor = cursor.body
-        body = normalize_lets(cursor)
-
-        # Each binding's sort key and free variables, computed once: the
-        # bubble pass below only compares them.
-        def entry(name: str, rhs: S.Expr):
-            rank = _first_use_rank(name, body, itertools.count(), False)
-            key = (_let_key(rhs), rank if rank is not None else 1 << 30)
-            return name, rhs, key, S.free_vars(rhs)
-
-        entries = [entry(name, rhs) for name, rhs in chain]
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(entries) - 1):
-                (n1, _, k1, fv1), (n2, _, k2, fv2) = entries[i], entries[i + 1]
-                if n1 != n2 and n1 not in fv2 and n2 not in fv1 and k2 < k1:
-                    entries[i], entries[i + 1] = entries[i + 1], entries[i]
-                    changed = True
-        for name, rhs, _, _ in reversed(entries):
-            body = S.Let(name, rhs, body)
-        return body
-    return S.rebuild(e, list(map(normalize_lets, S.children(e))))
-
-
-def _let_key(rhs: S.Expr) -> str:
-    return S.pretty(canonical_binders(rhs))
-
-
-def code_equal(a: S.Expr, b: S.Expr) -> bool:
-    """Alpha equality modulo reordering of independent adjacent lets.
-
-    Binders are canonicalized first so the reorder keys never depend on
-    the names of variables bound outside the let chain.
-    """
-    return S.alpha_equal(
-        normalize_lets(canonical_binders(a)),
-        normalize_lets(canonical_binders(b)),
-    )
-
-
-def size(e: S.Expr) -> int:
-    return 1 + sum(size(c) for c in S.children(e))
-
-
 # --- corpus checks ---------------------------------------------------------
 
 
-def _staged_verdict(e: S.Expr):
+def _verdict(e: S.Expr):
+    """The scheme of a source program or, at level 0, of a translated term;
+    a type or unbound-variable diagnostic is a verdict, not a crash."""
     try:
         return infer_staged(TypeEnv(), e), None
-    except Diagnostic as d:
-        if d.kind in (Kind.TYPE_ERROR, Kind.UNBOUND_VAR):
-            return None, d
-        raise
-
-
-def _host_verdict(t: S.Expr):
-    try:
-        return infer_host(TypeEnv(), t), None
     except Diagnostic as d:
         if d.kind in (Kind.TYPE_ERROR, Kind.UNBOUND_VAR):
             return None, d
@@ -169,7 +64,7 @@ def check_matrix(entry: CorpusEntry) -> list[CheckResult]:
     results = []
     if entry.source is not None and entry.staged is not None:
         e = parse_source(entry.source)
-        scheme, diag = _staged_verdict(e)
+        scheme, diag = _verdict(e)
         verdict = "accept" if scheme is not None else "reject"
         if verdict != entry.staged:
             results.append(
@@ -196,7 +91,7 @@ def check_matrix(entry: CorpusEntry) -> list[CheckResult]:
             results.append(CheckResult(f"staged-typing/{entry.name}", "pass"))
     if entry.host is not None:
         term = _entry_term(entry)
-        scheme, diag = _host_verdict(term)
+        scheme, diag = _verdict(term)
         verdict = "accept" if scheme is not None else "reject"
         if verdict != entry.host:
             results.append(
@@ -218,10 +113,10 @@ def check_typing_preservation(entry: CorpusEntry) -> CheckResult | None:
         return None
     name = f"preservation/{entry.name}"
     e = parse_source(entry.source)
-    staged_scheme, _ = _staged_verdict(e)
+    staged_scheme, _ = _verdict(e)
     if staged_scheme is None:
         return CheckResult(name, "pass", "vacuous: staged checker rejects")
-    host_scheme, diag = _host_verdict(translate(e))
+    host_scheme, diag = _verdict(translate(e))
     if host_scheme is not None:
         return CheckResult(name, "pass")
     if entry.name in KNOWN_DIVERGENCES:
@@ -231,7 +126,7 @@ def check_typing_preservation(entry: CorpusEntry) -> CheckResult | None:
 
 def check_round_trip(entry: CorpusEntry) -> CheckResult | None:
     name = f"round-trip/{entry.name}"
-    if entry.round_trip == "skip" or entry.quote_diag is not None:
+    if entry.quote_diag is not None:
         return None
     expected: S.Expr | None = None
     if entry.build_expected_quote is not None:
@@ -252,7 +147,7 @@ def check_round_trip(entry: CorpusEntry) -> CheckResult | None:
     if not (isinstance(code, VCode) and isinstance(code.code, QuoteCode)):
         return CheckResult(name, "fail", "quote backend did not return code")
     actual = code.code.tree
-    if code_equal(actual, expected):
+    if S.alpha_equal(actual, expected):
         return CheckResult(name, "pass")
     return CheckResult(
         name,
@@ -341,7 +236,7 @@ def check_goldens(entry: CorpusEntry) -> list[CheckResult]:
         else:
             actual = parse_plain(ev.value.code.text)
             expected = parse_plain(entry.string_golden)
-            if code_equal(actual, expected):
+            if S.alpha_equal(actual, expected):
                 results.append(CheckResult(name, "pass"))
             else:
                 results.append(
@@ -387,6 +282,11 @@ def check_translation_lint(entry: CorpusEntry) -> CheckResult | None:
 
 
 # --- random programs -------------------------------------------------------
+
+
+def size(e: S.Expr) -> int:
+    return 1 + sum(size(c) for c in S.children(e))
+
 
 _BASE_TYPES = (("int",), ("str",), ("unit",))
 
@@ -503,8 +403,12 @@ def _first_order(t) -> bool:
 
 def check_random_program(e: S.Expr, label: str) -> CheckResult:
     try:
-        S.check_staging(e)
         assert isinstance(e, S.Bracket)
+        # The parser alone enforces staging: a well-formed program prints
+        # and reads back as itself.
+        text = S.pretty(e)
+        if not S.alpha_equal(parse_source(text), e):
+            return CheckResult(label, "fail", f"does not re-parse as itself: {text!r}")
         if size(e) > 40:
             return CheckResult(label, "fail", f"generated program too large ({size(e)})")
         scheme = infer_staged(TypeEnv(), e)
@@ -515,7 +419,7 @@ def check_random_program(e: S.Expr, label: str) -> CheckResult:
             return CheckResult(label, "fail", "; ".join(problems))
         ev = evaluate(term, "quote")
         assert isinstance(ev.value, VCode) and isinstance(ev.value.code, QuoteCode)
-        if not code_equal(ev.value.code.tree, e.body):
+        if not S.alpha_equal(ev.value.code.tree, e.body):
             return CheckResult(
                 label,
                 "fail",

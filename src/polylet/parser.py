@@ -10,8 +10,12 @@ keywords are recognised by their text alone: no other token has the same
 text, since a string token's text keeps its quotes.  Line and column are
 computed from the offset only when a diagnostic is raised.  Chains of
 `let ... in`, `fun ... ->` and `::` are read in loops, so their length
-costs no recursion depth.  The parser enforces the two-level staging
-discipline of `syntax.check_staging`, with located diagnostics.
+costs no recursion depth.
+
+The parser alone enforces the two-level staging discipline, with located
+diagnostics: a bracket may not occur inside a bracket except within an
+escape or a CSP marker, whose operand is read at level 0; an escape
+occurs only inside a bracket; and plain input has no staging forms.
 """
 
 from __future__ import annotations

@@ -308,35 +308,44 @@ def csp_values_equal(a: object, b: object) -> bool:
 
 
 def alpha_equal(a: Expr, b: Expr) -> bool:
-    """True iff a and b differ only in the names of bound variables."""
-    return _alpha(a, b, {}, {})
-
-
-def _alpha(a: Expr, b: Expr, l2r: dict[str, str], r2l: dict[str, str]) -> bool:
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Var):
-        assert isinstance(b, Var)
-        if a.name in l2r or b.name in r2l:
-            return l2r.get(a.name) == b.name and r2l.get(b.name) == a.name
-        return a.name == b.name
-    if isinstance(a, (IntLit, StrLit)):
-        return a.value == b.value  # type: ignore[attr-defined]
-    if isinstance(a, CspValue):
-        assert isinstance(b, CspValue)
-        return csp_values_equal(a.value, b.value)
-    if isinstance(a, Fun):
-        assert isinstance(b, Fun)
-        return _alpha(a.body, b.body, l2r | {a.param: b.param}, r2l | {b.param: a.param})
-    if isinstance(a, Let):
-        assert isinstance(b, Let)
-        return _alpha(a.rhs, b.rhs, l2r, r2l) and _alpha(
-            a.body, b.body, l2r | {a.name: b.name}, r2l | {b.name: a.name}
-        )
-    if isinstance(a, Comb) and a.name != b.name:  # type: ignore[attr-defined]
-        return False
-    ca, cb = children(a), children(b)
-    return len(ca) == len(cb) and all(_alpha(x, y, l2r, r2l) for x, y in zip(ca, cb))
+    """True iff a and b differ only in the names of bound variables.
+    Compares on an explicit stack, so any depth of tree is fine: each name
+    maps to a stack of partners, pushed at its binder and popped by the
+    binder's exit marker."""
+    l2r: dict[str, list[str]] = {}
+    r2l: dict[str, list[str]] = {}
+    stack: list = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        cls = type(a)
+        if cls is str:  # leaving the scope of binders a (left) and b (right)
+            l2r[a].pop()
+            r2l[b].pop()
+        elif cls is not type(b):
+            return False
+        elif cls is Var:  # a free name is its own partner
+            left = l2r.get(a.name) or (a.name,)
+            right = r2l.get(b.name) or (b.name,)
+            if left[-1] != b.name or right[-1] != a.name:
+                return False
+        elif cls is IntLit or cls is StrLit or cls is CspValue:
+            if not csp_values_equal(a.value, b.value):
+                return False
+        elif cls is Fun or cls is Let:
+            if cls is Let:
+                stack.append((a.rhs, b.rhs))  # outside the binder's scope
+                x, y = a.name, b.name
+            else:
+                x, y = a.param, b.param
+            l2r.setdefault(x, []).append(y)
+            r2l.setdefault(y, []).append(x)
+            stack += ((x, y), (a.body, b.body))
+        else:
+            ca, cb = children(a), children(b)
+            if len(ca) != len(cb) or cls is Comb and a.name != b.name:
+                return False
+            stack += zip(ca, cb)
+    return True
 
 
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
@@ -434,34 +443,6 @@ def pretty(e: Expr) -> str:
             stack.append(")")
         stack += parts[::-1]
     return "".join(out)
-
-
-def check_staging(e: Expr, level: int = 0) -> None:
-    """Enforce the two-level discipline; raises a ParseError diagnostic.
-    The parser enforces the same rules as it reads, so this serves trees
-    built by other means.
-
-    Inside a bracket no further bracket may occur except within an escape
-    (which returns to level 0).  Escapes occur only at level 1.  The CSP
-    marker is legal at level 1 (persistence) and at level 0 (lifting a
-    present-stage value into code).
-    """
-    if isinstance(e, Bracket):
-        if level > 0:
-            raise Diagnostic(Kind.PARSE_ERROR, "nested bracket")
-        level = 1
-    elif isinstance(e, Escape):
-        if level == 0:
-            raise Diagnostic(Kind.PARSE_ERROR, "escape at level 0")
-        level = 0
-    elif isinstance(e, Csp):
-        level = 0
-    elif isinstance(e, (Fun, Let)):
-        name = e.param if isinstance(e, Fun) else e.name
-        if not name:
-            raise Diagnostic(Kind.PARSE_ERROR, "empty binder name")
-    for child in children(e):
-        check_staging(child, level)
 
 
 def is_plain(e: Expr) -> bool:

@@ -15,7 +15,7 @@ from . import syntax as S
 
 def translate(e: S.Expr) -> S.Expr:
     """Translate a well-formed source expression; total, no typing needed."""
-    return _Translator(e).level0(e)
+    return _Translator().level0(e)
 
 
 def _host_param(name: str) -> str:
@@ -25,39 +25,28 @@ def _host_param(name: str) -> str:
 
 
 class _Translator:
-    def __init__(self, root: S.Expr) -> None:
-        self._root = root
+    def __init__(self) -> None:
         self._scopes = 0
-        # The names the tree binds or uses, which a scope binder must not
-        # capture; collected when the first scope is made.
-        self._taken: set[str] | None = None
+        # The names the tree binds or uses, as far as the walk has come; a
+        # scope binder, named after its body is translated, skips them.
+        self._names: set[str] = set()
         # For each name some binder in scope rebinds: whether the innermost
         # such binder is a genletfun, whose uses become `name ()`.
         self._thunked: dict[str, bool] = {}
 
-    def _fresh_scope(self) -> str:
-        if self._taken is None:
-            self._taken = taken = set()
-            stack = [self._root]
-            while stack:
-                e = stack.pop()
-                if isinstance(e, S.Var):
-                    taken.add(e.name)
-                elif isinstance(e, S.Fun):
-                    taken.add(e.param)
-                elif isinstance(e, S.Let):
-                    taken.add(e.name)
-                stack += S.children(e)
-        while True:
+    def _scope_name(self, number: int) -> str:
+        """`p_number`, or a fresh number's name if the walk has seen that."""
+        name = f"p_{number}"
+        while name in self._names:
             self._scopes += 1
             name = f"p_{self._scopes}"
-            if name not in self._taken:
-                return name
+        return name
 
     def _scoped(self, name: str, body: S.Expr, level, thunk: bool = False) -> S.Expr:
         """Translate `body` in the scope of binder `name`: a genletfun
         binder (`thunk`) makes its uses thunk calls, any other binder of
         the name shadows that."""
+        self._names.add(name)
         thunked = self._thunked
         if not (thunk or name in thunked):
             return level(body)
@@ -71,6 +60,7 @@ class _Translator:
         return out
 
     def _var(self, e: S.Var) -> S.Expr:
+        self._names.add(e.name)
         return S.App(e, S.Unit()) if self._thunked.get(e.name) else e
 
     def level0(self, e: S.Expr) -> S.Expr:
@@ -81,14 +71,13 @@ class _Translator:
             return S.comb("csp", self.level0(e.body))
         if isinstance(e, S.Escape):
             raise ValueError(f"escape at level 0: {e!r}")
-        if self._thunked:
-            if isinstance(e, S.Var):
-                return self._var(e)
-            if isinstance(e, S.Fun):
-                return S.Fun(e.param, self._scoped(e.param, e.body, self.level0))
-            if isinstance(e, S.Let):
-                rhs = self.level0(e.rhs)
-                return S.Let(e.name, rhs, self._scoped(e.name, e.body, self.level0))
+        if isinstance(e, S.Var):
+            return self._var(e)
+        if isinstance(e, S.Fun):
+            return S.rebuild(e, (self._scoped(e.param, e.body, self.level0),))
+        if isinstance(e, S.Let):
+            rhs = self.level0(e.rhs)
+            return S.rebuild(e, (rhs, self._scoped(e.name, e.body, self.level0)))
         kids = S.children(e)
         return S.rebuild(e, list(map(self.level0, kids))) if kids else e
 
@@ -122,14 +111,18 @@ class _Translator:
         return S.Fun(_host_param(e.param), self._scoped(e.param, e.body, self.level1))
 
     def _let(self, e: S.Let) -> S.Expr:
-        scope = self._fresh_scope()
+        self._scopes += 1
+        number = self._scopes
         if isinstance(e.rhs, S.Fun):
             fn = self._fun(e.rhs)
             body = self._scoped(e.name, e.body, self.level1, thunk=True)
+            scope = self._scope_name(number)
             thunk = S.Fun(S.UNIT_BINDER, S.comb("genletfun", S.Var(scope), fn))
             return S.comb("new_funscope", S.Fun(scope, S.Let(e.name, thunk, body)))
         # The host let binds the inserted code, so a unit pattern becomes
         # a wildcard, as in the fun rules.
-        rhs = S.comb("genlet", S.Var(scope), self.level1(e.rhs))
+        code = self.level1(e.rhs)
         body = self._scoped(e.name, e.body, self.level1)
+        scope = self._scope_name(number)
+        rhs = S.comb("genlet", S.Var(scope), code)
         return S.comb("new_scope", S.Fun(scope, S.Let(_host_param(e.name), rhs, body)))

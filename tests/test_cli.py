@@ -154,6 +154,17 @@ def test_seed_env_controls_gensym(write, capsys, monkeypatch):
     assert "t_5" in out and "x_5" in out
 
 
+@pytest.mark.parametrize("seed", ["-1", "abc"])
+def test_bad_seed_env_is_a_usage_error(write, capsys, monkeypatch, seed):
+    path = write(".<let y = 1 + 2 in fun x -> x + y>.")
+    monkeypatch.setenv("POLYLET_SEED", seed)
+    with pytest.raises(SystemExit) as exc:
+        main(["codegen", "--backend", "string", path])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "POLYLET_SEED" in captured.err and captured.out == ""
+
+
 def test_deep_nesting_reports_resource_limit(write):
     path = write("(1 + " * 400 + "1" + ")" * 400)
     src = os.path.dirname(os.path.dirname(polylet.__file__))

@@ -1,10 +1,13 @@
+import dataclasses
 import random
+
+import pytest
 
 from polylet import difftest
 from polylet import syntax as S
-from polylet.corpus import ENTRIES, KNOWN_DIVERGENCES
+from polylet.corpus import ENTRIES, KNOWN_DIVERGENCES, by_name
 from polylet.backends import evaluate
-from polylet.parser import parse_plain, parse_source
+from polylet.parser import parse_source
 from polylet.typecheck import infer_staged
 from polylet.typesys import TypeEnv
 from polylet.unstage import translate
@@ -54,8 +57,9 @@ def test_random_programs_well_formed_and_bounded():
     rng = random.Random(11)
     for _ in range(50):
         program = difftest.random_bracket_program(rng)
-        S.check_staging(program)
         assert isinstance(program, S.Bracket)
+        # well formed: the parser, which enforces staging, reads it back
+        assert S.alpha_equal(parse_source(S.pretty(program)), program)
         assert difftest.size(program) <= 40
         infer_staged(TypeEnv(), program)  # the generator is type-directed
 
@@ -66,51 +70,31 @@ def test_random_seed_reproducible():
     assert a == b
 
 
-def test_code_equal_reorders_independent_lets():
-    a = parse_plain("let u = (fun a -> a) in let v = (fun b -> b) in (v 1, u 2)")
-    b = parse_plain("let v = (fun b -> b) in let u = (fun a -> a) in (v 1, u 2)")
-    assert difftest.code_equal(a, b)
+@pytest.mark.parametrize(
+    "source",
+    [
+        ".<let f = fun x -> x in let g = fun y -> y in (f 1, g 2)>.",
+        ".<let f = fun x -> x + 1 in let g = fun z -> z in let y = f 1 in g y>.",
+        ".<let f = fun x -> x + 1 in let g = fun y -> f y in g 2>.",
+        ".<let a = 1 + 2 in let f = fun x -> x + a in let g = fun y -> f y in g 1>.",
+    ],
+)
+def test_lets_forced_out_of_order_round_trip_in_source_order(source):
+    # Each genletfun is forced at its first use, not where it is bound,
+    # but a scope's prompt encloses exactly its let's body, so the
+    # bindings land in source order: plain alpha-equality holds.
+    e = parse_source(source)
+    tree = evaluate(translate(e), "quote").value.code.tree
+    assert S.alpha_equal(tree, e.body), S.pretty(tree)
 
 
-def test_code_equal_keeps_dependent_lets_in_order():
-    a = parse_plain("let u = 1 in let v = u + 1 in v")
-    b = parse_plain("let v = 1 in let u = v + 1 in u")
-    # dependent chains are only alpha-comparable, never reordered
-    assert difftest.code_equal(a, b)
-    c = parse_plain("let u = 2 in let v = u + 1 in v")
-    assert not difftest.code_equal(a, c)
-
-
-def test_canonical_binders_alpha_invariant_key():
-    a = parse_plain("fun x -> fun y -> x")
-    b = parse_plain("fun p -> fun q -> p")
-    assert S.pretty(difftest.canonical_binders(a)) == S.pretty(difftest.canonical_binders(b))
-
-
-def test_normalize_lets_key_work_linear_in_chain_length(monkeypatch):
-    """Each binding's reorder key is computed once per chain, not at every
-    comparison of the bubble pass."""
-    calls = {"rank": 0, "pretty": 0}
-    first_use_rank, pretty = difftest._first_use_rank, S.pretty
-
-    def counting_rank(*args):
-        calls["rank"] += 1
-        return first_use_rank(*args)
-
-    def counting_pretty(e):
-        calls["pretty"] += 1
-        return pretty(e)
-
-    monkeypatch.setattr(difftest, "_first_use_rank", counting_rank)
-    monkeypatch.setattr(S, "pretty", counting_pretty)
-
-    def work(n):
-        lets = "".join(f"let x{k} = {k} in " for k in range(n))
-        tree = evaluate(translate(parse_source(f".<{lets}x0>.")), "quote").value.code.tree
-        calls.update(rank=0, pretty=0)
-        assert difftest.code_equal(tree, tree)
-        return dict(calls)
-
-    small, large = work(32), work(128)
-    assert large["rank"] <= 5 * small["rank"]
-    assert large["pretty"] <= 5 * small["pretty"]
+def test_golden_with_swapped_lets_fails():
+    entry = by_name("thunked_genlet_two_lets")
+    [golden] = difftest.check_goldens(entry)
+    assert golden.status == "pass"
+    swapped = dataclasses.replace(
+        entry,
+        string_golden='(let v = (fun b -> b) in (let u = (fun a -> a) in ((v 1), (u "3"))))',
+    )
+    [golden] = difftest.check_goldens(swapped)
+    assert golden.status == "fail"

@@ -21,7 +21,9 @@ ALPHABET = (
 COMMANDS = (
     ["typecheck"],
     ["typecheck", "--system", "host"],
+    ["translate"],
     ["codegen", "--backend", "quote"],
+    ["codegen", "--backend", "string"],
     ["run"],
 )
 

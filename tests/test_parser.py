@@ -39,6 +39,12 @@ def test_nested_bracket_rejected():
     assert "nested bracket" in exc.value.message
 
 
+def test_bracket_inside_escape_accepted():
+    e = parse_source(".<fun x -> .~(let body = .<x>. in .<fun x -> .~body>.)>.")
+    inner = S.Let("body", S.Bracket(S.Var("x")), S.Bracket(S.Fun("x", S.Escape(S.Var("body")))))
+    assert e == S.Bracket(S.Fun("x", S.Escape(inner)))
+
+
 def test_precedence_application_cons_add():
     # application > :: > +
     e = parse_plain("f 1 :: g 2 + 3")

@@ -1,10 +1,10 @@
 import dataclasses
 import random
+import sys
 
 import pytest
 
 from polylet import syntax as S
-from polylet.diagnostics import Diagnostic
 from polylet.difftest import random_bracket_program
 from polylet.parser import parse_plain, parse_source
 from polylet.unstage import translate
@@ -65,6 +65,37 @@ def test_alpha_unused_binders_interchangeable():
     assert S.alpha_equal(a, b)
 
 
+def test_alpha_let_rhs_is_outside_the_binder():
+    a = parse_source("let x = x in x")
+    assert S.alpha_equal(a, parse_source("let y = x in y"))
+    assert not S.alpha_equal(a, parse_source("let y = y in y"))
+    assert not S.alpha_equal(parse_source("fun x -> y"), parse_source("fun y -> y"))
+
+
+def _let_chain(n, prefix, changed=None):
+    """let {prefix}0 = 0 in let {prefix}1 = {prefix}0 + 1 in ... {prefix}{n-1},
+    built bottom-up; the literal of let number `changed` reads 7."""
+    e = S.Var(f"{prefix}{n - 1}")
+    for k in reversed(range(n)):
+        step = S.IntLit(7 if k == changed else 1)
+        rhs = S.Add(S.Var(f"{prefix}{k - 1}"), step) if k else S.IntLit(0)
+        e = S.Let(f"{prefix}{k}", rhs, e)
+    return e
+
+
+def test_alpha_equal_on_long_chains_at_the_default_recursion_limit():
+    n = 100_000
+    a, b = _let_chain(n, "a"), _let_chain(n, "b")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        renamed = S.alpha_equal(a, b)
+        changed = S.alpha_equal(a, _let_chain(n, "b", changed=n // 2))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert renamed and not changed  # booleans only: the trees are too deep to print
+
+
 def test_alpha_is_symmetric_and_transitive_on_samples():
     samples = [
         parse_source("fun x -> fun y -> x"),
@@ -116,17 +147,6 @@ def test_pretty_round_trip_random():
         again = parse_source(S.pretty(e))
         assert S.alpha_equal(e, again)
         assert S.free_vars(again) == S.free_vars(e)
-
-
-def test_check_staging_rejects_nested_bracket():
-    e = S.Bracket(S.Bracket(S.IntLit(1)))
-    with pytest.raises(Diagnostic):
-        S.check_staging(e)
-
-
-def test_check_staging_allows_bracket_inside_escape():
-    e = parse_source(".<fun x -> .~(let body = .<x>. in .<fun x -> .~body>.)>.")
-    S.check_staging(e)
 
 
 def test_is_plain():

@@ -1,5 +1,6 @@
 import pytest
 
+from polylet import difftest
 from polylet import syntax as S
 from polylet import target as T
 from polylet.backends import evaluate
@@ -228,3 +229,29 @@ def test_scope_binders_avoid_the_programs_names():
     assert S.alpha_equal(tree, parse_source("fun x -> let y = 1 in x + y"))
     ev = evaluate(tree, "eval")
     assert ev.call(ev.force(), VInt(4)) == VInt(5)
+
+
+def test_scope_binders_avoid_names_used_at_level_0():
+    # The spliced p_1 is the outer level-0 binding, not the scope binder.
+    term = translate(parse_source("let p_1 = .<1>. in .<let y = 2 in .~p_1 + y>."))
+    tree = evaluate(term, "quote").value.code.tree
+    assert S.alpha_equal(tree, parse_source("let y = 2 in 1 + y"))
+
+
+def test_translate_visits_each_node_once(monkeypatch):
+    # Scope binders are named from the names the translation itself
+    # visits, with no second walk over the tree.
+    lets = "".join(f"let x{k} = x{k - 1} + 1 in " for k in range(1, 100))
+    e = parse_source(f".<let x0 = 1 in {lets}x99>.")
+    calls = 0
+    children = S.children
+
+    def counting(node):
+        nonlocal calls
+        calls += 1
+        return children(node)
+
+    nodes = difftest.size(e)
+    monkeypatch.setattr(S, "children", counting)
+    translate(e)
+    assert calls <= nodes
