@@ -142,6 +142,15 @@ def test_quoted_ref_let_rejected():
     staged_rejects('.<let x = ref [] in (rset x 2, rset x "3")>.')
 
 
+def test_hand_built_nested_bracket_rejected():
+    # The parser refuses this tree; one built by hand must still not type.
+    e = S.Bracket(S.Bracket(S.IntLit(1)))
+    with pytest.raises(Diagnostic) as exc:
+        infer_staged(TypeEnv(), e)
+    assert exc.value.kind is Kind.TYPE_ERROR
+    assert "nested bracket" in exc.value.message
+
+
 def test_thunked_ref_accepted_with_scheme():
     s = staged_scheme('.<let f = fun () -> ref [] in (rset (f ()) 2, rset (f ()) "3")>.')
     assert render_scheme(s) == "(int list * string list) code"
