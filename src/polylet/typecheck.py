@@ -4,10 +4,12 @@
 programs.  `infer_host` is the same walker at level 0 over the
 translation's image, where each combinator constant carries its library
 scheme; host terms bind and use every variable at level 0, so the level
-check never fires there.  Both share the generalization policies: the
-strict value restriction, the non-expansive extension, and the relaxed
-rule that also generalizes covariant (or unused) type variables of
-expansive right-hand sides.
+check never fires there.  A combinator application is typed along its
+type's arrow spine: each argument is unified with the next parameter,
+and no variable is made for a result.  Both share the generalization
+policies: the strict value restriction, the non-expansive extension,
+and the relaxed rule that also generalizes covariant (or unused) type
+variables of expansive right-hand sides.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ def generalize(t: Type, env: TypeEnv, rhs_nonexpansive: bool, policy: GenPolicy)
     candidates = [v for v in free_type_vars(t) if v.rank > env.depth]
     if rhs_nonexpansive:
         quantified = candidates
-    elif policy is GenPolicy.RELAXED:
+    elif policy is GenPolicy.RELAXED and candidates:
         variance = variances(t)
         quantified = [
             v for v in candidates if variance[v] in (Variance.COVARIANT, Variance.UNUSED)
@@ -121,12 +123,15 @@ def _infer(env: TypeEnv, e: S.Expr, level: int, policy: GenPolicy) -> Type:
             )
         return binding.scheme.instantiate()
     if isinstance(e, S.Comb):
-        ty = _COMB_TYPES[e.name](TVar(), TVar(), TVar())
+        ty = _COMB_TYPES[e.name]
+        if callable(ty):
+            ty = ty(TVar(), TVar(), TVar())
         for arg in e.args:
             arg_ty = _infer(env, arg, level, policy)
-            result = TVar()
-            unify(ty, TArrow(arg_ty, result))
-            ty = result
+            if type(ty) is not TArrow:  # over-applied: raises a type error
+                unify(ty, TArrow(arg_ty, TVar()))
+            unify(ty.arg, arg_ty)
+            ty = ty.result
         return ty
     if isinstance(e, S.IntLit):
         return INT
@@ -198,12 +203,14 @@ def _infer(env: TypeEnv, e: S.Expr, level: int, policy: GenPolicy) -> Type:
     raise TypeError(f"unexpected expression {e!r}")
 
 
-# Each combinator constant's library type, built over fresh variables: a
-# and b for code types, w for a scope's answer type.
+# Each combinator constant's library type.  A ground type is one shared
+# object, as only variable cells are ever mutated; a polymorphic one is
+# built per use over fresh variables: a and b for code types, w for a
+# scope's answer type.
 _COMB_TYPES = {
-    "int": lambda a, b, w: TArrow(INT, TCode(INT)),
-    "str": lambda a, b, w: TArrow(STR, TCode(STR)),
-    "add": lambda a, b, w: TArrow(TCode(INT), TArrow(TCode(INT), TCode(INT))),
+    "int": TArrow(INT, TCode(INT)),
+    "str": TArrow(STR, TCode(STR)),
+    "add": TArrow(TCode(INT), TArrow(TCode(INT), TCode(INT))),
     "lam": lambda a, b, w: TArrow(TArrow(TCode(a), TCode(b)), TCode(TArrow(a, b))),
     "app": lambda a, b, w: TArrow(TCode(TArrow(a, b)), TArrow(TCode(a), TCode(b))),
     "pair": lambda a, b, w: TArrow(TCode(a), TArrow(TCode(b), TCode(TPair(a, b)))),

@@ -114,7 +114,7 @@ UNIT = TUnit()
 
 def resolve(t: Type) -> Type:
     """Chase variable bindings, compressing paths."""
-    if isinstance(t, TVar) and t.instance is not None:
+    if type(t) is TVar and t.instance is not None:
         root = resolve(t.instance)
         t.instance = root
         return root
@@ -148,15 +148,18 @@ def occurs(v: TVar, t: Type) -> bool:
 
 
 def unify(a: Type, b: Type) -> None:
-    a, b = resolve(a), resolve(b)
+    if type(a) is TVar:
+        a = resolve(a)
+    if type(b) is TVar:
+        b = resolve(b)
     if a is b:
         return
-    if isinstance(a, TVar):
+    if type(a) is TVar:
         if occurs(a, b):
             raise type_error(f"occurs check: cannot construct infinite type {a} = {render(b)}")
         a.instance = b
         return
-    if isinstance(b, TVar):
+    if type(b) is TVar:
         unify(b, a)
         return
     cls = type(a)
@@ -313,7 +316,11 @@ def render(t: Type, code_word: str = "code", names: dict[TVar, str] | None = Non
 
 
 def render_scheme(s: Scheme, code_word: str = "code") -> str:
+    """Quantified variables print as 'a, 'b, ...; weak ones as '_1, '_2,
+    ... by first appearance, whatever their ids."""
     names = {v: _var_name(i) for i, v in enumerate(s.quantified)}
+    weak = [v for v in free_type_vars(s.body) if v not in names]
+    names.update((v, f"'_{i}") for i, v in enumerate(weak, 1))
     return _render(s.body, _ARROW, code_word, names)
 
 

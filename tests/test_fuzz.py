@@ -21,6 +21,8 @@ ALPHABET = (
 COMMANDS = (
     ["typecheck"],
     ["typecheck", "--system", "host"],
+    ["typecheck", "--gen-policy", "value"],
+    ["typecheck", "--system", "host", "--gen-policy", "nonexpansive"],
     ["translate"],
     ["codegen", "--backend", "quote"],
     ["codegen", "--backend", "string"],

@@ -242,6 +242,19 @@ def test_host_genlet_less_scope_accepts():
     )
 
 
+def test_weak_variables_print_by_first_appearance():
+    # The names must not depend on how many variables the process made.
+    term = translate(parse_source(".<fun x -> fun y -> x>."))
+    renders = [render_scheme(host_scheme(term), "cod") for _ in range(3)]
+    assert renders == ["('_1 -> '_2 -> '_1) cod"] * 3
+
+
+def test_host_rejects_over_applied_combinator():
+    with pytest.raises(Diagnostic) as exc:
+        host_scheme(S.Comb("int", (S.IntLit(1), S.IntLit(2))))
+    assert exc.value.kind is Kind.TYPE_ERROR
+
+
 # Each combinator's arity and library type, as the host scheme of
 # `fun x1 -> ... -> comb x1 ... xn`.
 COMB_TYPES = {
@@ -467,3 +480,31 @@ def test_relaxed_variance_work_linear_in_type_size(monkeypatch):
 
     small, large = resolves(25), resolves(100)
     assert large <= 5 * small, (small, large)
+
+
+def _vars_made(thunk):
+    """How many type variables `thunk` creates."""
+    before = next(typesys._var_ids)
+    thunk()
+    return next(typesys._var_ids) - before - 1
+
+
+def test_host_ground_combinators_make_no_variables(monkeypatch):
+    # A combinator application is typed along its arrow spine, and ground
+    # combinator types are shared: no variable and no occurs check.
+    calls = [0]
+    original = typesys.occurs
+
+    def counting(v, t):
+        calls[0] += 1
+        return original(v, t)
+
+    monkeypatch.setattr(typesys, "occurs", counting)
+    term = translate(parse_source(".<" + " + ".join(map(str, range(100))) + ">."))
+    assert _vars_made(lambda: host_scheme(term)) == 0
+    assert calls[0] == 0
+
+
+def test_host_let_chain_variables_per_let():
+    term = translate(parse_source(_let_chain(100)))
+    assert _vars_made(lambda: host_scheme(term)) <= 7 * 100
