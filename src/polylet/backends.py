@@ -46,7 +46,6 @@ __all__ = [
     "evaluate",
     "check_scope",
     "rset_runtime",
-    "BACKEND_NAMES",
 ]
 
 
@@ -281,8 +280,6 @@ class EvalBackend(Backend):
             return self._wrap(lambda: rset_runtime(self.force(c), self.force(v)))
         raise type_error(f"unknown combinator {name}")
 
-
-BACKEND_NAMES = ("string", "quote", "eval")
 
 _BACKENDS = {
     "string": QuoteBackend,

@@ -42,10 +42,6 @@ class CorpusEntry:
     run_diag: Optional[Kind] = None  # diagnostic from forcing the eval result
     quote_diag: Optional[Kind] = None  # diagnostic from either printing backend
 
-    @property
-    def is_bracket_program(self) -> bool:
-        return self.source is not None and self.source.lstrip().startswith(".<")
-
 
 def _ident(x: str = "x") -> S.Expr:
     return S.comb("lam", S.Fun(x, S.Var(x)))

@@ -10,7 +10,11 @@ Three executable properties tie the pipeline together:
   backend output, and the re-evaluated quote tree produce the same
   first-order values (mutable-CSP programs skip the string leg).
 
-Results are reported TAP-style; any hard failure fails the run.
+`check_entry` runs every check of one corpus entry in one pass: it parses
+the source once, makes the term once, types each once, and hands the
+shared tree, term and verdicts to one small function per kind of check.
+`check_random_program` does the same for a generated program.  Results
+are reported TAP-style; any hard failure fails the run.
 """
 
 from __future__ import annotations
@@ -53,157 +57,101 @@ def _verdict(e: S.Expr):
         raise
 
 
-def _entry_term(entry: CorpusEntry) -> S.Expr:
-    if entry.build_target is not None:
-        return entry.build_target()
-    assert entry.source is not None
-    return translate(parse_source(entry.source))
+def _expect(name: str, want: str, verdict, want_scheme: str | None = None) -> CheckResult:
+    scheme, diag = verdict
+    got = "accept" if scheme is not None else "reject"
+    if got != want:
+        detail = f"expected {want}, got {got}" + (f" ({diag.message})" if diag else "")
+        return CheckResult(name, "fail", detail)
+    if scheme is not None and want_scheme is not None:
+        rendered = render_scheme(scheme)
+        if rendered != want_scheme:
+            return CheckResult(name, "fail", f"scheme {rendered!r} != expected {want_scheme!r}")
+    return CheckResult(name, "pass")
 
 
-def check_matrix(entry: CorpusEntry) -> list[CheckResult]:
+def _typing(entry: CorpusEntry, staged, host) -> list[CheckResult]:
+    """Both verdicts against the entry's, then preservation: staged
+    acceptance must imply host acceptance of the translation."""
     results = []
-    if entry.source is not None and entry.staged is not None:
-        e = parse_source(entry.source)
-        scheme, diag = _verdict(e)
-        verdict = "accept" if scheme is not None else "reject"
-        if verdict != entry.staged:
-            results.append(
-                CheckResult(
-                    f"staged-typing/{entry.name}",
-                    "fail",
-                    f"expected {entry.staged}, got {verdict}"
-                    + (f" ({diag.message})" if diag else ""),
-                )
-            )
-        elif scheme is not None and entry.staged_scheme is not None:
-            rendered = render_scheme(scheme)
-            if rendered != entry.staged_scheme:
-                results.append(
-                    CheckResult(
-                        f"staged-typing/{entry.name}",
-                        "fail",
-                        f"scheme {rendered!r} != expected {entry.staged_scheme!r}",
-                    )
-                )
-            else:
-                results.append(CheckResult(f"staged-typing/{entry.name}", "pass"))
-        else:
-            results.append(CheckResult(f"staged-typing/{entry.name}", "pass"))
+    if staged is not None and entry.staged is not None:
+        results.append(
+            _expect(f"staged-typing/{entry.name}", entry.staged, staged, entry.staged_scheme)
+        )
     if entry.host is not None:
-        term = _entry_term(entry)
-        scheme, diag = _verdict(term)
-        verdict = "accept" if scheme is not None else "reject"
-        if verdict != entry.host:
-            results.append(
-                CheckResult(
-                    f"host-typing/{entry.name}",
-                    "fail",
-                    f"expected {entry.host}, got {verdict}"
-                    + (f" ({diag.message})" if diag else ""),
-                )
-            )
-        else:
-            results.append(CheckResult(f"host-typing/{entry.name}", "pass"))
+        results.append(_expect(f"host-typing/{entry.name}", entry.host, host))
+    if staged is None:
+        return results
+    name = f"preservation/{entry.name}"
+    diag = host[1]
+    if staged[0] is None:
+        results.append(CheckResult(name, "pass", "vacuous: staged checker rejects"))
+    elif diag is None:
+        results.append(CheckResult(name, "pass"))
+    elif entry.name in KNOWN_DIVERGENCES:
+        results.append(CheckResult(name, "known-divergence", diag.message))
+    else:
+        results.append(CheckResult(name, "fail", f"host rejects translation: {diag.message}"))
     return results
 
 
-def check_typing_preservation(entry: CorpusEntry) -> CheckResult | None:
-    """Staged acceptance must imply host acceptance of the translation."""
-    if entry.source is None:
-        return None
-    name = f"preservation/{entry.name}"
-    e = parse_source(entry.source)
-    staged_scheme, _ = _verdict(e)
-    if staged_scheme is None:
-        return CheckResult(name, "pass", "vacuous: staged checker rejects")
-    host_scheme, diag = _verdict(translate(e))
-    if host_scheme is not None:
-        return CheckResult(name, "pass")
-    if entry.name in KNOWN_DIVERGENCES:
-        return CheckResult(name, "known-divergence", diag.message if diag else "")
-    return CheckResult(name, "fail", f"host rejects translation: {diag.message if diag else ''}")
-
-
-def check_round_trip(entry: CorpusEntry) -> CheckResult | None:
-    name = f"round-trip/{entry.name}"
-    if entry.quote_diag is not None:
-        return None
-    expected: S.Expr | None = None
+def _expected_quote(entry: CorpusEntry, tree: S.Expr | None) -> S.Expr | None:
+    """The tree the quote backend must rebuild: the entry's own, else a
+    bracket program's body."""
     if entry.build_expected_quote is not None:
-        expected = entry.build_expected_quote()
-    elif entry.expected_quote is not None:
-        expected = parse_plain(entry.expected_quote)
-    elif entry.is_bracket_program:
-        parsed = parse_source(entry.source or "")
-        assert isinstance(parsed, S.Bracket)
-        expected = parsed.body
-    if expected is None:
-        return None
-    if entry.source is not None and entry.staged == "reject":
-        return None
-    term = _entry_term(entry)
-    ev = evaluate(term, "quote")
-    code = ev.value
+        return entry.build_expected_quote()
+    if entry.expected_quote is not None:
+        return parse_plain(entry.expected_quote)
+    return tree.body if isinstance(tree, S.Bracket) else None
+
+
+def _round_trip(entry: CorpusEntry, term: S.Expr, expected: S.Expr) -> CheckResult:
+    name = f"round-trip/{entry.name}"
+    code = evaluate(term, "quote").value
     if not (isinstance(code, VCode) and isinstance(code.code, QuoteCode)):
         return CheckResult(name, "fail", "quote backend did not return code")
     actual = code.code.tree
     if S.alpha_equal(actual, expected):
         return CheckResult(name, "pass")
-    return CheckResult(
-        name,
-        "fail",
-        f"rebuilt {S.pretty(actual)!r} vs expected {S.pretty(expected)!r}",
-    )
+    detail = f"rebuilt {S.pretty(actual)!r} vs expected {S.pretty(expected)!r}"
+    return CheckResult(name, "fail", detail)
 
 
 def _run_plain(tree: S.Expr, arg: RuntimeValue | None) -> RuntimeValue:
-    ev = evaluate(translate(tree), None)
-    value = ev.value
-    if arg is not None:
-        value = ev.call(value, arg)
-    return value
+    """Run a staging-free tree, which is its own translation."""
+    ev = evaluate(tree, None)
+    return ev.value if arg is None else ev.call(ev.value, arg)
 
 
-def check_observational(entry: CorpusEntry) -> list[CheckResult]:
-    if entry.observe is None or entry.source is None:
-        return []
+def _observations(entry: CorpusEntry, tree: S.Expr, term: S.Expr) -> list[CheckResult]:
+    """A plain program's value, or each backend's run of the generated code
+    (mutable-CSP programs must skip the string leg)."""
     observe = entry.observe
+    assert observe is not None
     base = f"observation/{entry.name}"
-    e = parse_source(entry.source)
     arg = parse_value_literal(observe.apply_arg) if observe.apply_arg else None
-    if S.is_plain(e):
-        value = _run_plain(e, arg)
-        got = render_value(value)
+    if S.is_plain(tree):
+        got = render_value(_run_plain(tree, arg))
         status = "pass" if got == observe.expect else "fail"
         return [CheckResult(base, status, "" if status == "pass" else f"got {got}")]
-    term = translate(e)
-    results = []
 
-    def leg(name: str, run) -> None:
+    def leg(name: str, run) -> CheckResult:
+        label = f"{base}[{name}]"
         try:
             got = render_value(run())
         except Diagnostic as d:
             if d.kind is Kind.CSP_SERIALIZATION and name == "string":
                 status = "skip" if observe.mutable_csp else "fail"
-                results.append(
-                    CheckResult(f"{base}[string]", status, f"string leg: {d.message}")
-                )
-                return
-            results.append(CheckResult(f"{base}[{name}]", "fail", d.render()))
-            return
+                return CheckResult(label, status, f"string leg: {d.message}")
+            return CheckResult(label, "fail", d.render())
         if got == observe.expect:
-            results.append(CheckResult(f"{base}[{name}]", "pass"))
-        else:
-            results.append(
-                CheckResult(f"{base}[{name}]", "fail", f"got {got}, want {observe.expect}")
-            )
+            return CheckResult(label, "pass")
+        return CheckResult(label, "fail", f"got {got}, want {observe.expect}")
 
     def eval_leg() -> RuntimeValue:
         ev = evaluate(term, "eval")
         value = ev.force()
-        if arg is not None:
-            value = ev.call(value, arg)
-        return value
+        return value if arg is None else ev.call(value, arg)
 
     def string_leg() -> RuntimeValue:
         ev = evaluate(term, "string")
@@ -215,37 +163,28 @@ def check_observational(entry: CorpusEntry) -> list[CheckResult]:
         assert isinstance(ev.value, VCode) and isinstance(ev.value.code, QuoteCode)
         return _run_plain(ev.value.code.tree, arg)
 
-    leg("eval", eval_leg)
-    leg("string", string_leg)
-    leg("quote", quote_leg)
-    if observe.mutable_csp and not any("[string]" in r.name and r.status == "skip" for r in results):
-        results.append(
-            CheckResult(f"{base}[string]", "fail", "expected the string leg to be skipped")
-        )
+    results = [leg("eval", eval_leg), leg("string", string_leg), leg("quote", quote_leg)]
+    if observe.mutable_csp and results[1].status != "skip":
+        detail = "expected the string leg to be skipped"
+        results.append(CheckResult(f"{base}[string]", "fail", detail))
     return results
 
 
-def check_goldens(entry: CorpusEntry) -> list[CheckResult]:
+def _goldens(entry: CorpusEntry, term: S.Expr) -> list[CheckResult]:
+    """The string golden, and the diagnostics the entry expects from the
+    printing backends or from running the code."""
     results = []
     if entry.string_golden is not None:
         name = f"golden-string/{entry.name}"
-        term = _entry_term(entry)
         ev = evaluate(term, "string")
         if not (isinstance(ev.value, VCode) and isinstance(ev.value.code, StringCode)):
             results.append(CheckResult(name, "fail", "no string code produced"))
         else:
-            actual = parse_plain(ev.value.code.text)
-            expected = parse_plain(entry.string_golden)
-            if S.alpha_equal(actual, expected):
-                results.append(CheckResult(name, "pass"))
-            else:
-                results.append(
-                    CheckResult(
-                        name, "fail", f"emitted {ev.value.code.text!r}, want {entry.string_golden!r}"
-                    )
-                )
+            text = ev.value.code.text
+            same = S.alpha_equal(parse_plain(text), parse_plain(entry.string_golden))
+            detail = "" if same else f"emitted {text!r}, want {entry.string_golden!r}"
+            results.append(CheckResult(name, "pass" if same else "fail", detail))
     if entry.quote_diag is not None:
-        term = _entry_term(entry)
         for backend in ("quote", "string"):
             name = f"diagnostic-{backend}/{entry.name}"
             try:
@@ -256,29 +195,43 @@ def check_goldens(entry: CorpusEntry) -> list[CheckResult]:
                 results.append(CheckResult(name, status, d.message if status == "fail" else ""))
     if entry.run_diag is not None:
         name = f"diagnostic-run/{entry.name}"
-        term = _entry_term(entry)
         try:
-            ev = evaluate(term, "eval")
-            ev.force()
+            evaluate(term, "eval").force()
             results.append(CheckResult(name, "fail", "expected a diagnostic, got a value"))
         except Diagnostic as d:
             status = "pass" if d.kind is entry.run_diag else "fail"
-            results.append(
-                CheckResult(name, status, "" if status == "pass" else d.render())
-            )
+            results.append(CheckResult(name, status, "" if status == "pass" else d.render()))
     return results
 
 
-def check_translation_lint(entry: CorpusEntry) -> CheckResult | None:
-    """Translated programs keep scopes right above their genlets."""
-    if entry.source is None:
-        return None
-    term = translate(parse_source(entry.source))
-    problems = T.lint_scopes(term)
-    name = f"lint/{entry.name}"
-    if problems:
-        return CheckResult(name, "fail", "; ".join(problems))
-    return CheckResult(name, "pass")
+def check_entry(entry: CorpusEntry) -> list[CheckResult]:
+    """Every check of one corpus entry, in TAP order: typing, preservation,
+    round trip, scope lint, observations and goldens.
+
+    The source is parsed once, its term (the translation, or the hand-built
+    `build_target`) is made once, and each is typed once; every leg reads
+    that one tree and term.  Sharing the term is safe: evaluation never
+    mutates a tree, and no `build_target` holds a mutable `CspValue`.
+    """
+    tree = parse_source(entry.source) if entry.source is not None else None
+    if entry.build_target is not None:
+        term = entry.build_target()
+    else:
+        assert tree is not None
+        term = translate(tree)
+    staged = _verdict(tree) if tree is not None else None
+    results = _typing(entry, staged, _verdict(term))
+    expected = _expected_quote(entry, tree)
+    if entry.quote_diag is None and expected is not None and entry.staged != "reject":
+        results.append(_round_trip(entry, term, expected))
+    if tree is not None:
+        problems = T.lint_scopes(term)
+        status = "fail" if problems else "pass"
+        results.append(CheckResult(f"lint/{entry.name}", status, "; ".join(problems)))
+    if entry.observe is not None and tree is not None:
+        results.extend(_observations(entry, tree, term))
+    results.extend(_goldens(entry, term))
+    return results
 
 
 # --- random programs -------------------------------------------------------
@@ -470,16 +423,7 @@ def run_random(seed: int, count: int) -> list[CheckResult]:
 def run_all(seed: int = 0, count: int = 100) -> list[CheckResult]:
     results: list[CheckResult] = []
     for entry in ENTRIES:
-        results.extend(check_matrix(entry))
-        for single in (
-            check_typing_preservation(entry),
-            check_round_trip(entry),
-            check_translation_lint(entry),
-        ):
-            if single is not None:
-                results.append(single)
-        results.extend(check_observational(entry))
-        results.extend(check_goldens(entry))
+        results.extend(check_entry(entry))
     results.extend(run_random(seed, count))
     return results
 

@@ -8,8 +8,8 @@ check never fires there.  A combinator application is typed along its
 type's arrow spine: each argument is unified with the next parameter,
 and no variable is made for a result.  Both share the generalization
 policies: the strict value restriction, the non-expansive extension,
-and the relaxed rule that also generalizes covariant (or unused) type
-variables of expansive right-hand sides.
+and the relaxed rule that also generalizes the type variables of an
+expansive right-hand side that occur only covariantly.
 """
 
 from __future__ import annotations
@@ -33,12 +33,11 @@ from .typesys import (
     TVar,
     Type,
     TypeEnv,
-    Variance,
     free_type_vars,
     monotype,
+    non_covariant,
     resolve,
     unify,
-    variances,
 )
 
 
@@ -81,10 +80,8 @@ def generalize(t: Type, env: TypeEnv, rhs_nonexpansive: bool, policy: GenPolicy)
     if rhs_nonexpansive:
         quantified = candidates
     elif policy is GenPolicy.RELAXED and candidates:
-        variance = variances(t)
-        quantified = [
-            v for v in candidates if variance[v] in (Variance.COVARIANT, Variance.UNUSED)
-        ]
+        blocked = non_covariant(t)
+        quantified = [v for v in candidates if v not in blocked]
     else:
         quantified = []
     return Scheme(tuple(quantified), t)

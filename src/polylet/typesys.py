@@ -26,7 +26,6 @@ The rank is a position in the environment; it is unrelated to the stage
 
 from __future__ import annotations
 
-import enum
 import itertools
 import sys
 from dataclasses import dataclass
@@ -156,7 +155,7 @@ def unify(a: Type, b: Type) -> None:
         return
     if type(a) is TVar:
         if occurs(a, b):
-            raise type_error(f"occurs check: cannot construct infinite type {a} = {render(b)}")
+            raise _mismatch("occurs check: cannot construct infinite type {} = {}", a, b)
         a.instance = b
         return
     if type(b) is TVar:
@@ -164,10 +163,17 @@ def unify(a: Type, b: Type) -> None:
         return
     cls = type(a)
     if cls is not type(b):
-        raise type_error(f"cannot unify {render(a)} with {render(b)}")
+        raise _mismatch("cannot unify {} with {}", a, b)
     parts = _PARTS[cls]
     for x, y in zip(parts(a), parts(b)):
         unify(x, y)
+
+
+def _mismatch(template: str, a: Type, b: Type):
+    """A unification error rendering both sides from one name table, so the
+    variables read '_1, '_2, ... by first appearance, whatever their ids."""
+    names = {v: f"'_{i}" for i, v in enumerate(free_type_vars(TPair(a, b)), 1)}
+    return type_error(template.format(*(_render(t, _ARROW, "code", names) for t in (a, b))))
 
 
 def free_type_vars(t: Type) -> list[TVar]:
@@ -186,55 +192,29 @@ def _collect_vars(t: Type, out: dict[TVar, None]) -> None:
         _collect_vars(p, out)
 
 
-class Variance(enum.Enum):
-    COVARIANT = "covariant"
-    CONTRAVARIANT = "contravariant"
-    INVARIANT = "invariant"
-    UNUSED = "unused"
-
-
-def _flip(v: Variance) -> Variance:
-    if v is Variance.COVARIANT:
-        return Variance.CONTRAVARIANT
-    if v is Variance.CONTRAVARIANT:
-        return Variance.COVARIANT
-    return v
-
-
-def _join(a: Variance, b: Variance) -> Variance:
-    if a is Variance.UNUSED:
-        return b
-    if b is Variance.UNUSED:
-        return a
-    if a is b:
-        return a
-    return Variance.INVARIANT
-
-
-def variances(t: Type) -> dict[TVar, Variance]:
-    """How each unbound variable occurs in t: the join over all its
-    occurrences, in one pass.
-
-    list, code, and both pair positions are covariant; the arrow is
-    contravariant in its argument; ref, scope, and funscope are invariant.
-    """
-    out: dict[TVar, Variance] = {}
-    _collect_variances(t, Variance.COVARIANT, out)
+def non_covariant(t: Type) -> set[TVar]:
+    """The unbound variables of t with an occurrence that is not covariant,
+    in one pass.  The sign is 1 at the root; an arrow's argument negates
+    it, and ref, scope, and funscope make it 0 (invariant)."""
+    out: set[TVar] = set()
+    _collect_non_covariant(t, 1, out)
     return out
 
 
-def _collect_variances(t: Type, polarity: Variance, out: dict[TVar, Variance]) -> None:
+def _collect_non_covariant(t: Type, sign: int, out: set[TVar]) -> None:
     t = resolve(t)
-    if isinstance(t, TVar):
-        out[t] = _join(out.get(t, Variance.UNUSED), polarity)
-    elif isinstance(t, TArrow):
-        _collect_variances(t.arg, _flip(polarity), out)
-        _collect_variances(t.result, polarity, out)
+    cls = type(t)
+    if cls is TVar:
+        if sign != 1:
+            out.add(t)
+    elif cls is TArrow:
+        _collect_non_covariant(t.arg, -sign, out)
+        _collect_non_covariant(t.result, sign, out)
     else:
-        if isinstance(t, (TRef, TScope, TFunScope)):
-            polarity = Variance.INVARIANT
-        for p in _PARTS[type(t)](t):
-            _collect_variances(p, polarity, out)
+        if cls in (TRef, TScope, TFunScope):
+            sign = 0
+        for p in _PARTS[cls](t):
+            _collect_non_covariant(p, sign, out)
 
 
 @dataclass(frozen=True)
@@ -309,12 +289,6 @@ class TypeEnv:
 _ARROW, _PAIR, _POST = 0, 1, 2
 
 
-def render(t: Type, code_word: str = "code", names: dict[TVar, str] | None = None) -> str:
-    if names is None:
-        names = {}
-    return _render(t, _ARROW, code_word, names)
-
-
 def render_scheme(s: Scheme, code_word: str = "code") -> str:
     """Quantified variables print as 'a, 'b, ...; weak ones as '_1, '_2,
     ... by first appearance, whatever their ids."""
@@ -350,7 +324,7 @@ _POSTFIX = {TList: "list", TRef: "ref", TCode: None, TScope: "scope", TFunScope:
 def _render1(t: Type, code_word: str, names: dict[TVar, str]) -> tuple[str, int]:
     cls = type(t)
     if cls is TVar:
-        return names.get(t, f"'_{t.id}"), _POST
+        return names[t], _POST
     if cls in _BASE:
         return _BASE[cls], _POST
     if cls in _POSTFIX:

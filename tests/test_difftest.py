@@ -29,18 +29,42 @@ def test_full_run_is_green():
     assert fails == [], fails
 
 
+def checks(entry, prefix):
+    """The results of `check_entry` whose names start with `prefix`."""
+    return [r for r in difftest.check_entry(entry) if r.name.startswith(prefix)]
+
+
 def test_divergence_reported_as_known():
     entry = next(e for e in ENTRIES if e.name in KNOWN_DIVERGENCES)
-    result = difftest.check_typing_preservation(entry)
-    assert result is not None and result.status == "known-divergence"
+    [result] = checks(entry, "preservation/")
+    assert result.status == "known-divergence"
 
 
 def test_preservation_vacuous_on_staged_reject():
-    from polylet.corpus import by_name
-
-    result = difftest.check_typing_preservation(by_name("ref_poly_reject"))
-    assert result is not None and result.status == "pass"
+    [result] = checks(by_name("ref_poly_reject"), "preservation/")
+    assert result.status == "pass"
     assert "vacuous" in result.detail
+
+
+def test_each_source_entry_is_parsed_once_and_typed_twice(monkeypatch):
+    # One parse of the source, one staged verdict and one host verdict,
+    # whatever the entry's checks.
+    calls = {"parse_source": 0, "infer_staged": 0}
+    for name in calls:
+        original = getattr(difftest, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(difftest, name, counting)
+    for entry in ENTRIES:
+        if entry.source is None:
+            continue
+        for name in calls:
+            calls[name] = 0
+        difftest.check_entry(entry)
+        assert calls == {"parse_source": 1, "infer_staged": 2}, entry.name
 
 
 def test_tap_rendering():
@@ -90,11 +114,11 @@ def test_lets_forced_out_of_order_round_trip_in_source_order(source):
 
 def test_golden_with_swapped_lets_fails():
     entry = by_name("thunked_genlet_two_lets")
-    [golden] = difftest.check_goldens(entry)
+    [golden] = checks(entry, "golden-")
     assert golden.status == "pass"
     swapped = dataclasses.replace(
         entry,
         string_golden='(let v = (fun b -> b) in (let u = (fun a -> a) in ((v 1), (u "3"))))',
     )
-    [golden] = difftest.check_goldens(swapped)
+    [golden] = checks(swapped, "golden-")
     assert golden.status == "fail"

@@ -1,8 +1,10 @@
-"""CLI fuzzing: mutated corpus sources must get an answer or a diagnostic,
-never a Python traceback."""
+"""CLI fuzzing: mutated corpus sources and deep or wide generated programs
+must get an answer or a diagnostic, never a Python traceback."""
 
 import functools
 import random
+
+import pytest
 
 from polylet import cli
 from polylet.corpus import ENTRIES
@@ -63,3 +65,34 @@ def test_mutated_corpus_never_escapes_the_cli(tmp_path, capsys, monkeypatch):
             status = cli.main([*command, str(path)])
             assert status in (0, 1, 2), (command, text)
         capsys.readouterr()
+
+
+def _let_chain(n: int) -> str:
+    lets = "".join(f"let x{i} = {f'x{i - 1} + 1' if i else '1'} in " for i in range(n))
+    return f".<{lets}x{n - 1}>."
+
+
+# Deep or wide programs, run at the default recursion limit; today each
+# ends in a `ResourceLimit` diagnostic.
+DEEP = {
+    "let-chain": _let_chain(1_000),
+    "parens": "(" * 2_000 + "1" + ")" * 2_000,
+    "plus": "(1 + " * 600 + "1" + ")" * 600,
+    "quoted-plus": ".<" + "(1 + " * 600 + "1" + ")" * 600 + ">.",
+    "fun-chain": ".<" + "".join(f"fun x{i} -> " for i in range(3_000)) + "x0>.",
+    "cons-chain": ".<" + "1 :: " * 5_000 + "[]>.",
+    "arguments": "(fun x -> x)" + " 1" * 2_000,
+    "derefs": "!" * 3_000 + "(ref 1)",
+}
+
+
+@pytest.mark.parametrize("name", DEEP)
+def test_deep_programs_never_escape_the_cli(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
+    path = tmp_path / f"{name}.pml"
+    path.write_text(DEEP[name], encoding="utf-8")
+    for command in COMMANDS:
+        status = cli.main([*command, str(path)])
+        out, err = capsys.readouterr()
+        assert status in (0, 1, 2), command
+        assert "Traceback" not in out + err, command

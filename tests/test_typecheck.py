@@ -22,9 +22,8 @@ from polylet.typesys import (
     TRef,
     TVar,
     TypeEnv,
-    Variance,
+    non_covariant,
     render_scheme,
-    variances,
 )
 from polylet.unstage import translate
 
@@ -43,34 +42,30 @@ def staged_rejects(text, policy=GenPolicy.RELAXED):
 # --- variance ---------------------------------------------------------------
 
 
-def variance_of(v, t):
-    return variances(t).get(v, Variance.UNUSED)
-
-
 def test_variance_list_covariant():
     v = TVar()
-    assert variance_of(v, TList(v)) is Variance.COVARIANT
+    assert v not in non_covariant(TList(v))
 
 
 def test_variance_ref_invariant():
     v = TVar()
-    assert variance_of(v, TRef(v)) is Variance.INVARIANT
+    assert v in non_covariant(TRef(v))
 
 
 def test_variance_code_of_endo_arrow_invariant():
     v = TVar()
-    assert variance_of(v, TCode(TArrow(v, v))) is Variance.INVARIANT
+    assert v in non_covariant(TCode(TArrow(v, v)))
 
 
 def test_variance_absent_unused():
     v = TVar()
-    assert variance_of(v, INT) is Variance.UNUSED
+    assert v not in non_covariant(INT)
 
 
 def test_variance_arrow_argument_contravariant():
     v = TVar()
-    assert variance_of(v, TArrow(v, INT)) is Variance.CONTRAVARIANT
-    assert variance_of(v, TArrow(TArrow(v, INT), INT)) is Variance.COVARIANT
+    assert v in non_covariant(TArrow(v, INT))
+    assert v not in non_covariant(TArrow(TArrow(v, INT), INT))
 
 
 # --- syntactic classes -------------------------------------------------------
@@ -247,6 +242,18 @@ def test_weak_variables_print_by_first_appearance():
     term = translate(parse_source(".<fun x -> fun y -> x>."))
     renders = [render_scheme(host_scheme(term), "cod") for _ in range(3)]
     assert renders == ["('_1 -> '_2 -> '_1) cod"] * 3
+
+
+def test_unification_messages_name_variables_by_first_appearance():
+    # Both sides share one name table, and the names must not depend on
+    # what the process inferred before.
+    staged_scheme('let f = fun x -> x in (f 1, f "a")')
+    err = staged_rejects("fun x -> x x")
+    assert err.message == "occurs check: cannot construct infinite type '_1 = '_1 -> '_2"
+    err = staged_rejects("fun x -> fun y -> (x y, y x)")
+    assert err.message == "occurs check: cannot construct infinite type '_1 = ('_1 -> '_2) -> '_3"
+    err = staged_rejects("(fun x -> x) :: (1 :: [])")
+    assert err.message == "cannot unify int with '_1 -> '_1"
 
 
 def test_host_rejects_over_applied_combinator():
