@@ -214,15 +214,7 @@ class EvalBackend(Backend):
         return self._wrap(lambda: shared), None
 
     def apply_simple(self, name: str, values: list[RuntimeValue]) -> RuntimeValue:
-        if name == "int":
-            (v,) = values
-            assert isinstance(v, VInt)
-            return self._wrap(lambda: v)
-        if name == "str":
-            (v,) = values
-            assert isinstance(v, VStr)
-            return self._wrap(lambda: v)
-        if name == "csp":
+        if name in ("int", "str", "csp"):
             (v,) = values
             # The present-stage value itself is shared with the future stage.
             return self._wrap(lambda: v)
@@ -275,7 +267,7 @@ class EvalBackend(Backend):
                 return cell.contents
 
             return self._wrap(rget)
-        if name == "rset":
+        if name == "rset_":
             c, v = codes
             return self._wrap(lambda: rset_runtime(self.force(c), self.force(v)))
         raise type_error(f"unknown combinator {name}")

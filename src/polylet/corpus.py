@@ -1,10 +1,10 @@
 """The built-in corpus of programs exercised by the differential harness.
 
-Each entry records a program (source text, or a hand-written combinator
-term for cases a source program cannot express), its expected verdicts
-under the staged and host type systems, the quotation backend's expected
-output when it differs from the bracket body, and the expected value or
-diagnostic when the generated code runs.
+Each entry records a program (source text, or the text of a combinator
+term, read by `parse_term`, that no source program translates to), its
+expected verdicts under the staged and host type systems, the quotation
+backend's expected output when it differs from the bracket body, and the
+expected value or diagnostic when the generated code runs.
 """
 
 from __future__ import annotations
@@ -31,77 +31,16 @@ class CorpusEntry:
     name: str
     note: str
     source: Optional[str] = None
-    build_target: Optional[Callable[[], S.Expr]] = None
+    target: Optional[str] = None  # a combinator term, parsed with parse_term
     staged: Optional[str] = None  # "accept" | "reject"
     staged_scheme: Optional[str] = None  # canonical rendering
-    host: Optional[str] = None  # verdict on the translation / built term
+    host: Optional[str] = None  # verdict on the translation or the target
     expected_quote: Optional[str] = None  # parsed with parse_plain
     build_expected_quote: Optional[Callable[[], S.Expr]] = None
     string_golden: Optional[str] = None  # compared mod alpha
     observe: Optional[Observe] = None
     run_diag: Optional[Kind] = None  # diagnostic from forcing the eval result
     quote_diag: Optional[Kind] = None  # diagnostic from either printing backend
-
-
-def _ident(x: str = "x") -> S.Expr:
-    return S.comb("lam", S.Fun(x, S.Var(x)))
-
-
-def _scope_no_genlet() -> S.Expr:
-    pair = S.comb(
-        "pair",
-        S.comb("cons", S.comb("int", S.IntLit(2)), S.Var("x")),
-        S.comb("cons", S.comb("str", S.StrLit("3")), S.Var("x")),
-    )
-    return S.comb("new_scope", S.Fun("p", S.Let("x", S.comb("nil"), pair)))
-
-
-def _extrusion_open_code() -> S.Expr:
-    inner = S.comb("genlet", S.Var("p"), S.comb("add", S.Var("x"), S.comb("int", S.IntLit(2))))
-    return S.comb(
-        "new_scope",
-        S.Fun("p", S.comb("lam", S.Fun("x", S.comb("add", S.Var("x"), inner)))),
-    )
-
-
-def _genlet_id_monomorphic() -> S.Expr:
-    body = S.Let(
-        "f",
-        S.comb("genlet", S.Var("p"), _ident()),
-        S.comb(
-            "pair",
-            S.comb("app", S.Var("f"), S.comb("int", S.IntLit(1))),
-            S.comb("app", S.Var("f"), S.comb("str", S.StrLit("3"))),
-        ),
-    )
-    return S.comb("new_scope", S.Fun("p", body))
-
-
-def _thunk_sites(inner: S.Expr) -> S.Expr:
-    def call() -> S.Expr:
-        return S.App(S.Var("f"), S.Unit())
-
-    body = S.Let(
-        "f",
-        S.Fun(S.UNIT_BINDER, inner),
-        S.comb(
-            "pair",
-            S.comb("app", call(), S.comb("int", S.IntLit(1))),
-            S.comb("app", call(), S.comb("str", S.StrLit("3"))),
-        ),
-    )
-    return body
-
-
-def _inline_identity_thunk() -> S.Expr:
-    return _thunk_sites(_ident())
-
-
-def _thunked_genlet_two_lets() -> S.Expr:
-    return S.comb(
-        "new_scope",
-        S.Fun("p", _thunk_sites(S.comb("genlet", S.Var("p"), _ident()))),
-    )
 
 
 def _fresh_cell() -> VRefCell:
@@ -113,13 +52,11 @@ def _counter_expected_quote() -> S.Expr:
 
 
 def _unsound_expected_quote() -> S.Expr:
-    def use() -> S.Expr:
-        return S.App(S.Var("f"), S.Unit())
-
+    use = S.App(S.Var("f"), S.Unit())
     return S.Let(
         "f",
         S.Fun("z", S.CspValue(_fresh_cell())),
-        S.Pair(S.Rset(use(), S.IntLit(2)), S.Rset(use(), S.StrLit("3"))),
+        S.Pair(S.Rset(use, S.IntLit(2)), S.Rset(use, S.StrLit("3"))),
     )
 
 
@@ -373,38 +310,41 @@ ENTRIES: tuple[CorpusEntry, ...] = (
         staged_scheme="((int -> int) list * (string -> string) list) code",
         host="reject",
     ),
-    # -- hand-written combinator programs --
+    # -- combinator-library programs that no source program translates to --
     CorpusEntry(
         name="scope_no_genlet",
         note="without genlet the binding is inlined, not shared",
-        build_target=_scope_no_genlet,
+        target='new_scope (fun p -> let x = nil in pair (cons (int 2) x) (cons (str "3") x))',
         host="accept",
         expected_quote='(2 :: [], "3" :: [])',
     ),
     CorpusEntry(
         name="extrusion_open_code",
         note="genlet hoists code mentioning a lam-bound variable out of its scope",
-        build_target=_extrusion_open_code,
+        target="new_scope (fun p -> lam (fun x -> add x (genlet p (add x (int 2)))))",
         host="accept",
         quote_diag=Kind.SCOPE_EXTRUSION,
     ),
     CorpusEntry(
         name="genlet_id_monomorphic",
         note="plain genlet of a function: not generalizable, two uses conflict",
-        build_target=_genlet_id_monomorphic,
+        target="new_scope (fun p -> let f = genlet p (lam (fun x -> x)) in "
+        'pair (app f (int 1)) (app f (str "3")))',
         host="reject",
     ),
     CorpusEntry(
         name="inline_identity_thunk",
         note="thunking alone restores typability but inlines the function",
-        build_target=_inline_identity_thunk,
+        target="let f = fun () -> lam (fun x -> x) in "
+        'pair (app (f ()) (int 1)) (app (f ()) (str "3"))',
         host="accept",
         string_golden='(((fun a -> a) 1), ((fun b -> b) "3"))',
     ),
     CorpusEntry(
         name="thunked_genlet_two_lets",
         note="genlet behind a thunk: each call inserts its own binding",
-        build_target=_thunked_genlet_two_lets,
+        target="new_scope (fun p -> let f = fun () -> genlet p (lam (fun x -> x)) in "
+        'pair (app (f ()) (int 1)) (app (f ()) (str "3")))',
         host="accept",
         string_golden='(let u = (fun a -> a) in (let v = (fun b -> b) in ((v 1), (u "3"))))',
     ),

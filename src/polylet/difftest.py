@@ -1,6 +1,6 @@
 """Differential checks over the corpus and randomly generated programs.
 
-Three executable properties tie the pipeline together:
+Four executable properties tie the pipeline together:
 
 * typing preservation -- a staged-accepted program's translation is
   accepted by the host checker (known divergences are enumerated);
@@ -8,7 +8,9 @@ Three executable properties tie the pipeline together:
   bracket body up to alpha-renaming, lets re-materialized;
 * observational agreement -- the eval backend, the re-parsed string
   backend output, and the re-evaluated quote tree produce the same
-  first-order values (mutable-CSP programs skip the string leg).
+  first-order values (mutable-CSP programs skip the string leg);
+* term text -- the printed term reads back with `parse_term` as itself,
+  so a combinator program can be written as text.
 
 `check_entry` runs every check of one corpus entry in one pass: it parses
 the source once, makes the term once, types each once, and hands the
@@ -30,7 +32,7 @@ from .backends import QuoteCode, StringCode, evaluate
 from .corpus import ENTRIES, KNOWN_DIVERGENCES, CorpusEntry
 from .diagnostics import Diagnostic, Kind
 from .engine import RuntimeValue, VCode, parse_value_literal, render_value
-from .parser import parse_plain, parse_source
+from .parser import parse_plain, parse_source, parse_term
 from .typecheck import infer_host, infer_staged
 from .typesys import TypeEnv, render_scheme
 from .unstage import translate
@@ -115,6 +117,12 @@ def _round_trip(entry: CorpusEntry, term: S.Expr, expected: S.Expr) -> CheckResu
         return CheckResult(name, "pass")
     detail = f"rebuilt {S.pretty(actual)!r} vs expected {S.pretty(expected)!r}"
     return CheckResult(name, "fail", detail)
+
+
+def _reads_back(term: S.Expr) -> str:
+    """Empty if the printed term reads back as itself, else the text."""
+    text = S.pretty(term)
+    return "" if S.alpha_equal(parse_term(text), term) else f"does not read back: {text!r}"
 
 
 def _run_plain(tree: S.Expr, arg: RuntimeValue | None) -> RuntimeValue:
@@ -206,19 +214,15 @@ def _goldens(entry: CorpusEntry, term: S.Expr) -> list[CheckResult]:
 
 def check_entry(entry: CorpusEntry) -> list[CheckResult]:
     """Every check of one corpus entry, in TAP order: typing, preservation,
-    round trip, scope lint, observations and goldens.
+    round trip, scope lint, term text, observations and goldens.
 
-    The source is parsed once, its term (the translation, or the hand-built
-    `build_target`) is made once, and each is typed once; every leg reads
-    that one tree and term.  Sharing the term is safe: evaluation never
-    mutates a tree, and no `build_target` holds a mutable `CspValue`.
+    The source is parsed once, its term (the translation, or the `target`
+    read by `parse_term`) is made once, and each is typed once; every leg
+    reads that one tree and term.  Sharing the term is safe: evaluation
+    never mutates a tree, and text holds no mutable `CspValue`.
     """
     tree = parse_source(entry.source) if entry.source is not None else None
-    if entry.build_target is not None:
-        term = entry.build_target()
-    else:
-        assert tree is not None
-        term = translate(tree)
+    term = parse_term(entry.target) if entry.target is not None else translate(tree)
     staged = _verdict(tree) if tree is not None else None
     results = _typing(entry, staged, _verdict(term))
     expected = _expected_quote(entry, tree)
@@ -228,6 +232,8 @@ def check_entry(entry: CorpusEntry) -> list[CheckResult]:
         problems = T.lint_scopes(term)
         status = "fail" if problems else "pass"
         results.append(CheckResult(f"lint/{entry.name}", status, "; ".join(problems)))
+    problem = _reads_back(term)
+    results.append(CheckResult(f"term-text/{entry.name}", "fail" if problem else "pass", problem))
     if entry.observe is not None and tree is not None:
         results.extend(_observations(entry, tree, term))
     results.extend(_goldens(entry, term))
@@ -366,6 +372,9 @@ def check_random_program(e: S.Expr, label: str) -> CheckResult:
             return CheckResult(label, "fail", f"generated program too large ({size(e)})")
         scheme = infer_staged(TypeEnv(), e)
         term = translate(e)
+        problem = _reads_back(term)
+        if problem:
+            return CheckResult(label, "fail", f"translation {problem}")
         infer_host(TypeEnv(), term)
         problems = T.lint_scopes(term)
         if problems:

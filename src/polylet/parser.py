@@ -16,6 +16,8 @@ The parser alone enforces the two-level staging discipline, with located
 diagnostics: a bracket may not occur inside a bracket except within an
 escape or a CSP marker, whose operand is read at level 0; an escape
 occurs only inside a bracket; and plain input has no staging forms.
+`parse_term` reads plain input with combinator names, such as a printed
+translation.
 """
 
 from __future__ import annotations
@@ -250,8 +252,36 @@ class _Parser:
         raise self.fail(f"unexpected token {text or 'end of input'!r}")
 
 
-def _parse(text: str, allow_staging: bool) -> S.Expr:
-    parser = _Parser(text, allow_staging)
+class _TermParser(_Parser):
+    """A combinator name applied to at least its number of arguments makes
+    a `Comb` over that many, which any further arguments apply to; with
+    fewer, the name is a plain variable."""
+
+    def app(self) -> S.Expr:
+        name = self.tok[1]
+        arity = S.COMB_ARITY.get(name)
+        if not arity:  # not a combinator, or a constant, which `prefix` reads
+            return super().app()
+        self.tok = self.next()
+        args = []
+        while self.tok[1] not in _STOP:
+            args.append(self.prefix())
+        e = S.Var(name)
+        if len(args) >= arity:
+            e, args = S.Comb(name, tuple(args[:arity])), args[arity:]
+        for arg in args:
+            e = S.App(e, arg)
+        return e
+
+    def prefix(self) -> S.Expr:
+        name = self.tok[1]
+        if S.COMB_ARITY.get(name) != 0:
+            return super().prefix()
+        self.tok = self.next()
+        return S.Comb(name, ())
+
+
+def _parse(parser: _Parser) -> S.Expr:
     e = parser.expr()
     if parser.tok[0] != "eof":
         raise parser.fail(f"trailing input starting at {parser.tok[1]!r}")
@@ -260,9 +290,18 @@ def _parse(text: str, allow_staging: bool) -> S.Expr:
 
 def parse_source(text: str) -> S.Expr:
     """Parse a possibly-staged program; raises Diagnostic on bad input."""
-    return _parse(text, allow_staging=True)
+    return _parse(_Parser(text, allow_staging=True))
 
 
 def parse_plain(text: str) -> S.Expr:
     """Parse staging-free text, e.g. code emitted by the string backend."""
-    return _parse(text, allow_staging=False)
+    return _parse(_Parser(text, allow_staging=False))
+
+
+def parse_term(text: str) -> S.Expr:
+    """Parse a combinator term, such as `polylet translate` prints.  The 16
+    names of `syntax.COMB_ARITY` are reserved: a term that binds one does
+    not read back as itself (`let int = fun x -> x in int 5` applies the
+    combinator), so a printed term reads back when it binds none, as the
+    translations of the corpus and of generated programs (`v<n>`) do."""
+    return _parse(_TermParser(text, allow_staging=False))

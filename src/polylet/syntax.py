@@ -27,26 +27,12 @@ from .diagnostics import Kind, Diagnostic
 UNIT_BINDER = "()"
 WILDCARD = "_"
 
-COMB_NAMES = frozenset(
-    {
-        "int",
-        "str",
-        "add",
-        "lam",
-        "app",
-        "pair",
-        "nil",
-        "cons",
-        "ref_",
-        "rget",
-        "rset",
-        "csp",
-        "new_scope",
-        "genlet",
-        "new_funscope",
-        "genletfun",
-    }
-)
+# The code-combinator constants, by their number of arguments.
+COMB_ARITY = {
+    "nil": 0,
+    **dict.fromkeys(("int", "str", "lam", "ref_", "rget", "csp", "new_scope", "new_funscope"), 1),
+    **dict.fromkeys(("add", "app", "pair", "cons", "rset_", "genlet", "genletfun"), 2),
+}
 
 
 @dataclass(frozen=True)
@@ -167,7 +153,7 @@ class Comb(Expr):
     args: tuple[Expr, ...]
 
     def __post_init__(self) -> None:
-        if self.name not in COMB_NAMES:
+        if self.name not in COMB_ARITY:
             raise ValueError(f"unknown combinator {self.name}")
 
 
@@ -179,7 +165,7 @@ COMB_OF = {
     Cons: "cons",
     RefNew: "ref_",
     RefGet: "rget",
-    Rset: "rset",
+    Rset: "rset_",
     App: "app",
 }
 
@@ -419,8 +405,8 @@ _LAYOUT = {
 
 
 def pretty(e: Expr) -> str:
-    """Concrete syntax; a combinator-free tree re-parses to an alpha-equal
-    tree.  Prints from an explicit stack, so any depth of tree is fine."""
+    """Concrete syntax, which `parse_source` (`parse_term` for a term) reads
+    back.  Prints from an explicit stack, so any depth of tree is fine."""
     out: list[str] = []
     emit = out.append
     stack: list = [(e, _EXPR)]

@@ -215,7 +215,7 @@ _COMB_TYPES = {
     "cons": lambda a, b, w: TArrow(TCode(a), TArrow(TCode(TList(a)), TCode(TList(a)))),
     "ref_": lambda a, b, w: TArrow(TCode(a), TCode(TRef(a))),
     "rget": lambda a, b, w: TArrow(TCode(TRef(a)), TCode(a)),
-    "rset": lambda a, b, w: TArrow(TCode(TRef(TList(a))), TArrow(TCode(a), TCode(TList(a)))),
+    "rset_": lambda a, b, w: TArrow(TCode(TRef(TList(a))), TArrow(TCode(a), TCode(TList(a)))),
     "csp": lambda a, b, w: TArrow(a, TCode(a)),
     "new_scope": lambda a, b, w: TArrow(TArrow(TScope(w), TCode(w)), TCode(w)),
     "genlet": lambda a, b, w: TArrow(TScope(w), TArrow(TCode(a), TCode(a))),

@@ -12,7 +12,7 @@ from polylet.backends import QuoteCode, StringCode, evaluate
 from polylet.corpus import ENTRIES, by_name
 from polylet.diagnostics import Diagnostic, Kind
 from polylet.engine import VCode, VList, render_value
-from polylet.parser import parse_plain, parse_source
+from polylet.parser import parse_plain, parse_source, parse_term
 from polylet.typecheck import infer_host, infer_staged
 from polylet.typesys import TypeEnv, render_scheme
 from polylet.unstage import translate
@@ -85,7 +85,7 @@ def test_criterion_2_host_typing_matrix():
     for name in rejects:
         term = translate(parse_source(_entry_source(name)))
         assert _host_verdict(term) == "reject", name
-    assert _host_verdict(by_name("genlet_id_monomorphic").build_target()) == "reject"
+    assert _host_verdict(parse_term(by_name("genlet_id_monomorphic").target)) == "reject"
     print("ACCEPTANCE 2 PASS: host typing matrix over translations")
 
 
@@ -171,7 +171,7 @@ def test_criterion_4_string_backend_goldens():
         parse_plain(add_text), parse_plain("let t = (1 + 2) in fun x -> (x + t)")
     )
 
-    two = parse_plain(_string_code(by_name("thunked_genlet_two_lets").build_target()))
+    two = parse_plain(_string_code(parse_term(by_name("thunked_genlet_two_lets").target)))
     lets = _function_lets(two)
     assert len(lets) == 2, lets
 
@@ -248,7 +248,7 @@ def test_criterion_9_hygiene():
 
 def test_criterion_10_scope_extrusion():
     with pytest.raises(Diagnostic) as exc:
-        evaluate(by_name("extrusion_open_code").build_target(), "quote")
+        evaluate(parse_term(by_name("extrusion_open_code").target), "quote")
     assert exc.value.kind is Kind.SCOPE_EXTRUSION
 
     for entry in ENTRIES:

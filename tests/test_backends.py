@@ -11,7 +11,7 @@ from polylet.backends import (
 from polylet.corpus import ENTRIES, by_name
 from polylet.diagnostics import Diagnostic, Kind
 from polylet.engine import VCode, VInt, VList, VPair, VRefCell, VStr, VUnit, render_value
-from polylet.parser import parse_plain, parse_source
+from polylet.parser import parse_plain, parse_source, parse_term
 from polylet.unstage import translate
 
 
@@ -39,7 +39,7 @@ def test_string_combinators_emit_reparseable_text():
     term = c(
         "pair",
         c("cons", c("int", S.IntLit(2)), c("nil")),
-        c("rset", c("ref_", c("nil")), c("str", S.StrLit("3"))),
+        c("rset_", c("ref_", c("nil")), c("str", S.StrLit("3"))),
     )
     text = string_of(term)
     parse_plain(text)  # must not raise
@@ -87,7 +87,7 @@ def test_quoted_let_round_trip_rematerializes():
 
 
 def test_scope_without_genlet_inlines():
-    tree = quote_of(by_name("scope_no_genlet").build_target())
+    tree = quote_of(parse_term(by_name("scope_no_genlet").target))
     assert S.alpha_equal(tree, parse_plain('(2 :: [], "3" :: [])'))
 
 
@@ -100,7 +100,7 @@ def test_genletfun_memoizes_one_binding():
 
 
 def test_genletfun_behind_plain_genlet_duplicates():
-    text = string_of(by_name("thunked_genlet_two_lets").build_target())
+    text = string_of(parse_term(by_name("thunked_genlet_two_lets").target))
     assert text.count("fun") == 2
     assert text.count("let") == 2
 
@@ -162,7 +162,7 @@ def test_check_scope_flags_open_code():
 def test_extrusion_detected_on_final_result():
     for backend in ("quote", "string"):
         with pytest.raises(Diagnostic) as exc:
-            evaluate(by_name("extrusion_open_code").build_target(), backend)
+            evaluate(parse_term(by_name("extrusion_open_code").target), backend)
         assert exc.value.kind is Kind.SCOPE_EXTRUSION
 
 

@@ -8,6 +8,8 @@ import pytest
 
 import polylet
 from polylet.cli import main
+from polylet.parser import parse_source, parse_term
+from polylet.unstage import translate
 
 
 @pytest.fixture
@@ -59,6 +61,16 @@ def test_translate(write, capsys):
     assert main(["translate", path]) == 0
     out = capsys.readouterr().out
     assert "new_scope" in out and "genlet" in out
+
+
+def test_translation_of_quoted_rset_reads_back(write, capsys):
+    # The combinator prints as `rset_`, which no reader takes for the
+    # plain `rset`.
+    text = ".<let x = ref [] in rset x 1>."
+    assert main(["translate", write(text)]) == 0
+    out = capsys.readouterr().out.strip()
+    assert out.endswith(" rset_ x (int 1))")
+    assert parse_term(out) == translate(parse_source(text))
 
 
 def test_codegen_string(write, capsys):

@@ -1,5 +1,6 @@
-"""CLI fuzzing: mutated corpus sources and deep or wide generated programs
-must get an answer or a diagnostic, never a Python traceback."""
+"""Fuzzing: mutated corpus sources and deep or wide generated programs must
+get an answer or a diagnostic from the CLI, never a Python traceback, and
+so must mutated combinator terms from `parse_term` and the backends."""
 
 import functools
 import random
@@ -7,7 +8,14 @@ import random
 import pytest
 
 from polylet import cli
+from polylet import syntax as S
+from polylet.backends import evaluate
 from polylet.corpus import ENTRIES
+from polylet.diagnostics import Diagnostic
+from polylet.parser import parse_source, parse_term
+from polylet.typecheck import infer_host
+from polylet.typesys import TypeEnv
+from polylet.unstage import translate
 
 # Pieces inserted or substituted: punctuation, keywords, string and
 # comment delimiters, newlines, and non-ASCII characters that test the
@@ -32,17 +40,19 @@ COMMANDS = (
 )
 
 
-def mutants(seed: int, count: int) -> list[str]:
-    """`count` corpus sources, each with one to three characters deleted,
-    inserted or replaced."""
+SOURCES = [e.source for e in ENTRIES if e.source is not None]
+
+
+def mutants(texts: list[str], seed: int, count: int, alphabet=ALPHABET) -> list[str]:
+    """`count` of the texts, each with one to three characters deleted, or
+    pieces of the alphabet inserted or substituted for one."""
     rng = random.Random(seed)
-    sources = [e.source for e in ENTRIES if e.source is not None]
     out = []
     for _ in range(count):
-        text = rng.choice(sources)
+        text = rng.choice(texts)
         for _ in range(rng.randint(1, 3)):
             i = rng.randrange(len(text) + 1)
-            piece = rng.choice(ALPHABET)
+            piece = rng.choice(alphabet)
             op = rng.randrange(3)
             if op == 0:
                 text = text[:i] + text[i + 1 :]
@@ -59,12 +69,35 @@ def test_mutated_corpus_never_escapes_the_cli(tmp_path, capsys, monkeypatch):
     # small programs; one parser serves every call.
     monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
     path = tmp_path / "mutant.pml"
-    for text in mutants(seed=6, count=300):
+    for text in mutants(SOURCES, seed=6, count=300):
         path.write_text(text, encoding="utf-8")
         for command in COMMANDS:
             status = cli.main([*command, str(path)])
             assert status in (0, 1, 2), (command, text)
         capsys.readouterr()
+
+
+def test_mutated_terms_never_escape_the_pipeline():
+    # The corpus targets and the printed translations of its sources, with
+    # combinator names among the pieces; a mutant the host checker accepts
+    # runs under every backend.
+    texts = [e.target for e in ENTRIES if e.target is not None]
+    texts += [S.pretty(translate(parse_source(text))) for text in SOURCES]
+    for text in mutants(texts, seed=11, count=5000, alphabet=ALPHABET + tuple(S.COMB_ARITY)):
+        try:
+            term = parse_term(text)
+            infer_host(TypeEnv(), term)
+        except Diagnostic:
+            continue
+        for backend in ("quote", "string", "eval"):
+            try:
+                ev = evaluate(term, backend)
+                if backend == "eval":
+                    ev.force()
+            except Diagnostic:
+                pass
+            except Exception as err:
+                pytest.fail(f"{backend} backend on {text!r}: {err!r}")
 
 
 def _let_chain(n: int) -> str:

@@ -5,7 +5,8 @@ import pytest
 from polylet import parser
 from polylet import syntax as S
 from polylet.diagnostics import Diagnostic, Kind, location
-from polylet.parser import parse_plain, parse_source, tokenize
+from polylet.parser import parse_plain, parse_source, parse_term, tokenize
+from polylet.unstage import translate
 
 
 def test_bracketed_addition():
@@ -77,6 +78,38 @@ def test_plain_rejects_staging_forms():
         with pytest.raises(Diagnostic) as exc:
             parse_plain(text)
         assert exc.value.kind is Kind.PARSE_ERROR
+
+
+def test_term_reads_back_the_readme_translation():
+    text = (
+        "new_scope (fun p_1 -> let y = genlet p_1 (add (int 1) (int 2)) in "
+        "lam (fun x -> add x y))"
+    )
+    assert parse_term(text) == translate(parse_source(".<let y = 1 + 2 in fun x -> x + y>."))
+
+
+def test_term_rejects_staging_forms_as_plain_input_does():
+    for text in (".<1>.", "fun x -> .~x", "%r"):
+        with pytest.raises(Diagnostic) as plain:
+            parse_plain(text)
+        with pytest.raises(Diagnostic) as term:
+            parse_term(text)
+        assert term.value.kind is Kind.PARSE_ERROR
+        assert (term.value.message, term.value.location) == (
+            plain.value.message,
+            plain.value.location,
+        )
+
+
+def test_term_combinator_needs_its_arguments():
+    one = S.Comb("int", (S.IntLit(1),))
+    assert parse_term("add (int 1)") == S.App(S.Var("add"), one)
+    assert parse_term("int") == S.Var("int")
+    assert parse_term("f nil") == S.App(S.Var("f"), S.Comb("nil", ()))
+    # Further arguments apply to the combinator, as `pretty` prints them.
+    over = S.App(S.Comb("csp", (S.Var("f"),)), S.IntLit(1))
+    assert S.pretty(over) == "csp f 1"
+    assert parse_term("csp f 1") == over
 
 
 def test_plain_parses_inlined_identity_output():

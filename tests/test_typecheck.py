@@ -4,7 +4,7 @@ from polylet import syntax as S
 from polylet import typecheck, typesys
 from polylet.corpus import by_name
 from polylet.diagnostics import Diagnostic, Kind
-from polylet.parser import parse_source
+from polylet.parser import parse_source, parse_term
 from polylet.typecheck import (
     GenPolicy,
     generalize,
@@ -207,7 +207,7 @@ def test_host_rejects_genlet_ref_translation():
 def test_host_rejects_plain_genlet_of_function():
     entry = by_name("genlet_id_monomorphic")
     with pytest.raises(Diagnostic):
-        host_scheme(entry.build_target())
+        host_scheme(parse_term(entry.target))
 
 
 def test_host_accepts_memoized_function_translation():
@@ -232,9 +232,8 @@ def test_host_rejects_villain_translation():
 
 def test_host_genlet_less_scope_accepts():
     # A zero-arity combinator is a constant, hence generalizable.
-    assert render_scheme(host_scheme(by_name("scope_no_genlet").build_target()), "cod") == (
-        "(int list * string list) cod"
-    )
+    term = parse_term(by_name("scope_no_genlet").target)
+    assert render_scheme(host_scheme(term), "cod") == "(int list * string list) cod"
 
 
 def test_weak_variables_print_by_first_appearance():
@@ -275,7 +274,7 @@ COMB_TYPES = {
     "cons": (2, "'a cod -> 'a list cod -> 'a list cod"),
     "ref_": (1, "'a cod -> 'a ref cod"),
     "rget": (1, "'a ref cod -> 'a cod"),
-    "rset": (2, "'a list ref cod -> 'a cod -> 'a list cod"),
+    "rset_": (2, "'a list ref cod -> 'a cod -> 'a list cod"),
     "csp": (1, "'a -> 'a cod"),
     "new_scope": (1, "('a scope -> 'a cod) -> 'a cod"),
     "genlet": (2, "'a scope -> 'b cod -> 'b cod"),
@@ -285,7 +284,17 @@ COMB_TYPES = {
 
 
 def test_combinator_table_covers_every_combinator():
-    assert set(COMB_TYPES) == S.COMB_NAMES
+    # The parser's arity table, this table and the checker's library types
+    # agree: the same names, and one arrow on a type's spine per argument.
+    assert {name: arity for name, (arity, _) in COMB_TYPES.items()} == S.COMB_ARITY
+    for name, arity in S.COMB_ARITY.items():
+        ty = typecheck._COMB_TYPES[name]
+        if callable(ty):
+            ty = ty(TVar(), TVar(), TVar())
+        arrows = 0
+        while isinstance(ty, TArrow):
+            arrows, ty = arrows + 1, ty.result
+        assert arrows == arity, name
 
 
 @pytest.mark.parametrize("name", sorted(COMB_TYPES))
