@@ -7,6 +7,12 @@
              generated functions capture the dynamic environment at force
              time, binding their parameter with dlet on each application.
 
+A backend is built on one run's machine and installed as its `backend`.
+The machine splits `lam` around its own application of the body
+(`begin_lam`, `finish_lam`); `genlet_parts` gives what the resumed
+continuation sees and an optional wrapper for the delimited result (the
+inserted let around the scope's code); `apply_simple` runs the rest.
+
 Let insertion is shared across backends: `genlet` captures up to its
 scope's prompt and splices a binding at the scope point; `genletfun`
 additionally memoizes the inserted function binding, so every use within
@@ -15,15 +21,15 @@ one funscope shares a single generated binder.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import syntax as S
-from .diagnostics import Diagnostic, Kind, type_error
+from .diagnostics import Diagnostic, Kind, type_error, unbound_var
 from .engine import (
     Evaluation,
     Machine,
-    Session,
     VCode,
     VInt,
     VList,
@@ -100,39 +106,15 @@ def check_scope(code: QuoteCode) -> list[RuntimeValue]:
     return persisted
 
 
-class Backend:
-    name = "abstract"
-
-    def __init__(self, session: Session, machine: Machine):
-        self.session = session
-        self.machine = machine
-
-    # lam is split in two around the machine-level application of the body.
-    def begin_lam(self) -> tuple[object, VCode]:
-        raise NotImplementedError
-
-    def finish_lam(self, binder: object, body: VCode) -> VCode:
-        raise NotImplementedError
-
-    def genlet_parts(
-        self, code: VCode
-    ) -> tuple[RuntimeValue, Optional[Callable[[RuntimeValue], RuntimeValue]]]:
-        """What the resumed continuation sees, and an optional wrapper for
-        the delimited result (the inserted let around the scope's code)."""
-        raise NotImplementedError
-
-    def apply_simple(self, name: str, values: list[RuntimeValue]) -> RuntimeValue:
-        raise NotImplementedError
-
-
 # The node class each compound combinator builds.
 _NODE_OF = {name: cls for cls, name in S.COMB_OF.items()}
 
 
-class QuoteBackend(Backend):
+class QuoteBackend:
     """Code values are bare trees; `evaluate` wraps the final one."""
 
-    name = "quote"
+    def __init__(self, machine: Machine):
+        self.machine = machine
 
     def _tree(self, v: RuntimeValue) -> S.Expr:
         if isinstance(v, VCode):
@@ -140,7 +122,7 @@ class QuoteBackend(Backend):
         raise type_error(f"quote backend got a non-code operand ({runtime_tag(v)})")
 
     def begin_lam(self) -> tuple[object, VCode]:
-        name = self.session.gensym("x")
+        name = self.machine.gensym("x")
         return name, VCode(S.Var(name))
 
     def finish_lam(self, binder: object, body: VCode) -> VCode:
@@ -148,7 +130,7 @@ class QuoteBackend(Backend):
         return VCode(S.Fun(binder, self._tree(body)))
 
     def genlet_parts(self, code: VCode):
-        tvar = self.session.gensym("t")
+        tvar = self.machine.gensym("t")
         bound = self._tree(code)
 
         def wrap(rest: RuntimeValue) -> RuntimeValue:
@@ -169,8 +151,37 @@ class QuoteBackend(Backend):
         raise type_error(f"unknown combinator {name}")
 
 
-class EvalBackend(Backend):
-    name = "eval"
+class EvalBackend:
+    """Code values are thunks over a dynamic environment: generated binder
+    ids to values."""
+
+    def __init__(self, machine: Machine):
+        self.machine = machine
+        self._dyn_ids = itertools.count(1)
+        self.dynenv: dict[int, RuntimeValue] = {}
+
+    def dnew(self) -> int:
+        return next(self._dyn_ids)
+
+    def dref(self, ref: int) -> RuntimeValue:
+        try:
+            return self.dynenv[ref]
+        except KeyError:
+            raise unbound_var(f"dynamic variable #{ref}") from None
+
+    def dlet(
+        self,
+        denv: dict[int, RuntimeValue],
+        ref: int,
+        value: RuntimeValue,
+        body: Callable[[], RuntimeValue],
+    ) -> RuntimeValue:
+        saved = self.dynenv
+        self.dynenv = {**denv, ref: value}
+        try:
+            return body()
+        finally:
+            self.dynenv = saved
 
     def _code(self, v: RuntimeValue) -> EvalCode:
         if isinstance(v, VCode) and isinstance(v.code, EvalCode):
@@ -181,27 +192,24 @@ class EvalBackend(Backend):
         return VCode(EvalCode(thunk))
 
     def force(self, code: EvalCode) -> RuntimeValue:
-        session = self.session
-        session.force_depth += 1
+        self.machine.force_depth += 1
         try:
             return code.thunk()
         finally:
-            session.force_depth -= 1
+            self.machine.force_depth -= 1
 
     def begin_lam(self) -> tuple[object, VCode]:
-        r = self.session.dnew()
-        return r, self._wrap(lambda: self.session.dref(r))
+        r = self.dnew()
+        return r, self._wrap(lambda: self.dref(r))
 
     def finish_lam(self, binder: object, body: VCode) -> VCode:
-        r = binder
         b = self._code(body)
-        session = self.session
 
         def make_closure() -> RuntimeValue:
-            denv = session.denv_get()
+            denv = self.dynenv  # kept, not copied: dlet always builds a new dict
 
             def call(x: RuntimeValue) -> RuntimeValue:
-                return session.dlet(denv, r, x, lambda: self.force(b))
+                return self.dlet(denv, binder, x, lambda: self.force(b))
 
             return VNative(call)
 
@@ -281,20 +289,17 @@ _BACKENDS = {
 
 
 def evaluate(term, backend: str | None = "quote", name_start: int = 1) -> Evaluation:
-    """Evaluate a closed translated term in a fresh session.
+    """Evaluate a closed translated term on a fresh machine.
 
     Under both printing backends the final code value is checked for
     scope extrusion; the string backend then prints the tree, and rejects
     one that persists a run-time value, which has no concrete syntax.
     """
-    session = Session(name_start)
-    machine = Machine(session)
-    impl = None
+    machine = Machine(name_start)
     if backend is not None:
-        impl = _BACKENDS[backend](session, machine)
-        session.backend = impl
+        machine.backend = _BACKENDS[backend](machine)
     value = machine.execute(term)
-    if isinstance(impl, QuoteBackend) and isinstance(value, VCode):
+    if isinstance(machine.backend, QuoteBackend) and isinstance(value, VCode):
         code = QuoteCode(value.code)
         persisted = check_scope(code)
         if backend == "string":
@@ -305,4 +310,4 @@ def evaluate(term, backend: str | None = "quote", name_start: int = 1) -> Evalua
                 )
             code = StringCode(S.pretty(code.tree))
         value = VCode(code)
-    return Evaluation(value=value, session=session, machine=machine, backend=impl)
+    return Evaluation(value=value, machine=machine)

@@ -7,8 +7,8 @@ import os
 import sys
 
 from . import syntax as S
-from .backends import QuoteCode, StringCode, evaluate
-from .diagnostics import Diagnostic, Kind, type_error
+from .backends import StringCode, evaluate
+from .diagnostics import Diagnostic, recursion_limit, type_error
 from .engine import VCode, VClosure, VNative, parse_value_literal, render_value
 from .parser import parse_source
 from .typecheck import GenPolicy, infer_host, infer_staged
@@ -52,13 +52,10 @@ def _cmd_codegen(args: argparse.Namespace) -> int:
     value = ev.value
     if not isinstance(value, VCode):
         print(render_value(value))
-        return 0
-    if isinstance(value.code, StringCode):
+    elif isinstance(value.code, StringCode):
         print(value.code.text)
-    elif isinstance(value.code, QuoteCode):
+    else:  # a QuoteCode
         print(S.pretty(value.code.tree))
-    else:
-        print(render_value(value))
     return 0
 
 
@@ -137,9 +134,7 @@ def main(argv: list[str] | None = None) -> int:
         print(diag.render(filename), file=sys.stderr)
         return 1
     except RecursionError:
-        limit = sys.getrecursionlimit()
-        diag = Diagnostic(Kind.RESOURCE_LIMIT, f"nesting exceeds the recursion limit ({limit})")
-        print(diag.render(filename), file=sys.stderr)
+        print(recursion_limit().render(filename), file=sys.stderr)
         return 1
     except OSError as err:
         print(err, file=sys.stderr)

@@ -7,6 +7,7 @@ catches it and renders `file:line:col: kind: message`.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
 
 
@@ -64,3 +65,8 @@ def type_error(message: str, location: Location | None = None) -> Diagnostic:
 
 def unbound_var(name: str, location: Location | None = None) -> Diagnostic:
     return Diagnostic(Kind.UNBOUND_VAR, f"unbound variable {name}", location)
+
+
+def recursion_limit() -> Diagnostic:
+    limit = sys.getrecursionlimit()
+    return Diagnostic(Kind.RESOURCE_LIMIT, f"nesting exceeds the recursion limit ({limit})")

@@ -1,13 +1,14 @@
 """Call-by-value evaluator for translated terms, with delimited control.
 
-The machine is defunctionalized: the continuation is an explicit stack of
-frames, so a prompt is a frame and capturing up to it is a slice.  Let
-insertion (shift0) removes the segment above the delimiter and re-installs
-it in place, parking the backend's wrap-up as a post-processing frame;
-nothing leaves the stack, so a capture inside the resumed segment still
-reaches prompts below it.  Combinators that must apply object-level
-functions (lam, the scope builders, genletfun) run them on the main stack
-so captures may cross them.
+A `Machine` is one run of a term, with its name supply, prompt counter
+and combinator backend.  It is defunctionalized: the continuation is an
+explicit stack of frames, so a prompt is a frame and capturing up to it
+is a slice.  Let insertion (shift0) removes the segment above the
+delimiter and re-installs it in place, parking the backend's wrap-up as a
+post-processing frame; nothing leaves the stack, so a capture inside the
+resumed segment still reaches prompts below it.  Combinators that must
+apply object-level functions (lam, the scope builders, genletfun) run
+them on the main stack so captures may cross them.
 
 The control is a pair: `(term, env)` evaluates a term, by the step
 function that `_STEP` maps the term's class to, and `(None, value)`
@@ -93,20 +94,13 @@ class VCode(RuntimeValue):
 
 
 @dataclass(eq=False)
-class FunScopeMemo:
-    """Write-once slot for the function binding a funscope has inserted."""
-
-    value: Optional[VCode] = None
-
-    def store(self, code: VCode) -> None:
-        assert self.value is None, "funscope memo overwritten"
-        self.value = code
-
-
-@dataclass(eq=False, frozen=True)
 class VScope(RuntimeValue):
+    """A scope's prompt; a funscope (`fun`) also keeps, written once, the
+    function binding it has inserted."""
+
     prompt: int
-    memo: Optional[FunScopeMemo] = None
+    fun: bool = False
+    memo: Optional[VCode] = None
 
 
 def runtime_tag(v: RuntimeValue) -> str:
@@ -188,57 +182,6 @@ def render_value(v: RuntimeValue) -> str:
     if isinstance(v, VScope):
         return "<scope>"
     return repr(v)
-
-
-# --- dynamic binding -------------------------------------------------------
-
-
-class Session:
-    """Owns the per-evaluation state: name supplies, the prompt allocator,
-    and the dynamic environment used by the evaluating backend."""
-
-    def __init__(self, name_start: int = 1):
-        self.backend = None  # set by the evaluation entry point
-        self._name_start = name_start
-        self._names: dict[str, itertools.count] = {}
-        self._prompts = itertools.count(1)
-        self._dyn_ids = itertools.count(1)
-        self.dynenv: dict[int, RuntimeValue] = {}
-        self.force_depth = 0
-
-    def gensym(self, prefix: str) -> str:
-        counter = self._names.setdefault(prefix, itertools.count(self._name_start))
-        return f"{prefix}_{next(counter)}"
-
-    def fresh_prompt(self) -> int:
-        return next(self._prompts)
-
-    # DynBind: dnew / dref / denv_get / dlet.
-    def dnew(self) -> int:
-        return next(self._dyn_ids)
-
-    def dref(self, ref: int) -> RuntimeValue:
-        try:
-            return self.dynenv[ref]
-        except KeyError:
-            raise unbound_var(f"dynamic variable #{ref}") from None
-
-    def denv_get(self) -> dict[int, RuntimeValue]:
-        return dict(self.dynenv)
-
-    def dlet(
-        self,
-        denv: dict[int, RuntimeValue],
-        ref: int,
-        value: RuntimeValue,
-        body: Callable[[], RuntimeValue],
-    ) -> RuntimeValue:
-        saved = self.dynenv
-        self.dynenv = {**denv, ref: value}
-        try:
-            return body()
-        finally:
-            self.dynenv = saved
 
 
 # --- the machine -------------------------------------------------------------
@@ -403,11 +346,13 @@ def _k_prompt(m, f, v, stack):
 
 
 def _k_lam(m, f, v, stack):
-    return None, m._backend().finish_lam(f[1], _as_code(v))
+    return None, m.backend.finish_lam(f[1], _as_code(v))
 
 
 def _k_memo(m, f, v, stack):
-    f[1].store(_as_code(v))
+    scope = f[1]
+    assert scope.memo is None, "funscope memo overwritten"
+    scope.memo = _as_code(v)
     return None, v
 
 
@@ -420,8 +365,20 @@ def _k_post(m, f, v, stack):
 
 
 class Machine:
-    def __init__(self, session: Session):
-        self.session = session
+    """One run.  `force_depth` counts the eval-backend code running; it is
+    kept here, not in that backend, because `_find_prompt` must refuse a
+    capture while generated code runs, before it searches for the prompt."""
+
+    def __init__(self, name_start: int = 1):
+        self.backend = None  # installed by `backends.evaluate`
+        self._name_start = name_start
+        self._names: dict[str, itertools.count] = {}
+        self._prompts = itertools.count(1)
+        self.force_depth = 0
+
+    def gensym(self, prefix: str) -> str:
+        counter = self._names.setdefault(prefix, itertools.count(self._name_start))
+        return f"{prefix}_{next(counter)}"
 
     def execute(self, term: S.Expr, env: dict[str, RuntimeValue] | None = None) -> RuntimeValue:
         return self._loop((term, env or {}), [])
@@ -448,14 +405,10 @@ class Machine:
 
     # -- combinator dispatch --
 
-    def _backend(self):
-        backend = self.session.backend
+    def _dispatch_comb(self, name: str, values: list[RuntimeValue], stack: list[tuple]):
+        backend = self.backend
         if backend is None:
             raise type_error("code combinator encountered in plain evaluation")
-        return backend
-
-    def _dispatch_comb(self, name: str, values: list[RuntimeValue], stack: list[tuple]):
-        backend = self._backend()
         if name == "lam":
             (fn,) = values
             binder, var_code = backend.begin_lam()
@@ -463,8 +416,7 @@ class Machine:
             return _apply(fn, var_code)
         if name in ("new_scope", "new_funscope"):
             (fn,) = values
-            memo = FunScopeMemo() if name == "new_funscope" else None
-            scope = VScope(self.session.fresh_prompt(), memo)
+            scope = VScope(next(self._prompts), name == "new_funscope")
             stack.append((_k_prompt, scope.prompt))
             return _apply(fn, scope)
         if name == "genlet":
@@ -474,11 +426,11 @@ class Machine:
             return self._genlet(scope, _as_code(code), stack)
         if name == "genletfun":
             scope, fn = values
-            if not (isinstance(scope, VScope) and scope.memo is not None):
+            if not (isinstance(scope, VScope) and scope.fun):
                 raise type_error("genletfun expects a funscope")
-            if scope.memo.value is not None:
-                return None, scope.memo.value
-            stack.append((_k_memo, scope.memo))
+            if scope.memo is not None:
+                return None, scope.memo
+            stack.append((_k_memo, scope))
             stack.append((_k_genlet_after, scope))
             binder, var_code = backend.begin_lam()
             stack.append((_k_lam, binder))
@@ -486,7 +438,7 @@ class Machine:
         return None, backend.apply_simple(name, values)
 
     def _find_prompt(self, prompt: int, stack: list[tuple]) -> int:
-        if self.session.force_depth > 0:
+        if self.force_depth > 0:
             raise Diagnostic(
                 Kind.SCOPE_EXTRUSION,
                 "let insertion attempted while running generated code",
@@ -505,7 +457,7 @@ class Machine:
         i = self._find_prompt(scope.prompt, stack)
         captured = stack[i + 1 :]
         del stack[i:]
-        resume_value, post = self._backend().genlet_parts(code)
+        resume_value, post = self.backend.genlet_parts(code)
         if post is not None:
             stack.append((_k_post, post))
         stack.append((_k_prompt, scope.prompt))
@@ -515,18 +467,17 @@ class Machine:
 
 @dataclass(eq=False)
 class Evaluation:
-    """Result of one evaluation session: keeps the session alive so that
+    """The result of one run, with its machine kept alive so that
     eval-backend code values can be forced (and applied) afterwards."""
 
     value: RuntimeValue
-    session: Session
     machine: Machine
-    backend: object
 
     def force(self) -> RuntimeValue:
         """The final value; eval-backend code values are run to a result."""
-        if isinstance(self.value, VCode) and hasattr(self.backend, "force"):
-            return self.backend.force(self.value.code)
+        backend = self.machine.backend
+        if isinstance(self.value, VCode) and hasattr(backend, "force"):
+            return backend.force(self.value.code)
         return self.value
 
     def call(self, fn: RuntimeValue, arg: RuntimeValue) -> RuntimeValue:

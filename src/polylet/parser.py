@@ -26,7 +26,7 @@ import re
 import sys
 
 from . import syntax as S
-from .diagnostics import Diagnostic, location, parse_error
+from .diagnostics import Diagnostic, location, parse_error, recursion_limit
 
 KEYWORDS = frozenset({"let", "in", "fun", "ref", "rset"})
 
@@ -282,7 +282,10 @@ class _TermParser(_Parser):
 
 
 def _parse(parser: _Parser) -> S.Expr:
-    e = parser.expr()
+    try:
+        e = parser.expr()
+    except RecursionError:
+        raise recursion_limit() from None
     if parser.tok[0] != "eof":
         raise parser.fail(f"trailing input starting at {parser.tok[1]!r}")
     return e

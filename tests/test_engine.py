@@ -4,11 +4,10 @@ import pytest
 
 from polylet import engine
 from polylet import syntax as S
-from polylet.backends import evaluate
+from polylet.backends import EvalBackend, evaluate
 from polylet.diagnostics import Diagnostic, Kind
 from polylet.engine import (
     Machine,
-    Session,
     VCode,
     VInt,
     VList,
@@ -20,7 +19,7 @@ from polylet.engine import (
     render_value,
     rset_runtime,
 )
-from polylet.parser import parse_plain, parse_source, tokenize
+from polylet.parser import parse_plain, parse_source, parse_term, tokenize
 from polylet.unstage import translate
 
 
@@ -97,14 +96,14 @@ def test_every_evaluable_node_kind_steps_to_its_value(cls):
     if cls is S.Comb:
         assert S.pretty(evaluate(term, "quote").value.code.tree) == expected
     else:
-        assert render_value(Machine(Session()).execute(term, {"x": VInt(7)})) == expected
+        assert render_value(Machine().execute(term, {"x": VInt(7)})) == expected
 
 
 def test_step_table_covers_every_node_kind_but_staging_forms():
     assert set(engine._STEP) == set(_NODE_CASES) == _node_classes() - set(_STAGING_FORMS)
     for cls in _STAGING_FORMS:
         with pytest.raises(TypeError, match="unexpected term"):
-            Machine(Session()).execute(cls(S.IntLit(1)))
+            Machine().execute(cls(S.IntLit(1)))
 
 
 def test_deep_terms_run_without_python_recursion():
@@ -140,6 +139,46 @@ def test_deep_terms_run_without_python_recursion():
         sys.setrecursionlimit(limit)
 
 
+# --- run-time guards -----------------------------------------------------------
+
+# Programs the type checker would reject, each stopped by one run-time check
+# of the machine or a backend.  A mode names the parser and the backend.
+_MODES = {
+    "plain": (parse_plain, None),
+    "term": (parse_term, None),
+    "quote": (parse_term, "quote"),
+    "eval": (parse_term, "eval"),
+}
+
+
+@pytest.mark.parametrize(
+    "mode, text, message",
+    [
+        ("plain", "1 2", "cannot apply a int value"),
+        ("plain", "(fun x -> x) (ref 1) 2", "cannot apply a ref value"),
+        ("plain", '1 + "a"', "addition of non-integers"),
+        ("plain", "1 :: 2", "cons onto a non-list"),
+        ("plain", "!1", "dereference of a non-cell"),
+        ("plain", "rset 1 2", "rset expects a reference cell, got int"),
+        ("plain", "rset (ref 1) 2", "rset expects a cell holding a list, got int"),
+        ("plain", "(fun () -> 1) 2", "unit-pattern function applied to a non-unit value"),
+        ("term", "int 1", "code combinator encountered in plain evaluation"),
+        ("quote", "genlet (int 1) (int 2)", "genlet expects a scope"),
+        ("quote", "new_scope (fun p -> genletfun p (fun x -> x))", "genletfun expects a funscope"),
+        ("quote", "add 1 (int 2)", "quote backend got a non-code operand (int)"),
+        ("quote", "lam (fun x -> 1)", "expected a code value, got int"),
+        ("eval", "add 1 (int 2)", "eval backend got a non-code operand (int)"),
+        ("eval", "rget (csp 1)", "dereference of a non-cell"),
+    ],
+)
+def test_run_time_guards_raise_type_errors(mode, text, message):
+    parse, backend = _MODES[mode]
+    with pytest.raises(Diagnostic) as exc:
+        evaluate(parse(text), backend).force()
+    assert exc.value.kind is Kind.TYPE_ERROR
+    assert exc.value.message == message
+
+
 # --- rset tag check -----------------------------------------------------------
 
 
@@ -166,31 +205,31 @@ def test_rset_heterogeneous_prepend_is_violation():
 
 
 def test_dlet_immediate_lookup():
-    session = Session()
-    r = session.dnew()
-    assert session.dlet(session.denv_get(), r, VInt(5), lambda: session.dref(r)) == VInt(5)
+    backend = EvalBackend(Machine())
+    r = backend.dnew()
+    assert backend.dlet(backend.dynenv, r, VInt(5), lambda: backend.dref(r)) == VInt(5)
 
 
 def test_dlet_nested_same_id_restores():
-    session = Session()
-    r = session.dnew()
+    backend = EvalBackend(Machine())
+    r = backend.dnew()
 
     def outer():
-        seen = [session.dref(r)]
-        session.dlet(session.denv_get(), r, VInt(2), lambda: seen.append(session.dref(r)))
-        seen.append(session.dref(r))
+        seen = [backend.dref(r)]
+        backend.dlet(backend.dynenv, r, VInt(2), lambda: seen.append(backend.dref(r)))
+        seen.append(backend.dref(r))
         return seen
 
-    seen = session.dlet(session.denv_get(), r, VInt(1), outer)
+    seen = backend.dlet(backend.dynenv, r, VInt(1), outer)
     assert seen == [VInt(1), VInt(2), VInt(1)]
     with pytest.raises(Diagnostic):
-        session.dref(r)  # environment fully restored: binding gone
+        backend.dref(r)  # environment fully restored: binding gone
 
 
 def test_dref_unbound_dynamic_variable():
-    session = Session()
+    backend = EvalBackend(Machine())
     with pytest.raises(Diagnostic) as exc:
-        session.dref(99)
+        backend.dref(99)
     assert exc.value.kind is Kind.UNBOUND_VAR
 
 

@@ -223,6 +223,22 @@ def test_long_chains_parse_at_the_default_recursion_limit():
     assert _chain_length(conses, S.Cons, "tail") == (n, S.Nil())
 
 
+def test_too_deep_nesting_is_a_resource_limit_at_the_default_recursion_limit():
+    lets = "".join(f"let x{i} = {f'x{i - 1} + 1' if i else '1'} in " for i in range(300))
+    term_text = S.pretty(translate(parse_source(f".<{lets}x299>.")))
+    cases = [(parse_term, term_text), (parse_source, "(1 + " * 400 + "1" + ")" * 400)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for parse, text in cases:
+            with pytest.raises(Diagnostic) as exc:
+                parse(text)
+            assert exc.value.kind is Kind.RESOURCE_LIMIT
+            assert exc.value.message == "nesting exceeds the recursion limit (1000)"
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_locations_are_built_only_for_diagnostics(monkeypatch):
     built = []
 
