@@ -15,7 +15,10 @@ function that `_STEP` maps the term's class to, and `(None, value)`
 returns a value to the frame on top of the stack.  A frame is a tuple
 whose first item is the function that resumes it with a value.  Step
 functions and resumers push frames instead of recursing, so a deep
-program costs stack entries, not Python frames.
+program costs stack entries, not Python frames.  Only compound operands
+take that path: an atomic one (a variable, a literal or a persisted
+value) is evaluated in place by the step or resumer whose next operand
+it is, with no frame and no control of its own.
 
 Pair components evaluate right to left, mirroring the host language the
 generated traces come from; every other position is left to right.
@@ -207,76 +210,78 @@ def _as_code(v: RuntimeValue) -> VCode:
     return v
 
 
-def _step_var(m, t, env, stack):
+def _var(t, env):
     try:
-        return None, env[t.name]
+        return env[t.name]
     except KeyError:
         raise unbound_var(t.name) from None
 
 
+# Atomic operands: evaluated in place, by (term, env) -> value, by the step
+# or resumer whose next operand they are.
+_ATOM = {
+    S.Var: _var,
+    S.IntLit: lambda t, env: VInt(t.value),
+    S.StrLit: lambda t, env: VStr(t.value),
+    S.Unit: lambda t, env: VUnit(),
+    S.Nil: lambda t, env: VList(()),
+    S.CspValue: lambda t, env: t.value,
+}
+
+
+def _then(m, e, env, frame, stack):
+    """Evaluate e and resume frame with its value: in place if e is atomic."""
+    atom = _ATOM.get(type(e))
+    if atom is None:
+        stack.append(frame)
+        return e, env
+    return frame[0](m, frame, atom(e, env), stack)
+
+
+# App and Add, the hot path, are written out by hand.
 def _step_app(m, t, env, stack):
-    stack.append((_k_second, t.arg, env, _k_call))
-    return t.fn, env
-
-
-def _step_let(m, t, env, stack):
-    stack.append((_k_let, t, env))
-    return t.rhs, env
+    atom = _ATOM.get(type(t.fn))
+    if atom is None:
+        stack.append((_k_second, t.arg, env, _k_call))
+        return t.fn, env
+    fn = atom(t.fn, env)
+    atom = _ATOM.get(type(t.arg))
+    if atom is None:
+        stack.append((_k_call, fn))
+        return t.arg, env
+    return _apply(fn, atom(t.arg, env))
 
 
 def _step_add(m, t, env, stack):
-    stack.append((_k_second, t.right, env, _k_add))
-    return t.left, env
-
-
-def _step_cons(m, t, env, stack):
-    stack.append((_k_second, t.tail, env, _k_cons))
-    return t.head, env
-
-
-def _step_pair(m, t, env, stack):
-    stack.append((_k_second, t.first, env, _k_pair))
-    return t.second, env
-
-
-def _step_ref_new(m, t, env, stack):
-    stack.append((_k_ref_new,))
-    return t.init, env
-
-
-def _step_ref_get(m, t, env, stack):
-    stack.append((_k_ref_get,))
-    return t.ref, env
-
-
-def _step_rset(m, t, env, stack):
-    stack.append((_k_second, t.value, env, _k_rset))
-    return t.ref, env
+    atom = _ATOM.get(type(t.left))
+    if atom is None:
+        stack.append((_k_second, t.right, env, _k_add))
+        return t.left, env
+    left = atom(t.left, env)
+    atom = _ATOM.get(type(t.right))
+    if atom is None:
+        stack.append((_k_add, left))
+        return t.right, env
+    return _add(left, atom(t.right, env))
 
 
 def _step_comb(m, t, env, stack):
     if not t.args:
         return m._dispatch_comb(t.name, [], stack)
-    stack.append((_k_comb, t, env, ()))
-    return t.args[-1 if t.name == "pair" else 0], env
+    return _then(m, t.args[-1 if t.name == "pair" else 0], env, (_k_comb, t, env, ()), stack)
 
 
 _STEP = {
-    S.Var: _step_var,
-    S.IntLit: lambda m, t, env, stack: (None, VInt(t.value)),
-    S.StrLit: lambda m, t, env, stack: (None, VStr(t.value)),
-    S.Unit: lambda m, t, env, stack: (None, VUnit()),
-    S.Nil: lambda m, t, env, stack: (None, VList(())),
-    S.CspValue: lambda m, t, env, stack: (None, t.value),
+    **{cls: lambda m, t, env, stack, atom=atom: (None, atom(t, env)) for cls, atom in _ATOM.items()},
     S.Fun: lambda m, t, env, stack: (None, VClosure(t.param, t.body, env)),
     S.App: _step_app,
-    S.Let: _step_let,
+    S.Let: lambda m, t, env, stack: _then(m, t.rhs, env, (_k_let, t, env), stack),
     S.Add: _step_add,
-    S.Cons: _step_cons,
-    S.Pair: _step_pair,
-    S.RefNew: _step_ref_new,
-    S.RefGet: _step_ref_get,
-    S.Rset: _step_rset,
+    S.Cons: lambda m, t, env, stack: _then(m, t.head, env, (_k_second, t.tail, env, _k_cons), stack),
+    S.Pair: lambda m, t, env, stack: _then(m, t.second, env, (_k_second, t.first, env, _k_pair), stack),
+    S.RefNew: lambda m, t, env, stack: _then(m, t.init, env, (_k_ref_new,), stack),
+    S.RefGet: lambda m, t, env, stack: _then(m, t.ref, env, (_k_ref_get,), stack),
+    S.Rset: lambda m, t, env, stack: _then(m, t.ref, env, (_k_second, t.value, env, _k_rset), stack),
     S.Comb: _step_comb,
 }
 
@@ -285,8 +290,7 @@ def _k_second(m, f, v, stack):
     """A binary form's first operand is v: evaluate the second, then let
     the form's own resumer combine the two."""
     _, second, env, combine = f
-    stack.append((combine, v))
-    return second, env
+    return _then(m, second, env, (combine, v), stack)
 
 
 def _k_call(m, f, v, stack):
@@ -300,11 +304,14 @@ def _k_let(m, f, v, stack):
     return t.body, env
 
 
-def _k_add(m, f, v, stack):
-    left = f[1]
-    if not (isinstance(left, VInt) and isinstance(v, VInt)):
+def _add(left, right):
+    if not (isinstance(left, VInt) and isinstance(right, VInt)):
         raise type_error("addition of non-integers")
-    return None, VInt(left.value + v.value)
+    return None, VInt(left.value + right.value)
+
+
+def _k_add(m, f, v, stack):
+    return _add(f[1], v)
 
 
 def _k_cons(m, f, v, stack):
@@ -336,8 +343,7 @@ def _k_comb(m, f, v, stack):
     done += (v,)
     n, reverse = len(done), t.name == "pair"
     if n < len(t.args):
-        stack.append((_k_comb, t, env, done))
-        return t.args[-1 - n if reverse else n], env
+        return _then(m, t.args[-1 - n if reverse else n], env, (_k_comb, t, env, done), stack)
     return m._dispatch_comb(t.name, list(reversed(done) if reverse else done), stack)
 
 
@@ -384,7 +390,8 @@ class Machine:
         return self._loop((term, env or {}), [])
 
     def call(self, fn: RuntimeValue, arg: RuntimeValue) -> RuntimeValue:
-        """Apply a function value outside the main loop (force time)."""
+        """Apply a function value to an argument on a fresh stack: a call of
+        a run's result after the run, or the eval backend's `app`."""
         return self._loop(_apply(fn, arg), [])
 
     def _loop(self, control, stack: list[tuple]) -> RuntimeValue:

@@ -139,6 +139,81 @@ def test_deep_terms_run_without_python_recursion():
         sys.setrecursionlimit(limit)
 
 
+def _genfun_chain(depth):
+    lets = ["let f0 = fun z -> z + 7 in "]
+    lets += [f"let f{k} = fun z -> f{k - 1} (f{k - 1} z) in " for k in range(1, depth + 1)]
+    return translate(parse_plain("".join(lets) + f"fun x -> f{depth} x"))
+
+
+def _count_steps(monkeypatch, depth):
+    """Run one call of a genfun chain, counting the step calls per node kind."""
+    counts = dict.fromkeys(engine._STEP, 0)
+
+    def counted(cls, step):
+        def run(m, t, env, stack):
+            counts[cls] += 1
+            return step(m, t, env, stack)
+
+        return run
+
+    run = evaluate(_genfun_chain(depth), None)
+    with monkeypatch.context() as patch:
+        for cls, step in list(engine._STEP.items()):
+            patch.setitem(engine._STEP, cls, counted(cls, step))
+        assert run.call(run.value, VInt(1)) == VInt(1 + 7 * 2**depth)
+    return counts
+
+
+def test_atomic_operands_take_no_steps(monkeypatch):
+    # A call of fK is `fK-1 (fK-1 z)`, two App steps, and one of f0 the Add
+    # step of `z + 7`: no operand is a step of its own.  One call of the
+    # depth-n chain is therefore 3 * 2**n - 1 steps (8 * 2**n - 2 when every
+    # Var and IntLit operand was a step with a frame).
+    six, eight = (_count_steps(monkeypatch, n) for n in (6, 8))
+    assert sum(eight.values()) <= 767
+    assert eight[S.Var] == eight[S.IntLit] == 0
+    assert sum(six.values()) == 3 * 2**6 - 1 and sum(eight.values()) == 3 * 2**8 - 1
+    assert sum(eight.values()) + 1 == 4 * (sum(six.values()) + 1)
+
+
+_NOPE = S.Var("nope")
+_BAD_ADD = S.Add(S.IntLit(1), S.StrLit("a"))
+
+
+# An atomic operand meets a failing compound one: the one due first wins.
+@pytest.mark.parametrize(
+    "backend, term, kind, message",
+    [
+        (None, S.Pair(_NOPE, _BAD_ADD), Kind.TYPE_ERROR, "addition of non-integers"),
+        (None, S.App(_NOPE, _BAD_ADD), Kind.UNBOUND_VAR, "unbound variable nope"),
+        (None, S.Add(_BAD_ADD, _NOPE), Kind.TYPE_ERROR, "addition of non-integers"),
+        (None, S.Add(_NOPE, _BAD_ADD), Kind.UNBOUND_VAR, "unbound variable nope"),
+        (None, S.Cons(_BAD_ADD, _NOPE), Kind.TYPE_ERROR, "addition of non-integers"),
+        (None, S.Rset(_NOPE, _BAD_ADD), Kind.UNBOUND_VAR, "unbound variable nope"),
+        (None, S.Rset(S.RefNew(_BAD_ADD), _NOPE), Kind.TYPE_ERROR, "addition of non-integers"),
+        (None, S.Let("y", _NOPE, _BAD_ADD), Kind.UNBOUND_VAR, "unbound variable nope"),
+        (None, S.Let("y", _BAD_ADD, _NOPE), Kind.TYPE_ERROR, "addition of non-integers"),
+        (
+            "quote",
+            S.comb("pair", _NOPE, S.comb("add", S.IntLit(1), S.comb("int", S.IntLit(2)))),
+            Kind.TYPE_ERROR,
+            "quote backend got a non-code operand (int)",
+        ),
+        (
+            "quote",
+            S.comb("add", _NOPE, S.comb("add", S.IntLit(1), S.comb("int", S.IntLit(2)))),
+            Kind.UNBOUND_VAR,
+            "unbound variable nope",
+        ),
+    ],
+)
+def test_operand_order_decides_which_diagnostic_wins(backend, term, kind, message):
+    with pytest.raises(Diagnostic) as exc:
+        evaluate(term, backend)
+    assert exc.value.kind is kind
+    assert exc.value.message == message
+
+
 # --- run-time guards -----------------------------------------------------------
 
 # Programs the type checker would reject, each stopped by one run-time check
