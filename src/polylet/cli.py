@@ -26,15 +26,12 @@ def _read(path: str) -> str:
 
 def _cmd_typecheck(args: argparse.Namespace) -> int:
     expr = parse_source(_read(args.file))
-    system = args.system
-    if system is None:
-        system = "staged" if not S.is_plain(expr) else "host"
     policy = _POLICIES[args.gen_policy]
-    if system == "staged":
-        scheme = infer_staged(TypeEnv(), expr, policy=policy)
+    if args.system == "staged":
+        scheme = infer_staged(TypeEnv(), expr, policy)
         print(render_scheme(scheme, code_word="code"))
     else:
-        scheme = infer_host(TypeEnv(), translate(expr), policy=policy)
+        scheme = infer_host(TypeEnv(), translate(expr), policy)
         print(render_scheme(scheme, code_word="cod"))
     return 0
 
@@ -88,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_type = sub.add_parser("typecheck", help="infer the type scheme of a program")
     p_type.add_argument("file")
-    p_type.add_argument("--system", choices=("staged", "host"), default=None)
+    p_type.add_argument("--system", choices=("staged", "host"), default="staged")
     p_type.add_argument(
         "--gen-policy", dest="gen_policy", choices=tuple(_POLICIES), default="relaxed"
     )

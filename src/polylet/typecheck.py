@@ -1,15 +1,16 @@
 """Hindley-Milner inference over the one node family.
 
 `infer_staged` implements the level-indexed system over staged source
-programs.  `infer_host` is the same walker at level 0 over the
-translation's image, where each combinator constant carries its library
-scheme; host terms bind and use every variable at level 0, so the level
-check never fires there.  A combinator application is typed along its
-type's arrow spine: each argument is unified with the next parameter,
-and no variable is made for a result.  Both share the generalization
-policies: the strict value restriction, the non-expansive extension,
-and the relaxed rule that also generalizes the type variables of an
-expansive right-hand side that occur only covariantly.
+programs, from level 0.  `infer_host` is the same function, named for
+its use on the translation's image, where each combinator constant
+carries its library scheme; host terms bind and use every variable at
+level 0, so the level check never fires there.  A combinator
+application is typed along its type's arrow spine: each argument is
+unified with the next parameter, and no variable is made for a result.
+Both share the generalization policies: the strict value restriction,
+the non-expansive extension, and the relaxed rule that also generalizes
+the type variables of an expansive right-hand side that occur only
+covariantly.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .typesys import (
     TypeEnv,
     free_type_vars,
     monotype,
-    non_covariant,
     resolve,
     unify,
 )
@@ -74,16 +74,14 @@ def is_nonexpansive(e: S.Expr) -> bool:
 def generalize(t: Type, env: TypeEnv, rhs_nonexpansive: bool, policy: GenPolicy) -> Scheme:
     """Quantify the free variables of t that env cannot reach, as the policy
     and the right-hand side's syntactic class allow.  By the rank invariant
-    (see typesys) those are the variables ranked deeper than env."""
+    (see typesys) those are the variables ranked deeper than env: all of
+    them for a non-expansive right-hand side; for an expansive one, none,
+    or under the relaxed policy those that occur only covariantly."""
     t = resolve(t)
-    candidates = [v for v in free_type_vars(t) if v.rank > env.depth]
-    if rhs_nonexpansive:
-        quantified = candidates
-    elif policy is GenPolicy.RELAXED and candidates:
-        blocked = non_covariant(t)
-        quantified = [v for v in candidates if v not in blocked]
-    else:
-        quantified = []
+    if not rhs_nonexpansive and policy is not GenPolicy.RELAXED:
+        return monotype(t)
+    free = free_type_vars(t)
+    quantified = [v for v in free if v.rank > env.depth and (rhs_nonexpansive or not free[v])]
     return Scheme(tuple(quantified), t)
 
 
@@ -93,32 +91,25 @@ def _gen_flag(e: S.Expr, policy: GenPolicy) -> bool:
     return is_nonexpansive(e)
 
 
-def infer_staged(
-    env: TypeEnv,
-    e: S.Expr,
-    level: int = 0,
-    policy: GenPolicy = GenPolicy.RELAXED,
-) -> Scheme:
-    t = _infer(env, e, level, policy)
+def infer_staged(env: TypeEnv, e: S.Expr, policy: GenPolicy = GenPolicy.RELAXED) -> Scheme:
+    t = _infer(env, e, 0, policy)
     return generalize(t, env, _gen_flag(e, policy), policy)
 
 
-def infer_host(env: TypeEnv, t: S.Expr, policy: GenPolicy = GenPolicy.RELAXED) -> Scheme:
-    """Single-level inference over a translated term."""
-    return infer_staged(env, t, 0, policy)
+infer_host = infer_staged
 
 
 def _infer(env: TypeEnv, e: S.Expr, level: int, policy: GenPolicy) -> Type:
     if isinstance(e, S.Var):
-        binding = env.lookup(e.name)
-        if binding is None:
+        node = env.lookup(e.name)
+        if node is None:
             raise unbound_var(e.name)
-        if binding.level != level:
+        if node.level != level:
             raise type_error(
-                f"variable {e.name} is bound at level {binding.level} "
+                f"variable {e.name} is bound at level {node.level} "
                 f"but used at level {level}"
             )
-        return binding.scheme.instantiate()
+        return node.scheme.instantiate()
     if isinstance(e, S.Comb):
         ty = _COMB_TYPES[e.name]
         if callable(ty):

@@ -4,9 +4,9 @@ Unification works on mutable type-variable cells with an occurs check and
 path compression, so each inference run owns its substitution implicitly.
 
 Generalization is linear in the program, by ranks on type variables
-(Remy's levels).  A `TypeEnv` is a chain of bindings whose `depth` counts
-them.  The rank invariant: an unbound variable that the binding at depth
-k can reach has rank at most k.  A variable enters a let's right-hand side
+(Remy's levels).  A `TypeEnv` is a chain of binding nodes whose `depth`
+counts them.  The rank invariant: an unbound variable that the binding
+at depth k can reach has rank at most k.  A variable enters a let's right-hand side
 fresh, by instantiation, or through the environment, so the variables of
 its type ranked deeper than the environment are exactly those the
 environment cannot reach, and `generalize` need not look at the
@@ -21,7 +21,7 @@ environment at all.  Ranks are only ever lowered, in two places:
 
 A fresh variable starts at `UNBOUNDED_RANK`: nothing can reach it yet.
 The rank is a position in the environment; it is unrelated to the stage
-`level` of a `Binding`.
+`level` a `TypeEnv` node binds its variable at.
 """
 
 from __future__ import annotations
@@ -173,48 +173,35 @@ def _mismatch(template: str, a: Type, b: Type):
     """A unification error rendering both sides from one name table, so the
     variables read '_1, '_2, ... by first appearance, whatever their ids."""
     names = {v: f"'_{i}" for i, v in enumerate(free_type_vars(TPair(a, b)), 1)}
-    return type_error(template.format(*(_render(t, _ARROW, "code", names) for t in (a, b))))
+    return type_error(template.format(*(_render(t, "code", names) for t in (a, b))))
 
 
-def free_type_vars(t: Type) -> list[TVar]:
-    """Unbound variables, in first-occurrence order."""
-    out: dict[TVar, None] = {}
-    _collect_vars(t, out)
-    return list(out)
-
-
-def _collect_vars(t: Type, out: dict[TVar, None]) -> None:
-    t = resolve(t)
-    if isinstance(t, TVar):
-        out[t] = None
-        return
-    for p in _PARTS[type(t)](t):
-        _collect_vars(p, out)
-
-
-def non_covariant(t: Type) -> set[TVar]:
-    """The unbound variables of t with an occurrence that is not covariant,
-    in one pass.  The sign is 1 at the root; an arrow's argument negates
-    it, and ref, scope, and funscope make it 0 (invariant)."""
-    out: set[TVar] = set()
-    _collect_non_covariant(t, 1, out)
+def free_type_vars(t: Type) -> dict[TVar, bool]:
+    """Unbound variables, in first-occurrence order, each mapped to whether
+    it has an occurrence that is not covariant.  The sign is 1 at the root;
+    an arrow's argument negates it, and ref, scope, and funscope make it 0
+    (invariant)."""
+    out: dict[TVar, bool] = {}
+    _collect_vars(t, 1, out)
     return out
 
 
-def _collect_non_covariant(t: Type, sign: int, out: set[TVar]) -> None:
+def _collect_vars(t: Type, sign: int, out: dict[TVar, bool]) -> None:
     t = resolve(t)
     cls = type(t)
     if cls is TVar:
         if sign != 1:
-            out.add(t)
+            out[t] = True
+        elif t not in out:
+            out[t] = False
     elif cls is TArrow:
-        _collect_non_covariant(t.arg, -sign, out)
-        _collect_non_covariant(t.result, sign, out)
+        _collect_vars(t.arg, -sign, out)
+        _collect_vars(t.result, sign, out)
     else:
         if cls in (TRef, TScope, TFunScope):
             sign = 0
         for p in _PARTS[cls](t):
-            _collect_non_covariant(p, sign, out)
+            _collect_vars(p, sign, out)
 
 
 @dataclass(frozen=True)
@@ -243,23 +230,18 @@ def _subst(t: Type, mapping: dict[TVar, Type]) -> Type:
     return type(t)(*[_subst(p, mapping) for p in parts]) if parts else t
 
 
-@dataclass(frozen=True)
-class Binding:
-    """A variable's scheme and the stage level (0 or 1) it is bound at."""
-
-    name: str
-    level: int
-    scheme: Scheme
-
-
 class TypeEnv:
-    """An immutable chain of bindings, innermost first; lookup respects
-    shadowing.  `TypeEnv()` is the empty environment, of depth 0."""
+    """An immutable chain of bindings, innermost first, one per node: the
+    variable's `name`, the stage `level` (0 or 1) it is bound at, and its
+    `scheme`.  `TypeEnv()` is the empty environment, of depth 0, binding
+    nothing; `lookup` returns the innermost node that binds a name."""
 
-    __slots__ = ("binding", "parent", "depth")
+    __slots__ = ("name", "level", "scheme", "parent", "depth")
 
     def __init__(self) -> None:
-        self.binding: Binding | None = None
+        self.name: str | None = None
+        self.level = 0
+        self.scheme: Scheme | None = None
         self.parent: TypeEnv | None = None
         self.depth = 0
 
@@ -267,8 +249,7 @@ class TypeEnv:
         """Extend by one binding, lowering the scheme's free variables to
         the new depth (the rank invariant in the module docstring)."""
         env = TypeEnv()
-        env.binding = Binding(name, level, scheme)
-        env.parent = self
+        env.name, env.level, env.scheme, env.parent = name, level, scheme, self
         env.depth = depth = self.depth + 1
         quantified = set(scheme.quantified)
         for v in free_type_vars(scheme.body):
@@ -276,17 +257,24 @@ class TypeEnv:
                 v.rank = depth
         return env
 
-    def lookup(self, name: str) -> Binding | None:
+    def lookup(self, name: str) -> TypeEnv | None:
         env: TypeEnv | None = self
-        while env is not None and env.binding is not None:
-            if env.binding.name == name:
-                return env.binding
+        while env is not None:
+            if env.name == name:
+                return env
             env = env.parent
         return None
 
 
 # Rendering: arrow < pair < postfix constructor application.
 _ARROW, _PAIR, _POST = 0, 1, 2
+
+# The base types' names; the word that follows each one-parameter
+# constructor's argument, None standing for the code word; and each infix
+# constructor's precedence, operator, and its operands' precedences.
+_BASE = {TInt: "int", TStr: "string", TUnit: "unit"}
+_POSTFIX = {TList: "list", TRef: "ref", TCode: None, TScope: "scope", TFunScope: "funscope"}
+_INFIX = {TPair: (_PAIR, _POST, " * ", _POST), TArrow: (_ARROW, _PAIR, " -> ", _ARROW)}
 
 
 def render_scheme(s: Scheme, code_word: str = "code") -> str:
@@ -295,7 +283,7 @@ def render_scheme(s: Scheme, code_word: str = "code") -> str:
     names = {v: _var_name(i) for i, v in enumerate(s.quantified)}
     weak = [v for v in free_type_vars(s.body) if v not in names]
     names.update((v, f"'_{i}") for i, v in enumerate(weak, 1))
-    return _render(s.body, _ARROW, code_word, names)
+    return _render(s.body, code_word, names)
 
 
 def _var_name(i: int) -> str:
@@ -307,35 +295,32 @@ def _var_name(i: int) -> str:
     return "'" + name
 
 
-def _render(t: Type, level: int, code_word: str, names: dict[TVar, str]) -> str:
-    t = resolve(t)
-    text, mine = _render1(t, code_word, names)
-    if mine < level:
-        return f"({text})"
-    return text
-
-
-# The base types' names, and the word that follows each one-parameter
-# constructor's argument; None stands for the code word.
-_BASE = {TInt: "int", TStr: "string", TUnit: "unit"}
-_POSTFIX = {TList: "list", TRef: "ref", TCode: None, TScope: "scope", TFunScope: "funscope"}
-
-
-def _render1(t: Type, code_word: str, names: dict[TVar, str]) -> tuple[str, int]:
-    cls = type(t)
-    if cls is TVar:
-        return names[t], _POST
-    if cls in _BASE:
-        return _BASE[cls], _POST
-    if cls in _POSTFIX:
-        (item,) = _PARTS[cls](t)
-        return f"{_render(item, _POST, code_word, names)} {_POSTFIX[cls] or code_word}", _POST
-    if cls is TPair:
-        left = _render(t.first, _POST, code_word, names)
-        right = _render(t.second, _POST, code_word, names)
-        return f"{left} * {right}", _PAIR
-    if cls is TArrow:
-        left = _render(t.arg, _PAIR, code_word, names)
-        right = _render(t.result, _ARROW, code_word, names)
-        return f"{left} -> {right}", _ARROW
-    raise TypeError(f"unexpected type {t!r}")
+def _render(t: Type, code_word: str, names: dict[TVar, str]) -> str:
+    """Prints from an explicit stack, so any depth of type is fine."""
+    out: list[str] = []
+    stack: list = [(t, _ARROW)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        t, min_level = item
+        t = resolve(t)
+        cls = type(t)
+        if cls is TVar:
+            out.append(names[t])
+        elif cls in _BASE:
+            out.append(_BASE[cls])
+        elif cls in _POSTFIX:
+            (part,) = _PARTS[cls](t)
+            stack += (" " + (_POSTFIX[cls] or code_word), (part, _POST))
+        elif cls in _INFIX:
+            level, left_level, operator, right_level = _INFIX[cls]
+            left, right = _PARTS[cls](t)
+            if level < min_level:
+                out.append("(")
+                stack.append(")")
+            stack += ((right, right_level), operator, (left, left_level))
+        else:
+            raise TypeError(f"unexpected type {t!r}")
+    return "".join(out)

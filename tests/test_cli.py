@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import polylet
+from polylet import typesys
 from polylet.cli import main
 from polylet.parser import parse_source, parse_term
 from polylet.unstage import translate
@@ -42,10 +43,28 @@ def test_typecheck_host_system(write, capsys):
     assert capsys.readouterr().out.strip() == "(int -> int) cod"
 
 
-def test_typecheck_plain_defaults_to_host(write, capsys):
+def test_typecheck_plain_program_defaults_to_staged(write, capsys):
     path = write("fun x -> x")
     assert main(["typecheck", path]) == 0
     assert capsys.readouterr().out.strip() == "'a -> 'a"
+
+
+def test_typecheck_long_plain_fun_chain(write):
+    # A plain program goes to the staged system like any other, and its
+    # type prints at the default recursion limit however long the arrows.
+    n = 900
+    path = write("".join(f"fun x{i} -> " for i in range(n)) + "x0")
+    src = os.path.dirname(os.path.dirname(polylet.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "polylet.cli", "typecheck", path],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = [typesys._var_name(i) for i in range(n)]
+    assert proc.stdout == " -> ".join(names + ["'a"]) + "\n"
 
 
 def test_gen_policy_flag(write, capsys):
@@ -115,6 +134,34 @@ def test_run_plain_program(write, capsys):
     path = write("let x = ref (1 :: []) in (rset x 2, rset x 3)")
     assert main(["run", path]) == 0
     assert capsys.readouterr().out.strip() == "([2; 3; 1], [3; 1])"
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def test_readme_examples(write, capsys, monkeypatch):
+    # README's example session, and its two type-printing examples, print
+    # exactly what README shows.
+    monkeypatch.delenv("POLYLET_SEED", raising=False)
+    with open(README, encoding="utf-8") as handle:
+        readme = handle.read()
+    program, session = re.search(r"containing\n`([^`]*)`:\n\n```\n(.*?)```", readme, re.S).groups()
+    path = write(program)
+    runs = re.findall(r"^\$ polylet (.*)\n((?:[^$].*\n)*)", session, re.M)
+    commands = [command.split()[0] for command, _ in runs]
+    assert commands == ["typecheck", "translate", "codegen", "run"]
+    for command, shown in runs:
+        assert main([path if word == "prog.pml" else word for word in command.split()]) == 0
+        assert capsys.readouterr().out == shown
+    prose = " ".join(readme.split())
+    example = r"`polylet (typecheck [^`]*)` of `([^`]*)` prints `([^`]*)`"
+    command, program, shown = re.search(example, prose).groups()
+    assert main([*command.split(), write(program)]) == 0
+    assert capsys.readouterr().out == shown + "\n"
+    program, shown = re.search(r"way: `([^`]*)` gives `([^`]*)`", prose).groups()
+    path = write(program)
+    assert main(["typecheck", path]) == 1
+    assert capsys.readouterr().err == f"{path}: TypeError: {shown}\n"
 
 
 def test_usage_error_exits_two(capsys):

@@ -5,7 +5,7 @@ from polylet import syntax as S
 from polylet import target as T
 from polylet.backends import evaluate
 from polylet.engine import VInt
-from polylet.parser import parse_source
+from polylet.parser import parse_source, parse_term
 from polylet.typecheck import infer_host, infer_staged
 from polylet.typesys import TypeEnv, render_scheme
 from polylet.unstage import translate
@@ -139,6 +139,31 @@ def test_no_lam_between_scope_and_genlet_in_translations():
     ]
     for text in cases:
         assert T.lint_scopes(translate(parse_source(text))) == []
+
+
+@pytest.mark.parametrize(
+    "text, complaint",
+    [
+        ("new_scope (fun p -> lam (fun x -> genlet p (int 1)))",
+         "genlet for p is separated from its scope by a lam"),
+        ("new_scope (fun p -> lam (fun p -> genlet p (int 1)))",
+         "genlet scope argument is not a bound scope variable"),
+        ("new_funscope (fun p -> genletfun p (fun x -> genletfun p (fun y -> x)))",
+         "genletfun for p is separated from its scope by a lam"),
+    ],
+)  # fmt: skip
+def test_lint_scopes_complaints(text, complaint):
+    assert T.lint_scopes(parse_term(text)) == [complaint]
+
+
+def test_lint_scopes_any_depth_of_lam():
+    # A genlet 5,000 generated functions below its scope, at the default
+    # recursion limit.
+    body = c("genlet", S.Var("p"), c("int", S.IntLit(1)))
+    for i in range(5_000):
+        body = c("lam", S.Fun(f"x{i}", body))
+    term = c("new_scope", S.Fun("p", body))
+    assert T.lint_scopes(term) == ["genlet for p is separated from its scope by a lam"]
 
 
 def test_free_vars_preserved():
