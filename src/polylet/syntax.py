@@ -432,7 +432,14 @@ def pretty(e: Expr) -> str:
 
 
 def is_plain(e: Expr) -> bool:
-    """No staging forms anywhere in the tree."""
-    if isinstance(e, (Bracket, Escape, Csp)):
-        return False
-    return all(is_plain(c) for c in children(e))
+    """No Bracket, Escape or Csp anywhere in the tree: one walk in field
+    order on an explicit stack, so any depth is fine, that stops at the
+    first staging form; `children` raises on a node of no known class."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        cls = type(e)
+        if cls is Bracket or cls is Escape or cls is Csp:
+            return False
+        stack += (_CHILDREN.get(cls) or children)(e)[::-1]
+    return True

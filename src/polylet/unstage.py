@@ -1,12 +1,12 @@
 """The unstaging translation: syntax-directed, type-oblivious.
 
-Present-stage expressions map to themselves (a tree without staging forms
-is returned as is); a bracket switches to the future-stage rules, which
-rebuild the expression as applications of code combinators.  Quoted lets
-become host lets: the general form wraps the right-hand side in `genlet`
-under a fresh `new_scope`, and a quoted `let f = fun z -> ...` instead
-binds a memoizing `genletfun` thunk, with every use of f in the body
-replaced by the application `f ()`.
+Present-stage expressions map to themselves: a tree without staging forms
+is found by one explicit-stack walk, at any depth, and returned unrebuilt.
+A bracket switches to the future-stage rules, which rebuild the expression
+as code combinator applications.  Quoted lets become host lets: the general
+form wraps the right-hand side in `genlet` under a fresh `new_scope`, and a
+quoted `let f = fun z -> ...` instead binds a memoizing `genletfun` thunk,
+with every use of f in the body replaced by the application `f ()`.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from . import syntax as S
 
 def translate(e: S.Expr) -> S.Expr:
     """Translate a well-formed source expression; total, no typing needed."""
-    return _Translator().level0(e)
+    return e if S.is_plain(e) else _Translator().level0(e)
 
 
 def _host_param(name: str) -> str:

@@ -49,22 +49,46 @@ def test_typecheck_plain_program_defaults_to_staged(write, capsys):
     assert capsys.readouterr().out.strip() == "'a -> 'a"
 
 
-def test_typecheck_long_plain_fun_chain(write):
-    # A plain program goes to the staged system like any other, and its
-    # type prints at the default recursion limit however long the arrows.
-    n = 900
-    path = write("".join(f"fun x{i} -> " for i in range(n)) + "x0")
+def _fun_chain(write, n):
+    return write("".join(f"fun x{i} -> " for i in range(n)) + "x0")
+
+
+def _cli(*args):
+    """Run the CLI in a fresh interpreter, at the default recursion limit."""
     src = os.path.dirname(os.path.dirname(polylet.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-m", "polylet.cli", "typecheck", path],
+    return subprocess.run(
+        [sys.executable, "-m", "polylet.cli", *args],
         capture_output=True,
         text=True,
         timeout=60,
         env={**os.environ, "PYTHONPATH": src},
     )
+
+
+def _arrows(n):
+    return " -> ".join([typesys._var_name(i) for i in range(n)] + ["'a"]) + "\n"
+
+
+def test_typecheck_long_plain_fun_chain(write):
+    # A plain program goes to the staged system like any other, and its
+    # type prints at the default recursion limit however long the arrows.
+    n = 900
+    proc = _cli("typecheck", _fun_chain(write, n))
     assert proc.returncode == 0, proc.stderr
-    names = [typesys._var_name(i) for i in range(n)]
-    assert proc.stdout == " -> ".join(names + ["'a"]) + "\n"
+    assert proc.stdout == _arrows(n)
+
+
+def test_translate_and_host_typecheck_long_plain_fun_chain(write):
+    # A plain program is its own translation, found without recursion.
+    n = 900
+    path = _fun_chain(write, n)
+    proc = _cli("typecheck", "--system", "host", path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == _arrows(n)
+    proc = _cli("translate", path)
+    assert proc.returncode == 0, proc.stderr
+    with open(path, encoding="utf-8") as handle:
+        assert proc.stdout == handle.read() + "\n"
 
 
 def test_gen_policy_flag(write, capsys):

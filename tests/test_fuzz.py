@@ -106,7 +106,8 @@ def _let_chain(n: int) -> str:
 
 
 # Deep or wide programs, run at the default recursion limit; today each
-# ends in a `ResourceLimit` diagnostic.
+# ends in a `ResourceLimit` diagnostic, except `translate` of the plain
+# application chain, which prints the program back.
 DEEP = {
     "let-chain": _let_chain(1_000),
     "parens": "(" * 2_000 + "1" + ")" * 2_000,

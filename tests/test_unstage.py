@@ -1,11 +1,16 @@
+import random
+import sys
+
 import pytest
 
 from polylet import difftest
 from polylet import syntax as S
 from polylet import target as T
+from polylet import unstage
 from polylet.backends import evaluate
+from polylet.corpus import ENTRIES
 from polylet.engine import VInt
-from polylet.parser import parse_source, parse_term
+from polylet.parser import parse_plain, parse_source, parse_term
 from polylet.typecheck import infer_host, infer_staged
 from polylet.typesys import TypeEnv, render_scheme
 from polylet.unstage import translate
@@ -280,3 +285,87 @@ def test_translate_visits_each_node_once(monkeypatch):
     monkeypatch.setattr(S, "children", counting)
     translate(e)
     assert calls <= nodes
+
+
+def _count_level0(monkeypatch):
+    """Every `_Translator.level0` call from now on, recursive ones too."""
+    calls = []
+    level0 = unstage._Translator.level0
+
+    def counting(self, e):
+        calls.append(e)
+        return level0(self, e)
+
+    monkeypatch.setattr(unstage._Translator, "level0", counting)
+    return calls
+
+
+def test_emitted_code_translates_without_a_translator(monkeypatch):
+    # Running emitted code goes through translate again; the code has no
+    # staging forms left, so it comes back as is and no translator runs.
+    lets = "".join(f"let x{k} = x{k - 1} + 1 in " for k in range(1, 256))
+    source = parse_source(f".<let x0 = 1 in {lets}x255>.")
+    term = translate(source)
+    tree = evaluate(term, "quote").value.code.tree
+    reread = parse_plain(evaluate(term, "string").value.code.text)
+    calls = _count_level0(monkeypatch)
+    assert translate(tree) is tree
+    assert translate(reread) is reread
+    assert calls == []
+    translate(source)
+    assert calls == [source]
+
+
+@pytest.mark.parametrize("kind", ["let", "fun"])
+def test_plain_chains_translate_at_the_default_recursion_limit(monkeypatch, kind):
+    e = S.Var("x0")
+    for k in range(100_000):
+        e = S.Let(f"x{k}", S.IntLit(k), e) if kind == "let" else S.Fun(f"x{k}", e)
+    calls = _count_level0(monkeypatch)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        out = translate(e)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert out is e and calls == []
+
+
+@pytest.mark.parametrize(
+    "tree, message",
+    [
+        (S.Add(S.IntLit(1), 5), "unexpected expression 5"),
+        (S.Fun("x", S.Pair(S.Var("x"), "junk")), "unexpected expression 'junk'"),
+    ],
+)
+def test_malformed_tree_names_the_stray_value(tree, message):
+    with pytest.raises(TypeError) as exc:
+        translate(tree)
+    assert str(exc.value) == message
+
+
+def _nodes(e):
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        yield e
+        stack += S.children(e)
+
+
+def test_is_plain_marks_exactly_the_trees_the_translator_shares():
+    trees = [parse_source(entry.source) for entry in ENTRIES if entry.source]
+    rng = random.Random(0)
+    for _ in range(2_000):
+        term = translate(difftest.random_bracket_program(rng))
+        trees.append(evaluate(term, "quote").value.code.tree)
+        trees.append(parse_plain(evaluate(term, "string").value.code.text))
+    staging = (S.Bracket, S.Escape, S.Csp)
+    plain = 0
+    for tree in trees:
+        for sub in _nodes(tree):
+            if S.is_plain(sub):
+                plain += 1
+                assert unstage._Translator().level0(sub) is sub
+            else:
+                assert any(isinstance(n, staging) for n in _nodes(sub))
+    assert plain > 10_000
