@@ -55,17 +55,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StringCode:
     text: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class QuoteCode:
     tree: S.Expr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class EvalCode:
     thunk: Callable[[], RuntimeValue]
 

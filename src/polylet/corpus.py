@@ -310,6 +310,14 @@ ENTRIES: tuple[CorpusEntry, ...] = (
         staged_scheme="((int -> int) list * (string -> string) list) code",
         host="reject",
     ),
+    CorpusEntry(
+        name="let_unit_poly_divergence",
+        note="a function behind a let of a value: generalized only by the staged system",
+        source='.<let f = let r = () in fun x -> x in (f 1, f "a")>.',
+        staged="accept",
+        staged_scheme="(int * string) code",
+        host="reject",
+    ),
     # -- combinator-library programs that no source program translates to --
     CorpusEntry(
         name="scope_no_genlet",
@@ -353,7 +361,7 @@ ENTRIES: tuple[CorpusEntry, ...] = (
 # Typing-preservation divergences that are understood and expected: the
 # staged system generalizes any syntactic value, while the translation can
 # only genlet (covariant) or genletfun (function) bindings.
-KNOWN_DIVERGENCES = frozenset({"cons_poly_value_divergence"})
+KNOWN_DIVERGENCES = frozenset({"cons_poly_value_divergence", "let_unit_poly_divergence"})
 
 
 def by_name(name: str) -> CorpusEntry:

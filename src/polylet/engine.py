@@ -22,6 +22,9 @@ it is, with no frame and no control of its own.
 
 Pair components evaluate right to left, mirroring the host language the
 generated traces come from; every other position is left to right.
+
+Values are slotted dataclasses, immutable by convention, except
+`VRefCell.contents` (`rset`) and `VScope.memo` (written once, by `genletfun`).
 """
 
 from __future__ import annotations
@@ -32,58 +35,60 @@ from typing import Callable, Optional
 
 from . import syntax as S
 from .diagnostics import Diagnostic, Kind, type_error, unbound_var
-from .syntax import UNIT_BINDER, binds, int_text, quote_string, unescape
+from .syntax import UNIT_BINDER, WILDCARD, binds, int_text, quote_string, unescape
 
 
 # --- runtime values --------------------------------------------------------
 
 
 class RuntimeValue:
+    __slots__ = ()
+
     def __str__(self) -> str:
         return render_value(self)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VInt(RuntimeValue):
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VStr(RuntimeValue):
     value: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VUnit(RuntimeValue):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VList(RuntimeValue):
     items: tuple[RuntimeValue, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VPair(RuntimeValue):
     first: RuntimeValue
     second: RuntimeValue
 
 
-@dataclass(eq=False)
+@dataclass(slots=True, eq=False)
 class VRefCell(RuntimeValue):
     """Identity is observable: separately created cells are distinct."""
 
     contents: RuntimeValue
 
 
-@dataclass(eq=False, frozen=True)
+@dataclass(slots=True, eq=False)
 class VClosure(RuntimeValue):
     param: str
     body: S.Expr
     env: dict[str, RuntimeValue]
 
 
-@dataclass(eq=False, frozen=True)
+@dataclass(slots=True, eq=False)
 class VNative(RuntimeValue):
     """A host-level function value (e.g. a forced generated function)."""
 
@@ -91,12 +96,12 @@ class VNative(RuntimeValue):
     label: str = "<fun>"
 
 
-@dataclass(eq=False, frozen=True)
+@dataclass(slots=True, eq=False)
 class VCode(RuntimeValue):
     code: object  # a backend CodeValue
 
 
-@dataclass(eq=False)
+@dataclass(slots=True, eq=False)
 class VScope(RuntimeValue):
     """A scope's prompt; a funscope (`fun`) also keeps, written once, the
     function binding it has inserted."""
@@ -106,24 +111,16 @@ class VScope(RuntimeValue):
     memo: Optional[VCode] = None
 
 
+# The tag each value class shows in run-time errors.
+_TAGS = {
+    **{VInt: "int", VStr: "string", VUnit: "unit", VList: "list", VPair: "pair"},
+    **{VRefCell: "ref", VCode: "code"},
+    **dict.fromkeys((VClosure, VNative), "function"),
+}
+
+
 def runtime_tag(v: RuntimeValue) -> str:
-    if isinstance(v, VInt):
-        return "int"
-    if isinstance(v, VStr):
-        return "string"
-    if isinstance(v, VUnit):
-        return "unit"
-    if isinstance(v, VList):
-        return "list"
-    if isinstance(v, VPair):
-        return "pair"
-    if isinstance(v, VRefCell):
-        return "ref"
-    if isinstance(v, (VClosure, VNative)):
-        return "function"
-    if isinstance(v, VCode):
-        return "code"
-    return type(v).__name__
+    return _TAGS.get(type(v)) or type(v).__name__
 
 
 def rset_runtime(cell: RuntimeValue, v: RuntimeValue) -> VList:
@@ -194,11 +191,13 @@ def render_value(v: RuntimeValue) -> str:
 
 
 def _apply(fn: RuntimeValue, arg: RuntimeValue):
-    if isinstance(fn, VClosure):
-        if fn.param == UNIT_BINDER and not isinstance(arg, VUnit):
+    if type(fn) is VClosure:
+        param = fn.param
+        if param != UNIT_BINDER and param != WILDCARD:
+            return fn.body, {**fn.env, param: arg}
+        if param == UNIT_BINDER and type(arg) is not VUnit:
             raise type_error("unit-pattern function applied to a non-unit value")
-        env = {**fn.env, fn.param: arg} if binds(fn.param) else fn.env
-        return fn.body, env
+        return fn.body, fn.env
     if isinstance(fn, VNative):
         return None, fn.fn(arg)
     raise type_error(f"cannot apply a {runtime_tag(fn)} value")

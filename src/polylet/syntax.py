@@ -9,7 +9,9 @@ quotation: brackets never nest, and escapes only occur inside a bracket.
 
 Traversals go through one generic pair: `children(e)` lists the
 subexpressions in field order, and `rebuild(e, kids)` makes the same
-node over new children.
+node over new children.  Nodes, like types and run-time values, are slotted
+dataclasses, immutable by convention: no field is assigned after it is
+built.  Only `TVar` cells, `VRefCell.contents` and `VScope.memo` mutate.
 """
 
 from __future__ import annotations
@@ -35,105 +37,104 @@ COMB_ARITY = {
 }
 
 
-@dataclass(frozen=True)
 class Expr:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class IntLit(Expr):
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StrLit(Expr):
     value: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Nil(Expr):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Unit(Expr):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Add(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Pair(Expr):
     first: Expr
     second: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Cons(Expr):
     head: Expr
     tail: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RefNew(Expr):
     init: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RefGet(Expr):
     ref: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Rset(Expr):
     ref: Expr
     value: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class App(Expr):
     fn: Expr
     arg: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Fun(Expr):
     param: str
     body: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Let(Expr):
     name: str
     rhs: Expr
     body: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Bracket(Expr):
     body: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Escape(Expr):
     body: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Csp(Expr):
     body: Expr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class CspValue(Expr):
     """A run-time value persisted into rebuilt code, or embedded in a
     hand-built term.
@@ -145,7 +146,7 @@ class CspValue(Expr):
     value: object
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Comb(Expr):
     """Saturated application of a code-combinator constant."""
 

@@ -2,6 +2,7 @@
 
 Unification works on mutable type-variable cells with an occurs check and
 path compression, so each inference run owns its substitution implicitly.
+Every other type is a slotted dataclass, immutable by convention.
 
 Generalization is linear in the program, by ranks on type variables
 (Remy's levels).  A `TypeEnv` is a chain of binding nodes whose `depth`
@@ -39,7 +40,7 @@ UNBOUNDED_RANK = sys.maxsize
 
 
 class Type:
-    pass
+    __slots__ = ()
 
 
 class TVar(Type):
@@ -54,54 +55,54 @@ class TVar(Type):
         return f"'t{self.id}"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TInt(Type):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TStr(Type):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TUnit(Type):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TList(Type):
     item: Type
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TPair(Type):
     first: Type
     second: Type
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TArrow(Type):
     arg: Type
     result: Type
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TRef(Type):
     item: Type
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TCode(Type):
     item: Type
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TScope(Type):
     answer: Type
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TFunScope(Type):
     answer: Type
 

@@ -40,6 +40,20 @@ def test_divergence_reported_as_known():
     assert result.status == "known-divergence"
 
 
+def test_let_unit_poly_divergence_is_known_never_a_pass():
+    # Staged accept, host reject: a preservation failure the corpus keeps
+    # visible as a known divergence.
+    entry = by_name("let_unit_poly_divergence")
+    results = {r.name.split("/")[0]: r for r in difftest.check_entry(entry)}
+    assert results["staged-typing"].status == "pass"
+    assert results["host-typing"].status == "pass"
+    preservation = results["preservation"]
+    assert (preservation.status, preservation.detail) == (
+        "known-divergence",
+        "cannot unify int with string",
+    )
+
+
 def test_preservation_vacuous_on_staged_reject():
     [result] = checks(by_name("ref_poly_reject"), "preservation/")
     assert result.status == "pass"

@@ -1,0 +1,194 @@
+"""The object semantics of syntax nodes, types and run-time values.
+
+They are slotted dataclasses, immutable by convention: no instance has a
+`__dict__`; ground values, nodes and types compare and hash by value, and
+only within their own class; cells, closures and persisted values compare
+by identity; and running the pipeline assigns no field of a tree.
+"""
+
+import dataclasses
+import gc
+
+import pytest
+
+from polylet import syntax as S
+from polylet.backends import EvalCode, QuoteCode, StringCode, evaluate
+from polylet.corpus import ENTRIES
+from polylet.diagnostics import Diagnostic
+from polylet.engine import (
+    RuntimeValue,
+    VClosure,
+    VCode,
+    VInt,
+    VList,
+    VNative,
+    VPair,
+    VRefCell,
+    VScope,
+    VStr,
+    VUnit,
+)
+from polylet.parser import parse_source
+from polylet.typecheck import infer_host, infer_staged
+from polylet.typesys import (
+    INT,
+    STR,
+    UNIT,
+    TArrow,
+    TCode,
+    TFunScope,
+    TList,
+    TPair,
+    TRef,
+    TScope,
+    TVar,
+    Type,
+    TypeEnv,
+)
+from polylet.unstage import translate
+
+X, Y = S.Var("x"), S.Var("y")
+
+# One instance of every concrete class, in three groups.
+BY_VALUE = [
+    X,
+    S.IntLit(1),
+    S.StrLit("s"),
+    S.Nil(),
+    S.Unit(),
+    S.Add(X, Y),
+    S.Pair(X, Y),
+    S.Cons(X, Y),
+    S.RefNew(X),
+    S.RefGet(X),
+    S.Rset(X, Y),
+    S.App(X, Y),
+    S.Fun("x", X),
+    S.Let("x", X, Y),
+    S.Bracket(X),
+    S.Escape(X),
+    S.Csp(X),
+    S.Comb("pair", (X, Y)),
+    INT,
+    STR,
+    UNIT,
+    TList(INT),
+    TPair(INT, STR),
+    TArrow(INT, STR),
+    TRef(INT),
+    TCode(INT),
+    TScope(INT),
+    TFunScope(INT),
+    VInt(1),
+    VStr("s"),
+    VUnit(),
+    VList((VInt(1),)),
+    VPair(VInt(1), VStr("s")),
+    QuoteCode(S.Pair(X, Y)),
+    StringCode("(x, y)"),
+]
+BY_IDENTITY = [
+    S.CspValue(VRefCell(VList(()))),
+    VRefCell(VList(())),
+    VClosure("x", X, {}),
+    VNative(lambda v: v),
+    VCode(S.Unit()),
+    VScope(1),
+    EvalCode(lambda: VUnit()),
+]
+CELLS = [TVar()]
+
+
+def _concrete_classes():
+    """Every class that derives from a node, type or value base.  Collect
+    first: `dataclass(slots=True)` replaces the class it was given, and the
+    replaced one stays among the subclasses until it is collected."""
+    gc.collect()
+    out, todo = set(), [S.Expr, Type, RuntimeValue]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            out.add(cls)
+            todo.append(cls)
+    return out
+
+
+def _name(obj):
+    return type(obj).__name__
+
+
+def _copy(obj):
+    return type(obj)(*(getattr(obj, f.name) for f in dataclasses.fields(obj)))
+
+
+def test_every_class_has_a_sample():
+    sampled = {type(obj) for obj in BY_VALUE + BY_IDENTITY + CELLS}
+    assert _concrete_classes() <= sampled
+    assert {QuoteCode, StringCode, EvalCode} <= sampled
+
+
+@pytest.mark.parametrize("obj", BY_VALUE + BY_IDENTITY + CELLS, ids=_name)
+def test_slotted_without_instance_dict(obj):
+    for cls in type(obj).__mro__[:-1]:
+        assert "__slots__" in cls.__dict__, cls
+    assert not hasattr(obj, "__dict__")
+
+
+@pytest.mark.parametrize("obj", BY_VALUE, ids=_name)
+def test_equal_fields_compare_and_hash_equal(obj):
+    twin = _copy(obj)
+    assert twin is not obj
+    assert twin == obj
+    assert hash(twin) == hash(obj)
+    assert len({obj, twin}) == 1
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (TList(INT), TRef(INT)),
+        (TCode(INT), TScope(INT)),
+        (TScope(INT), TFunScope(INT)),
+        (S.RefNew(X), S.RefGet(X)),
+        (S.Bracket(X), S.Escape(X)),
+        (S.Nil(), S.Unit()),
+        (VInt(1), VStr("1")),
+        (VInt(1), S.IntLit(1)),
+        (VUnit(), S.Unit()),
+    ],
+    ids=lambda obj: _name(obj),
+)
+def test_equal_fields_in_different_classes_differ(a, b):
+    assert a != b
+    assert b != a
+
+
+@pytest.mark.parametrize("obj", BY_IDENTITY + CELLS, ids=_name)
+def test_identity_classes_compare_by_identity(obj):
+    assert obj == obj
+    assert hash(obj) == object.__hash__(obj)
+    if dataclasses.is_dataclass(obj):
+        assert _copy(obj) != obj
+    else:
+        assert TVar() != obj
+
+
+@pytest.mark.parametrize(
+    "entry", [e for e in ENTRIES if e.source is not None], ids=lambda e: e.name
+)
+def test_running_the_pipeline_assigns_no_field(entry):
+    tree = parse_source(entry.source)
+    term = translate(tree)
+    for run in (
+        lambda: infer_staged(TypeEnv(), tree),
+        lambda: infer_host(TypeEnv(), term),
+        lambda: evaluate(term, "quote"),
+        lambda: evaluate(term, "string"),
+        lambda: evaluate(term, "eval").force(),
+    ):
+        try:
+            run()
+        except Diagnostic:
+            pass
+    fresh = parse_source(entry.source)
+    assert tree == fresh
+    assert term == translate(fresh)

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import random
 import sys
 
@@ -158,6 +159,7 @@ def test_is_plain():
 
 
 def _node_classes():
+    gc.collect()  # a slotted dataclass's replaced class lingers until collected
     out, todo = [], [S.Expr]
     while todo:
         cls = todo.pop()
