@@ -23,7 +23,7 @@ class Kind(enum.Enum):
 
 @dataclass(frozen=True)
 class Location:
-    """Position in the input text: byte offset plus 1-based line/column."""
+    """Position in the input text: character offset plus 1-based line/column."""
 
     offset: int
     line: int
@@ -34,8 +34,8 @@ class Location:
 
 
 def location(text: str, offset: int) -> Location:
-    """The Location of `offset` in `text`.  Tokens carry bare offsets, and
-    lines are counted only here, when a diagnostic is raised."""
+    """The Location of `offset` in `text`.  Lines are counted only here,
+    when a diagnostic is raised."""
     return Location(offset, text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
 
 
@@ -67,6 +67,6 @@ def unbound_var(name: str, location: Location | None = None) -> Diagnostic:
     return Diagnostic(Kind.UNBOUND_VAR, f"unbound variable {name}", location)
 
 
-def recursion_limit() -> Diagnostic:
+def recursion_limit(location: Location | None = None) -> Diagnostic:
     limit = sys.getrecursionlimit()
-    return Diagnostic(Kind.RESOURCE_LIMIT, f"nesting exceeds the recursion limit ({limit})")
+    return Diagnostic(Kind.RESOURCE_LIMIT, f"nesting exceeds the recursion limit ({limit})", location)

@@ -5,12 +5,14 @@ escapes `.~e`, plus the CSP marker `%e`.  Application binds tighter than
 `::`, which binds tighter than `+`; `,` builds pairs inside parentheses
 only.  Comments are `(* ... *)` and nest.
 
-A token is a tuple `(kind, text, value, offset)`.  Punctuation and
-keywords are recognised by their text alone: no other token has the same
-text, since a string token's text keeps its quotes.  Line and column are
-computed from the offset only when a diagnostic is raised.  Chains of
-`let ... in`, `fun ... ->` and `::` are read in loops, so their length
-costs no recursion depth.
+The parser reads the token texts that one `findall` returns and learns a
+token's kind from its first character where it needs the kind; it
+matches punctuation and keywords by their text.  Comments nest, which a
+regex cannot match, so a text that may hold one is read token by token.
+Only when a parse fails does `tokenize` read the text again, to raise
+any lexical error first and to give the failing token's offset.  Chains
+of `let ... in`, `fun ... ->` and `::` are read in loops, so their
+length costs no recursion depth.
 
 The parser alone enforces the two-level staging discipline, with located
 diagnostics: a bracket may not occur inside a bracket except within an
@@ -33,90 +35,99 @@ KEYWORDS = frozenset({"let", "in", "fun", "ref", "rset"})
 # Texts of the tokens that cannot start an application's argument; `""`
 # is the end of input.
 _STOP = KEYWORDS | {"", ")", "]", ",", "+", "::", "->", "=", ">."}
+_PUNCT = frozenset({"::", "->", ".<", ">.", ".~", "(", ")", "[", "]", "+", ",", "=", "!", "%"})
 
-# One token after any whitespace, in a group named after its kind; no
-# group matches at the end of the text.  `\s` is `str.isspace`, `\d` is
-# `str.isdecimal` and `\w` is `str.isalnum` or `_`.  A `word` is a
-# non-ASCII identifier, which must start with a letter: `[^\W\d]` also
-# admits numerals such as `²`.
-_TOKEN = re.compile(
-    r"""\s*(?:
-      (?P<punct>::|->|\.<|>\.|\.~|[)\[\]+,=!%]|\((?!\*))
-    | (?P<ident>[A-Za-z_][\w']*)
-    | (?P<int>\d+)
-    | (?P<string>"[^"\\]*(?:\\.[^"\\]*)*")
-    | (?P<comment>\(\*)
-    | (?P<word>[^\W\d][\w']*)
-    | (?P<bad>\S)
-    )?""",
-    re.VERBOSE | re.DOTALL,
-)
+# One token after any whitespace: punctuation, the `(*` that opens a
+# comment, a string, an integer, an identifier, or any other character,
+# which is a lexical error.  `\s` is `str.isspace`, `\d` is `str.isdecimal`
+# and `\w` is `str.isalnum` or `_`.  `[^\W\d]` also admits numerals such
+# as `²`, but `_kind` makes only a letter or `_` start an identifier.
+_TOKEN = re.compile(r"""\s*(::|->|\.<|>\.|\.~|\(\*?|[)\[\]+,=!%]|"[^"\\]*(?:\\.[^"\\]*)*"|\d+|[^\W\d][\w']*|\S)""")
 _COMMENT = re.compile(r"\(\*|\*\)")
 
 
-def tokenize(text: str) -> list[tuple]:
-    """The tokens of `text`, the last of kind `eof`; a bad character, an
-    unterminated string or an unterminated comment raises a ParseError."""
-    tokens: list[tuple] = []
-    append = tokens.append
-    match = _TOKEN.match
+def _kind(text: str) -> str:
+    """The kind of a token from its first character: `int`, `ident`,
+    `string` or `punct`, which is any other text, a bad one too."""
+    c = text[:1]
+    if c.isdecimal():
+        return "int"
+    if c.isalpha() or c == "_":
+        return "ident"
+    return "string" if c == '"' and len(text) > 1 else "punct"
+
+
+def _int_limit() -> str:
+    return f"integer literal has more than {sys.get_int_max_str_digits()} digits"
+
+
+def _scan(text: str):
+    """The text and offset of each token of `text`, past comments; an
+    unterminated comment ends the text as the token `(*`."""
     pos = 0
-    while True:
-        m = match(text, pos)
-        kind = m.lastgroup
+    while m := _TOKEN.match(text, pos):
         pos = m.end()
-        if kind == "punct" or kind == "ident":
-            t = m[kind]
-            append((kind, t, t, pos - len(t)))
-        elif kind == "int":
-            t = m[kind]
+        if m[1] != "(*":
+            yield m[1], m.start(1)
+            continue
+        depth = 1
+        while depth:
+            delim = _COMMENT.search(text, pos)
+            if delim is None:
+                yield m[1], m.start(1)
+                return
+            pos = delim.end()
+            depth += 1 if delim[0] == "(*" else -1
+
+
+def tokenize(text: str) -> list[tuple]:
+    """The tokens of `text` as `(kind, text, value, offset)`, the last of
+    kind `eof`; a string's text is its value between quotes.  A bad
+    character, an unterminated string or comment, or an integer past
+    Python's integer-string limit raises a ParseError."""
+    tokens: list[tuple] = []
+    for t, offset in _scan(text):
+        kind = _kind(t)
+        value = t
+        if kind == "int":
             try:
                 value = int(t)
             except ValueError:  # Python's integer-string limit, left in force
-                limit = sys.get_int_max_str_digits()
-                message = f"integer literal has more than {limit} digits"
-                raise parse_error(message, location(text, pos - len(t))) from None
-            append((kind, t, value, pos - len(t)))
+                raise parse_error(_int_limit(), location(text, offset)) from None
         elif kind == "string":
-            t = m[kind]
-            body = S.unescape(t[1:-1])
-            append((kind, '"' + body + '"', body, pos - len(t)))
-        elif kind == "comment":
-            depth = 1
-            while depth:
-                delim = _COMMENT.search(text, pos)
-                if delim is None:
-                    raise parse_error("unterminated comment", location(text, m.start(kind)))
-                pos = delim.end()
-                depth += 1 if delim[0] == "(*" else -1
-        elif kind is None:
-            append(("eof", "", None, pos))
-            return tokens
-        elif kind == "word" and m[kind][0].isalpha():
-            t = m[kind]
-            append(("ident", t, t, pos - len(t)))
-        else:  # a stray character, an unclosed string's quote, or `²`
-            c = m[kind][0]
-            message = "unterminated string literal" if c == '"' else f"unexpected character {c!r}"
-            raise parse_error(message, location(text, m.start(kind)))
+            value = S.unescape(t[1:-1])
+            t = '"' + value + '"'
+        elif kind == "punct" and t not in _PUNCT:  # an unclosed comment's `(*`, an unclosed string's quote, or `²`
+            message = {"(*": "unterminated comment", '"': "unterminated string literal"}.get(t)
+            raise parse_error(message or f"unexpected character {t[0]!r}", location(text, offset))
+        tokens.append((kind, t, value, offset))
+    tokens.append(("eof", "", None, len(text)))
+    return tokens
 
 
 class _Parser:
-    """Recursive descent over the token list; `tok` is the next token."""
+    """Recursive descent over the token texts, the last `""`; `tok` is the next."""
 
     def __init__(self, text: str, allow_staging: bool):
         self.text = text
-        self.next = iter(tokenize(text)).__next__
+        self.tokens = [t for t, _ in _scan(text)] if "(*" in text else _TOKEN.findall(text)
+        self.tokens.append("")
+        self.next = iter(self.tokens).__next__
         self.tok = self.next()
         self.level = 0
         self.allow_staging = allow_staging
 
+    def token(self) -> tuple:
+        """`tok` as `tokenize` reads it, raising the text's first lexical error;
+        the iterator's length hint counts the tokens after `tok`."""
+        return tokenize(self.text)[len(self.tokens) - self.next.__self__.__length_hint__() - 1]
+
     def fail(self, message: str) -> Diagnostic:
-        return parse_error(message, location(self.text, self.tok[3]))
+        return parse_error(message, location(self.text, self.token()[3]))
 
     def expect(self, text: str) -> None:
-        found = self.tok[1]
-        if found != text:
+        if self.tok != text:
+            found = self.token()[1]  # a string shows its value, between quotes
             raise self.fail(f"expected {text!r}, found {found or 'end of input'!r}")
         self.tok = self.next()
 
@@ -125,13 +136,13 @@ class _Parser:
         to the left over `::` chains, which fold to the right."""
         heads: list[tuple[str, S.Expr | None]] = []
         while True:
-            word = self.tok[1]
+            word = self.tok
             if word == "let":
                 self.tok = self.next()
                 name = self.binder()
                 self.expect("=")
                 rhs = self.expr()
-                if self.tok[1] != "in":
+                if self.tok != "in":
                     raise self.fail("expected 'in'")
                 self.tok = self.next()
                 heads.append((name, rhs))
@@ -145,10 +156,10 @@ class _Parser:
         e = None
         while True:
             operand = self.app()
-            if self.tok[1] == "::":
+            if self.tok == "::":
                 operand = self.cons(operand)
             e = operand if e is None else S.Add(e, operand)
-            if self.tok[1] != "+":
+            if self.tok != "+":
                 break
             self.tok = self.next()
         for name, rhs in reversed(heads):
@@ -156,8 +167,8 @@ class _Parser:
         return e
 
     def binder(self) -> str:
-        kind, text = self.tok[:2]
-        if kind == "ident":
+        text = self.tok
+        if _kind(text) == "ident":
             if text in KEYWORDS:
                 raise self.fail(f"keyword {text!r} cannot be a binder")
             self.tok = self.next()
@@ -171,7 +182,7 @@ class _Parser:
     def cons(self, head: S.Expr) -> S.Expr:
         """The rest of a `::` chain that starts with `head`."""
         items = [head]
-        while self.tok[1] == "::":
+        while self.tok == "::":
             self.tok = self.next()
             items.append(self.app())
         e = items.pop()
@@ -180,7 +191,7 @@ class _Parser:
         return e
 
     def app(self) -> S.Expr:
-        word = self.tok[1]
+        word = self.tok
         if word == "ref":
             self.tok = self.next()
             return S.RefNew(self.prefix())
@@ -189,17 +200,21 @@ class _Parser:
             ref = self.prefix()
             return S.Rset(ref, self.prefix())
         e = self.prefix()
-        while self.tok[1] not in _STOP:
+        while self.tok not in _STOP:
             e = S.App(e, self.prefix())
         return e
 
     def prefix(self) -> S.Expr:
         """An atom, or a prefix operator (`!`, `%`, `.~`) before one."""
-        tok = self.tok
-        kind, text = tok[0], tok[1]
+        text = self.tok
+        kind = _kind(text)
         if kind == "int":
+            try:
+                value = int(text)
+            except ValueError:  # Python's integer-string limit, left in force
+                raise self.fail(_int_limit()) from None
             self.tok = self.next()
-            return S.IntLit(tok[2])
+            return S.IntLit(value)
         if kind == "ident":
             if text in KEYWORDS:
                 raise self.fail(f"unexpected keyword {text!r}")
@@ -207,14 +222,14 @@ class _Parser:
             return S.Var(text)
         if kind == "string":
             self.tok = self.next()
-            return S.StrLit(tok[2])
+            return S.StrLit(S.unescape(text[1:-1]))
         if text == "(":
             self.tok = self.next()
-            if self.tok[1] == ")":
+            if self.tok == ")":
                 self.tok = self.next()
                 return S.Unit()
             first = self.expr()
-            if self.tok[1] == ",":
+            if self.tok == ",":
                 self.tok = self.next()
                 second = self.expr()
                 self.expect(")")
@@ -258,13 +273,13 @@ class _TermParser(_Parser):
     fewer, the name is a plain variable."""
 
     def app(self) -> S.Expr:
-        name = self.tok[1]
+        name = self.tok
         arity = S.COMB_ARITY.get(name)
         if not arity:  # not a combinator, or a constant, which `prefix` reads
             return super().app()
         self.tok = self.next()
         args = []
-        while self.tok[1] not in _STOP:
+        while self.tok not in _STOP:
             args.append(self.prefix())
         e = S.Var(name)
         if len(args) >= arity:
@@ -274,7 +289,7 @@ class _TermParser(_Parser):
         return e
 
     def prefix(self) -> S.Expr:
-        name = self.tok[1]
+        name = self.tok
         if S.COMB_ARITY.get(name) != 0:
             return super().prefix()
         self.tok = self.next()
@@ -285,9 +300,9 @@ def _parse(parser: _Parser) -> S.Expr:
     try:
         e = parser.expr()
     except RecursionError:
-        raise recursion_limit() from None
-    if parser.tok[0] != "eof":
-        raise parser.fail(f"trailing input starting at {parser.tok[1]!r}")
+        raise recursion_limit(location(parser.text, parser.token()[3])) from None
+    if parser.tok:
+        raise parser.fail(f"trailing input starting at {parser.tok!r}")
     return e
 
 

@@ -261,7 +261,7 @@ def test_deep_nesting_reports_resource_limit(write):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert re.fullmatch(
-        re.escape(path) + r": ResourceLimit: nesting exceeds the recursion limit \(\d+\)\n",
+        re.escape(path) + r":1:\d+: ResourceLimit: nesting exceeds the recursion limit \(\d+\)\n",
         proc.stderr,
     )
 

@@ -199,6 +199,33 @@ def test_numerals_that_are_not_decimal_digits_are_rejected(text, char, where):
     assert str(exc.value.location) == where
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ('(* c *) "a\\\\b"', S.StrLit("a\\b")),
+        ('"(*"', S.StrLit("(*")),
+        ('fun x "a\\"b"', "1:7: expected '->', found '\"a\"b\"'"),
+        (") ²", "1:3: unexpected character '²'"),  # a lexical error beats an earlier syntax error
+        ("(" * 2000 + "²", "1:2001: unexpected character '²'"),  # and a too deep nesting
+        ("9" * 5000 + " )", f"1:1: integer literal has more than {sys.get_int_max_str_digits()} digits"),
+        ('(* "*) *) 1', "1:8: unexpected character '*'"),  # comments ignore string quotes
+    ],
+    ids=["comment-then-backslash", "string-holding-(*", "found-string", "lexical-first", "lexical-before-depth",
+         "integer-limit", "quote-in-comment"],
+)  # fmt: skip
+def test_parse_outcomes_at_the_default_recursion_limit(text, expected):
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        e = parse_source(text)
+    except Diagnostic as diag:
+        assert diag.kind is Kind.PARSE_ERROR
+        e = f"{diag.location}: {diag.message}"
+    finally:
+        sys.setrecursionlimit(limit)
+    assert e == expected
+
+
 def _chain_length(e, cls, child):
     """How many `cls` nodes lead from `e` along the field `child`, and the
     node after them; a loop, so depth costs no recursion."""
@@ -235,6 +262,8 @@ def test_too_deep_nesting_is_a_resource_limit_at_the_default_recursion_limit():
                 parse(text)
             assert exc.value.kind is Kind.RESOURCE_LIMIT
             assert exc.value.message == "nesting exceeds the recursion limit (1000)"
+            # The parse stopped at a token inside the nesting.
+            assert exc.value.location.line == 1 and 1 < exc.value.location.column < len(text)
     finally:
         sys.setrecursionlimit(limit)
 
