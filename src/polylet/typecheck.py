@@ -11,6 +11,11 @@ Both share the generalization policies: the strict value restriction,
 the non-expansive extension, and the relaxed rule that also generalizes
 the type variables of an expansive right-hand side that occur only
 covariantly.
+
+Inference is one table, `_INFER`, from node class to rule(env, e, level,
+policy), like the machine's `_STEP`.  A rule types each child through the
+table, one Python frame per tree level; a binder's rule binds its name in
+the scoped `TypeEnv` for its body and unbinds it after.
 """
 
 from __future__ import annotations
@@ -47,28 +52,46 @@ class GenPolicy(enum.Enum):
     RELAXED = "relaxed"
 
 
+# Named once: before Python 3.12, naming an enum member is a slow lookup.
+_STRICT, _RELAXED = GenPolicy.STRICT_VALUE, GenPolicy.RELAXED
+
+# The classes that are values (non-expansive) outright, and those that are
+# when every child is; an unapplied combinator constant is a value too.
+_VALUE_LEAVES = frozenset((S.Var, S.IntLit, S.StrLit, S.Nil, S.Unit, S.Fun, S.CspValue))
+_VALUE_NODES = frozenset((S.Pair, S.Cons))
+_NONEXPANSIVE_LEAVES = _VALUE_LEAVES | {S.Bracket}
+_NONEXPANSIVE_NODES = _VALUE_NODES | {S.Csp, S.Let}
+
+
 def is_syntactic_value(e: S.Expr) -> bool:
     """The strict value class: literals, variables, functions, pair/cons
     cells of values, and combinator constants (zero-arity combinators)."""
-    if isinstance(e, (S.Var, S.IntLit, S.StrLit, S.Nil, S.Unit, S.Fun, S.CspValue)):
-        return True
-    if isinstance(e, (S.Pair, S.Cons)):
-        return all(is_syntactic_value(c) for c in S.children(e))
-    return isinstance(e, S.Comb) and not e.args
+    return is_nonexpansive(e, _VALUE_LEAVES, _VALUE_NODES)
 
 
-def is_nonexpansive(e: S.Expr) -> bool:
+def is_nonexpansive(e: S.Expr, leaves=_NONEXPANSIVE_LEAVES, nodes=_NONEXPANSIVE_NODES) -> bool:
     """Expressions whose evaluation visibly contributes no effect.
 
     Values, brackets, CSP of non-expansive operands, and let-expressions
     over non-expansive parts qualify; applications, reference operations,
-    escapes, and applied combinators do not.
+    escapes, and applied combinators do not.  Whether e is a leaf, or a
+    node whose children all are, recursively: past the root, on an
+    explicit stack, so any depth is fine.
     """
-    if is_syntactic_value(e) or isinstance(e, S.Bracket):
+    cls = type(e)
+    if cls in leaves:
         return True
-    if isinstance(e, (S.Csp, S.Pair, S.Cons, S.Let)):
-        return all(is_nonexpansive(c) for c in S.children(e))
-    return False
+    if cls not in nodes:
+        return cls is S.Comb and not e.args
+    stack = list(S.children(e))
+    while stack:
+        e = stack.pop()
+        cls = type(e)
+        if cls in nodes:
+            stack += S.children(e)
+        elif cls not in leaves and (cls is not S.Comb or e.args):
+            return False
+    return True
 
 
 def generalize(t: Type, env: TypeEnv, rhs_nonexpansive: bool, policy: GenPolicy) -> Scheme:
@@ -78,117 +101,147 @@ def generalize(t: Type, env: TypeEnv, rhs_nonexpansive: bool, policy: GenPolicy)
     them for a non-expansive right-hand side; for an expansive one, none,
     or under the relaxed policy those that occur only covariantly."""
     t = resolve(t)
-    if not rhs_nonexpansive and policy is not GenPolicy.RELAXED:
+    free = free_type_vars(t) if rhs_nonexpansive or policy is _RELAXED else None
+    if not free:
         return monotype(t)
-    free = free_type_vars(t)
     quantified = [v for v in free if v.rank > env.depth and (rhs_nonexpansive or not free[v])]
     return Scheme(tuple(quantified), t)
 
 
-def _gen_flag(e: S.Expr, policy: GenPolicy) -> bool:
-    if policy is GenPolicy.STRICT_VALUE:
-        return is_syntactic_value(e)
-    return is_nonexpansive(e)
-
-
 def infer_staged(env: TypeEnv, e: S.Expr, policy: GenPolicy = GenPolicy.RELAXED) -> Scheme:
-    t = _infer(env, e, 0, policy)
-    return generalize(t, env, _gen_flag(e, policy), policy)
+    env = env.copy()  # so that the caller's is as it was, also when a rule raises
+    t = _INFER[type(e)](env, e, 0, policy)
+    flag = is_syntactic_value(e) if policy is _STRICT else is_nonexpansive(e)
+    return generalize(t, env, flag, policy)
 
 
 infer_host = infer_staged
 
 
-def _infer(env: TypeEnv, e: S.Expr, level: int, policy: GenPolicy) -> Type:
-    if isinstance(e, S.Var):
-        node = env.lookup(e.name)
-        if node is None:
-            raise unbound_var(e.name)
-        if node.level != level:
-            raise type_error(
-                f"variable {e.name} is bound at level {node.level} "
-                f"but used at level {level}"
-            )
-        return node.scheme.instantiate()
-    if isinstance(e, S.Comb):
-        ty = _COMB_TYPES[e.name]
-        if callable(ty):
-            ty = ty(TVar(), TVar(), TVar())
-        for arg in e.args:
-            arg_ty = _infer(env, arg, level, policy)
-            if type(ty) is not TArrow:  # over-applied: raises a type error
-                unify(ty, TArrow(arg_ty, TVar()))
-            unify(ty.arg, arg_ty)
-            ty = ty.result
-        return ty
-    if isinstance(e, S.IntLit):
-        return INT
-    if isinstance(e, S.StrLit):
-        return STR
-    if isinstance(e, S.Nil):
-        return TList(TVar())
-    if isinstance(e, S.Unit):
-        return UNIT
-    if isinstance(e, S.CspValue):
-        return TVar()
-    if isinstance(e, S.Add):
-        unify(_infer(env, e.left, level, policy), INT)
-        unify(_infer(env, e.right, level, policy), INT)
-        return INT
-    if isinstance(e, S.Pair):
-        return TPair(_infer(env, e.first, level, policy), _infer(env, e.second, level, policy))
-    if isinstance(e, S.Cons):
-        head = _infer(env, e.head, level, policy)
-        unify(_infer(env, e.tail, level, policy), TList(head))
-        return TList(head)
-    if isinstance(e, S.RefNew):
-        return TRef(_infer(env, e.init, level, policy))
-    if isinstance(e, S.RefGet):
-        item = TVar()
-        unify(_infer(env, e.ref, level, policy), TRef(item))
-        return item
-    if isinstance(e, S.Rset):
-        item = TVar()
-        unify(_infer(env, e.ref, level, policy), TRef(TList(item)))
-        unify(_infer(env, e.value, level, policy), item)
-        return TList(item)
-    if isinstance(e, S.App):
-        fn = _infer(env, e.fn, level, policy)
-        arg = _infer(env, e.arg, level, policy)
-        result = TVar()
-        unify(fn, TArrow(arg, result))
-        return result
-    if isinstance(e, S.Fun):
-        param: Type = UNIT if e.param == S.UNIT_BINDER else TVar()
-        inner = env.bind(e.param, level, monotype(param)) if S.binds(e.param) else env
-        return TArrow(param, _infer(inner, e.body, level, policy))
-    if isinstance(e, S.Let):
-        rhs = _infer(env, e.rhs, level, policy)
-        if S.binds(e.name):
-            scheme = generalize(rhs, env, _gen_flag(e.rhs, policy), policy)
-            inner = env.bind(e.name, level, scheme)
-        else:
-            if e.name == S.UNIT_BINDER:
-                unify(rhs, UNIT)
-            inner = env
-        return _infer(inner, e.body, level, policy)
-    if isinstance(e, S.Bracket):
-        if level != 0:
-            raise type_error("nested bracket")
-        return TCode(_infer(env, e.body, 1, policy))
-    if isinstance(e, S.Escape):
-        if level != 1:
-            raise type_error("escape at level 0")
-        code = _infer(env, e.body, 0, policy)
-        item = TVar()
-        unify(code, TCode(item))
-        return item
-    if isinstance(e, S.Csp):
-        # A level-0 judgment: at level 1 the value persists at its own
-        # type; at level 0 the marker lifts the value into code.
-        t = _infer(env, e.body, 0, policy)
-        return t if level == 1 else TCode(t)
-    raise TypeError(f"unexpected expression {e!r}")
+def _infer_var(env, e, level, policy):
+    bound = env.lookup(e.name)
+    if bound is None:
+        raise unbound_var(e.name)
+    if bound[0] != level:
+        raise type_error(f"variable {e.name} is bound at level {bound[0]} but used at level {level}")
+    return bound[1].instantiate()
+
+
+def _infer_comb(env, e, level, policy):
+    ty = _COMB_TYPES[e.name]
+    if callable(ty):
+        ty = ty(TVar(), TVar(), TVar())
+    for arg in e.args:
+        arg_ty = _INFER[type(arg)](env, arg, level, policy)
+        if type(ty) is not TArrow:  # over-applied: raises a type error
+            unify(ty, TArrow(arg_ty, TVar()))
+        unify(ty.arg, arg_ty)
+        ty = ty.result
+    return ty
+
+
+def _infer_add(env, e, level, policy):
+    unify(_INFER[type(e.left)](env, e.left, level, policy), INT)
+    unify(_INFER[type(e.right)](env, e.right, level, policy), INT)
+    return INT
+
+
+def _infer_cons(env, e, level, policy):
+    head = _INFER[type(e.head)](env, e.head, level, policy)
+    unify(_INFER[type(e.tail)](env, e.tail, level, policy), TList(head))
+    return TList(head)
+
+
+def _infer_ref_get(env, e, level, policy):
+    item = TVar()
+    unify(_INFER[type(e.ref)](env, e.ref, level, policy), TRef(item))
+    return item
+
+
+def _infer_rset(env, e, level, policy):
+    item = TVar()
+    unify(_INFER[type(e.ref)](env, e.ref, level, policy), TRef(TList(item)))
+    unify(_INFER[type(e.value)](env, e.value, level, policy), item)
+    return TList(item)
+
+
+def _infer_app(env, e, level, policy):
+    fn = _INFER[type(e.fn)](env, e.fn, level, policy)
+    arg = _INFER[type(e.arg)](env, e.arg, level, policy)
+    result = TVar()
+    unify(fn, TArrow(arg, result))
+    return result
+
+
+def _infer_fun(env, e, level, policy):
+    param = UNIT if e.param == S.UNIT_BINDER else TVar()
+    if not S.binds(e.param):
+        return TArrow(param, _INFER[type(e.body)](env, e.body, level, policy))
+    env.bind(e.param, level, monotype(param))
+    result = _INFER[type(e.body)](env, e.body, level, policy)
+    env.unbind(e.param)
+    return TArrow(param, result)
+
+
+def _infer_let(env, e, level, policy):
+    name, rhs, body = e.name, e.rhs, e.body
+    rhs_ty = _INFER[type(rhs)](env, rhs, level, policy)
+    if not S.binds(name):
+        if name == S.UNIT_BINDER:
+            unify(rhs_ty, UNIT)
+        return _INFER[type(body)](env, body, level, policy)
+    flag = is_syntactic_value(rhs) if policy is _STRICT else is_nonexpansive(rhs)
+    env.bind(name, level, generalize(rhs_ty, env, flag, policy))
+    result = _INFER[type(body)](env, body, level, policy)
+    env.unbind(name)
+    return result
+
+
+def _infer_bracket(env, e, level, policy):
+    if level != 0:
+        raise type_error("nested bracket")
+    return TCode(_INFER[type(e.body)](env, e.body, 1, policy))
+
+
+def _infer_escape(env, e, level, policy):
+    if level != 1:
+        raise type_error("escape at level 0")
+    code = _INFER[type(e.body)](env, e.body, 0, policy)
+    item = TVar()
+    unify(code, TCode(item))
+    return item
+
+
+def _infer_csp(env, e, level, policy):
+    # A level-0 judgment: at level 1 the value persists at its own type; at
+    # level 0 the marker lifts the value into code.
+    t = _INFER[type(e.body)](env, e.body, 0, policy)
+    return t if level == 1 else TCode(t)
+
+
+_INFER = {
+    S.Var: _infer_var,
+    S.Comb: _infer_comb,
+    S.IntLit: lambda env, e, level, policy: INT,
+    S.StrLit: lambda env, e, level, policy: STR,
+    S.Unit: lambda env, e, level, policy: UNIT,
+    S.Nil: lambda env, e, level, policy: TList(TVar()),
+    S.CspValue: lambda env, e, level, policy: TVar(),
+    S.Add: _infer_add,
+    S.Pair: lambda env, e, level, policy: TPair(
+        _INFER[type(e.first)](env, e.first, level, policy), _INFER[type(e.second)](env, e.second, level, policy)
+    ),
+    S.Cons: _infer_cons,
+    S.RefNew: lambda env, e, level, policy: TRef(_INFER[type(e.init)](env, e.init, level, policy)),
+    S.RefGet: _infer_ref_get,
+    S.Rset: _infer_rset,
+    S.App: _infer_app,
+    S.Fun: _infer_fun,
+    S.Let: _infer_let,
+    S.Bracket: _infer_bracket,
+    S.Escape: _infer_escape,
+    S.Csp: _infer_csp,
+}
 
 
 # Each combinator constant's library type.  A ground type is one shared

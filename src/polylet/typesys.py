@@ -5,9 +5,10 @@ path compression, so each inference run owns its substitution implicitly.
 Every other type is a slotted dataclass, immutable by convention.
 
 Generalization is linear in the program, by ranks on type variables
-(Remy's levels).  A `TypeEnv` is a chain of binding nodes whose `depth`
-counts them.  The rank invariant: an unbound variable that the binding
-at depth k can reach has rank at most k.  A variable enters a let's right-hand side
+(Remy's levels).  A `TypeEnv` is a scoped table: each name maps to a
+stack of its bindings, and `depth` counts the bindings in scope.  The
+rank invariant: an unbound variable that the binding at depth k can
+reach has rank at most k.  A variable enters a let's right-hand side
 fresh, by instantiation, or through the environment, so the variables of
 its type ranked deeper than the environment are exactly those the
 environment cannot reach, and `generalize` need not look at the
@@ -22,13 +23,14 @@ environment at all.  Ranks are only ever lowered, in two places:
 
 A fresh variable starts at `UNBOUNDED_RANK`: nothing can reach it yet.
 The rank is a position in the environment; it is unrelated to the stage
-`level` a `TypeEnv` node binds its variable at.
+`level` a `TypeEnv` binding holds its variable at.
 """
 
 from __future__ import annotations
 
 import itertools
 import sys
+from collections import defaultdict
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -205,7 +207,7 @@ def _collect_vars(t: Type, sign: int, out: dict[TVar, bool]) -> None:
             _collect_vars(p, sign, out)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class Scheme:
     quantified: tuple[TVar, ...]
     body: Type
@@ -232,39 +234,44 @@ def _subst(t: Type, mapping: dict[TVar, Type]) -> Type:
 
 
 class TypeEnv:
-    """An immutable chain of bindings, innermost first, one per node: the
-    variable's `name`, the stage `level` (0 or 1) it is bound at, and its
-    `scheme`.  `TypeEnv()` is the empty environment, of depth 0, binding
-    nothing; `lookup` returns the innermost node that binds a name."""
+    """The bindings in scope, as a table from each name to a stack of its
+    `(level, scheme)` bindings, innermost last: the stage `level` (0 or 1)
+    the variable is bound at, and its `scheme`.  Inference walks the tree
+    depth-first, so it `bind`s a name on entering its scope and `unbind`s
+    it on leaving.  `TypeEnv()` is the empty environment, of depth 0."""
 
-    __slots__ = ("name", "level", "scheme", "parent", "depth")
+    __slots__ = ("table", "depth")
 
     def __init__(self) -> None:
-        self.name: str | None = None
-        self.level = 0
-        self.scheme: Scheme | None = None
-        self.parent: TypeEnv | None = None
+        self.table: defaultdict[str, list[tuple[int, Scheme]]] = defaultdict(list)
         self.depth = 0
 
-    def bind(self, name: str, level: int, scheme: Scheme) -> TypeEnv:
-        """Extend by one binding, lowering the scheme's free variables to
-        the new depth (the rank invariant in the module docstring)."""
-        env = TypeEnv()
-        env.name, env.level, env.scheme, env.parent = name, level, scheme, self
-        env.depth = depth = self.depth + 1
-        quantified = set(scheme.quantified)
+    def bind(self, name: str, level: int, scheme: Scheme) -> None:
+        """Push one binding, lowering the scheme's free variables to the
+        new depth (the rank invariant in the module docstring)."""
+        self.depth = depth = self.depth + 1
+        quantified = set(scheme.quantified) if scheme.quantified else ()
         for v in free_type_vars(scheme.body):
             if v.rank > depth and v not in quantified:
                 v.rank = depth
-        return env
+        self.table[name].append((level, scheme))
 
-    def lookup(self, name: str) -> TypeEnv | None:
-        env: TypeEnv | None = self
-        while env is not None:
-            if env.name == name:
-                return env
-            env = env.parent
-        return None
+    def unbind(self, name: str) -> None:
+        """Pop the innermost binding of name."""
+        self.table[name].pop()
+        self.depth -= 1
+
+    def lookup(self, name: str) -> tuple[int, Scheme] | None:
+        """The innermost binding of name, or None."""
+        stack = self.table.get(name)
+        return stack[-1] if stack else None
+
+    def copy(self) -> TypeEnv:
+        """The same bindings, in a table of their own."""
+        env = TypeEnv()
+        env.table.update((name, stack[:]) for name, stack in self.table.items() if stack)
+        env.depth = self.depth
+        return env
 
 
 # Rendering: arrow < pair < postfix constructor application.

@@ -91,6 +91,16 @@ def test_translate_and_host_typecheck_long_plain_fun_chain(write):
         assert proc.stdout == handle.read() + "\n"
 
 
+def test_typecheck_long_plain_literal_let_chain(write):
+    # Whether a let may generalize is decided without recursion, so a long
+    # chain of lets costs one Python frame per let, like any other chain.
+    n = 900
+    path = write("".join(f"let x{i} = {i} in " for i in range(n)) + "1")
+    proc = _cli("typecheck", path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "int\n"
+
+
 def test_gen_policy_flag(write, capsys):
     relaxed_only = 'let x = (let r = ref [] in !r) in (2 :: x, "3" :: x)'
     path = write(relaxed_only)

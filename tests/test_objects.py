@@ -1,9 +1,10 @@
 """The object semantics of syntax nodes, types and run-time values.
 
 They are slotted dataclasses, immutable by convention: no instance has a
-`__dict__`; ground values, nodes and types compare and hash by value, and
-only within their own class; cells, closures and persisted values compare
-by identity; and running the pipeline assigns no field of a tree.
+`__dict__`, and neither has a type scheme or a type environment; ground
+values, nodes and types compare and hash by value, and only within their
+own class; cells, closures, schemes and persisted values compare by
+identity; and running the pipeline assigns no field of a tree.
 """
 
 import dataclasses
@@ -34,6 +35,7 @@ from polylet.typesys import (
     INT,
     STR,
     UNIT,
+    Scheme,
     TArrow,
     TCode,
     TFunScope,
@@ -95,8 +97,9 @@ BY_IDENTITY = [
     VCode(S.Unit()),
     VScope(1),
     EvalCode(lambda: VUnit()),
+    Scheme((), INT),
 ]
-CELLS = [TVar()]
+CELLS = [TVar(), TypeEnv()]
 
 
 def _concrete_classes():

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from polylet import syntax as S
@@ -15,6 +17,7 @@ from polylet.typecheck import (
 )
 from polylet.typesys import (
     INT,
+    STR,
     TPair,
     TArrow,
     TCode,
@@ -23,6 +26,7 @@ from polylet.typesys import (
     TVar,
     TypeEnv,
     free_type_vars,
+    monotype,
     render_scheme,
 )
 from polylet.unstage import translate
@@ -119,11 +123,85 @@ def test_generalize_relaxed_rejects_endo_arrow():
 
 def test_generalize_env_vars_excluded():
     v = TVar()
-    from polylet.typesys import monotype
-
-    env = TypeEnv().bind("y", 0, monotype(TList(v)))
+    env = TypeEnv()
+    env.bind("y", 0, monotype(TList(v)))
     s = generalize(TList(v), env, True, GenPolicy.RELAXED)
     assert s.quantified == ()
+
+
+def test_value_tests_walk_deep_trees_without_python_recursion():
+    values = S.Nil()
+    for i in range(100_000):
+        values = S.Cons(S.IntLit(i), values)
+    lets = S.Let("x", S.Csp(values), S.Var("x"))
+    for i in range(100_000):
+        lets = S.Let(f"x{i}", S.Pair(S.Var("x"), S.Comb("nil", ())), lets)
+    assert is_syntactic_value(values) and is_nonexpansive(lets)
+    assert not is_nonexpansive(S.Let("y", S.App(S.Var("f"), S.Unit()), lets))
+    assert not is_nonexpansive(S.Let("y", S.IntLit(1), S.Pair(lets, S.RefNew(S.Unit()))))
+
+
+# --- the environment ----------------------------------------------------------
+
+
+def _scope(env):
+    return env.depth, {name: list(stack) for name, stack in env.table.items() if stack}
+
+
+def test_shadowing_then_unbind_restores_the_outer_binding():
+    env = TypeEnv()
+    outer, inner = monotype(INT), monotype(STR)
+    env.bind("x", 0, outer)
+    env.bind("y", 0, inner)
+    env.bind("x", 1, inner)
+    assert env.lookup("x") == (1, inner)
+    assert env.depth == 3
+    env.unbind("x")
+    assert env.lookup("x") == (0, outer)
+    assert env.depth == 2
+    env.unbind("y")
+    env.unbind("x")
+    assert env.lookup("x") is None
+    assert _scope(env) == (0, {})
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "fun y -> let x = y in let f = fun x -> x in f x",
+        "fun y -> let x = y in let f = fun x -> x x in f",
+        "let x = 1 in fun y -> .<let z = 2 in z + nope>.",
+        "let x = 1 in fun y -> .<let z = 2 in z + x>.",
+    ],
+)
+def test_inference_leaves_the_callers_environment_as_it_was(text):
+    # Each program binds names in scopes of its own, and the last three
+    # raise inside them.
+    e = parse_source(text)
+    for infer, tree in ((infer_staged, e), (infer_host, translate(e))):
+        env = TypeEnv()
+        env.bind("x", 0, monotype(STR))
+        env.bind("w", 0, monotype(TVar()))
+        before = _scope(env)
+        try:
+            infer(env, tree)
+        except Diagnostic:
+            pass
+        assert _scope(env) == before
+
+
+def _node_classes():
+    gc.collect()  # `dataclass(slots=True)` leaves the class it replaced
+    out, todo = set(), [S.Expr]
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        out.add(cls)
+    return out - {S.Expr}
+
+
+def test_rule_table_covers_every_node_kind():
+    assert set(typecheck._INFER) == _node_classes()
 
 
 # --- staged inference ---------------------------------------------------------
@@ -417,7 +495,8 @@ def test_rank_keeps_environment_variables_monomorphic(case):
 def test_bind_lowers_only_unquantified_variables():
     a, b = TVar(), TVar()
     scheme = typesys.Scheme((a,), TPair(a, b))
-    env = TypeEnv().bind("p", 0, scheme)
+    env = TypeEnv()
+    env.bind("p", 0, scheme)
     assert env.depth == 1
     assert b.rank == 1
     assert a.rank == typesys.UNBOUNDED_RANK
