@@ -12,15 +12,17 @@ Four executable properties tie the pipeline together:
 * term text -- the printed term reads back with `parse_term` as itself,
   so a combinator program can be written as text.
 
-`check_entry` runs every check of one corpus entry in one pass: it parses
-the source once, makes the term once, types each once, and hands the
-shared tree, term and verdicts to one small function per kind of check.
-`check_random_program` does the same for a generated program.  Results
+Each oracle exists once, as one function that both drivers call:
+`check_entry` for a corpus entry and `check_random_program` for a
+generated one.  A driver parses the source once, makes the term once,
+types each once, and runs each backend at most once per term; every
+check that reads a backend's result reads that one evaluation.  Results
 are reported TAP-style; any hard failure fails the run.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -31,9 +33,9 @@ from . import typesys as ts
 from .backends import QuoteCode, StringCode, evaluate
 from .corpus import ENTRIES, KNOWN_DIVERGENCES, CorpusEntry
 from .diagnostics import Diagnostic, Kind
-from .engine import RuntimeValue, VCode, parse_value_literal, render_value
+from .engine import Evaluation, RuntimeValue, VCode, parse_value_literal, render_value
 from .parser import parse_plain, parse_source, parse_term
-from .typecheck import infer_host, infer_staged
+from .typecheck import infer_staged
 from .typesys import TypeEnv, render_scheme
 from .unstage import translate
 
@@ -45,7 +47,7 @@ class CheckResult:
     detail: str = ""
 
 
-# --- corpus checks ---------------------------------------------------------
+# --- the oracles -----------------------------------------------------------
 
 
 def _verdict(e: S.Expr):
@@ -57,6 +59,73 @@ def _verdict(e: S.Expr):
         if d.kind in (Kind.TYPE_ERROR, Kind.UNBOUND_VAR):
             return None, d
         raise
+
+
+def _preservation(name: str, staged_accepts: bool, diag, known: bool) -> CheckResult:
+    """Staged acceptance implies host acceptance (`diag` None) of the translation."""
+    if not staged_accepts:
+        return CheckResult(name, "pass", "vacuous: staged checker rejects")
+    if diag is None:
+        return CheckResult(name, "pass")
+    if known:
+        return CheckResult(name, "known-divergence", diag.message)
+    return CheckResult(name, "fail", f"host rejects translation: {diag.message}")
+
+
+def _outcome(fn, *args):
+    """`fn(*args)`, or the diagnostic it raises, kept as a value.  Each
+    driver caches `_outcome(evaluate, term, backend)` per backend, so a
+    term is evaluated at most once under each and every check reads it."""
+    try:
+        return fn(*args)
+    except Diagnostic as d:
+        return d
+
+
+def _round_trip(name: str, quoted: Evaluation | Diagnostic, expected: S.Expr) -> CheckResult:
+    """The quote backend rebuilds `expected` up to alpha-renaming."""
+    if isinstance(quoted, Diagnostic):
+        return CheckResult(name, "fail", quoted.render())
+    if not (isinstance(quoted.value, VCode) and isinstance(quoted.value.code, QuoteCode)):
+        return CheckResult(name, "fail", "quote backend did not return code")
+    actual = quoted.value.code.tree
+    if S.alpha_equal(actual, expected):
+        return CheckResult(name, "pass")
+    detail = f"rebuilt {S.pretty(actual)!r} vs expected {S.pretty(expected)!r}"
+    return CheckResult(name, "fail", detail)
+
+
+def _lint(name: str, term: S.Expr) -> CheckResult:
+    problems = T.lint_scopes(term)
+    return CheckResult(name, "fail" if problems else "pass", "; ".join(problems))
+
+
+def _term_text(name: str, term: S.Expr) -> CheckResult:
+    """The printed term reads back as itself."""
+    text = S.pretty(term)
+    if S.alpha_equal(parse_term(text), term):
+        return CheckResult(name, "pass")
+    return CheckResult(name, "fail", f"translation does not read back: {text!r}")
+
+
+def _run(code: Evaluation | Diagnostic | S.Expr, backend: str | None, arg) -> RuntimeValue:
+    """Run a backend's evaluation, applied to `arg` if given: eval forces
+    and calls its code; the quote tree, and the string text re-parsed, run
+    as plain programs, as does a staging-free tree (`backend` None).  A
+    kept diagnostic is raised."""
+    if isinstance(code, Diagnostic):
+        raise code
+    if backend == "eval":
+        value = code.force()
+        return value if arg is None else code.call(value, arg)
+    if backend is not None:
+        out = code.value.code
+        code = out.tree if backend == "quote" else parse_plain(out.text)
+    ev = evaluate(code, None)
+    return ev.value if arg is None else ev.call(ev.value, arg)
+
+
+# --- corpus entries --------------------------------------------------------
 
 
 def _expect(name: str, want: str, verdict, want_scheme: str | None = None) -> CheckResult:
@@ -73,8 +142,7 @@ def _expect(name: str, want: str, verdict, want_scheme: str | None = None) -> Ch
 
 
 def _typing(entry: CorpusEntry, staged, host) -> list[CheckResult]:
-    """Both verdicts against the entry's, then preservation: staged
-    acceptance must imply host acceptance of the translation."""
+    """Both verdicts against the entry's, then preservation."""
     results = []
     if staged is not None and entry.staged is not None:
         results.append(
@@ -82,18 +150,9 @@ def _typing(entry: CorpusEntry, staged, host) -> list[CheckResult]:
         )
     if entry.host is not None:
         results.append(_expect(f"host-typing/{entry.name}", entry.host, host))
-    if staged is None:
-        return results
-    name = f"preservation/{entry.name}"
-    diag = host[1]
-    if staged[0] is None:
-        results.append(CheckResult(name, "pass", "vacuous: staged checker rejects"))
-    elif diag is None:
-        results.append(CheckResult(name, "pass"))
-    elif entry.name in KNOWN_DIVERGENCES:
-        results.append(CheckResult(name, "known-divergence", diag.message))
-    else:
-        results.append(CheckResult(name, "fail", f"host rejects translation: {diag.message}"))
+    if staged is not None:
+        name, known = f"preservation/{entry.name}", entry.name in KNOWN_DIVERGENCES
+        results.append(_preservation(name, staged[0] is not None, host[1], known))
     return results
 
 
@@ -107,48 +166,19 @@ def _expected_quote(entry: CorpusEntry, tree: S.Expr | None) -> S.Expr | None:
     return tree.body if isinstance(tree, S.Bracket) else None
 
 
-def _round_trip(entry: CorpusEntry, term: S.Expr, expected: S.Expr) -> CheckResult:
-    name = f"round-trip/{entry.name}"
-    code = evaluate(term, "quote").value
-    if not (isinstance(code, VCode) and isinstance(code.code, QuoteCode)):
-        return CheckResult(name, "fail", "quote backend did not return code")
-    actual = code.code.tree
-    if S.alpha_equal(actual, expected):
-        return CheckResult(name, "pass")
-    detail = f"rebuilt {S.pretty(actual)!r} vs expected {S.pretty(expected)!r}"
-    return CheckResult(name, "fail", detail)
-
-
-def _reads_back(term: S.Expr) -> str:
-    """Empty if the printed term reads back as itself, else the text."""
-    text = S.pretty(term)
-    return "" if S.alpha_equal(parse_term(text), term) else f"does not read back: {text!r}"
-
-
-def _run_plain(tree: S.Expr, arg: RuntimeValue | None) -> RuntimeValue:
-    """Run a staging-free tree, which is its own translation."""
-    ev = evaluate(tree, None)
-    return ev.value if arg is None else ev.call(ev.value, arg)
-
-
-def _observations(entry: CorpusEntry, tree: S.Expr, term: S.Expr) -> list[CheckResult]:
+def _observations(entry: CorpusEntry, tree: S.Expr, evaluation) -> list[CheckResult]:
     """A plain program's value, or each backend's run of the generated code
     (mutable-CSP programs must skip the string leg)."""
     observe = entry.observe
-    assert observe is not None
     base = f"observation/{entry.name}"
     arg = parse_value_literal(observe.apply_arg) if observe.apply_arg else None
-    if S.is_plain(tree):
-        got = render_value(_run_plain(tree, arg))
-        status = "pass" if got == observe.expect else "fail"
-        return [CheckResult(base, status, "" if status == "pass" else f"got {got}")]
 
-    def leg(name: str, run) -> CheckResult:
-        label = f"{base}[{name}]"
+    def leg(backend: str | None) -> CheckResult:
+        label = base if backend is None else f"{base}[{backend}]"
         try:
-            got = render_value(run())
+            got = render_value(_run(evaluation(backend) if backend else tree, backend, arg))
         except Diagnostic as d:
-            if d.kind is Kind.CSP_SERIALIZATION and name == "string":
+            if d.kind is Kind.CSP_SERIALIZATION and backend == "string":
                 status = "skip" if observe.mutable_csp else "fail"
                 return CheckResult(label, status, f"string leg: {d.message}")
             return CheckResult(label, "fail", d.render())
@@ -156,59 +186,39 @@ def _observations(entry: CorpusEntry, tree: S.Expr, term: S.Expr) -> list[CheckR
             return CheckResult(label, "pass")
         return CheckResult(label, "fail", f"got {got}, want {observe.expect}")
 
-    def eval_leg() -> RuntimeValue:
-        ev = evaluate(term, "eval")
-        value = ev.force()
-        return value if arg is None else ev.call(value, arg)
-
-    def string_leg() -> RuntimeValue:
-        ev = evaluate(term, "string")
-        assert isinstance(ev.value, VCode) and isinstance(ev.value.code, StringCode)
-        return _run_plain(parse_plain(ev.value.code.text), arg)
-
-    def quote_leg() -> RuntimeValue:
-        ev = evaluate(term, "quote")
-        assert isinstance(ev.value, VCode) and isinstance(ev.value.code, QuoteCode)
-        return _run_plain(ev.value.code.tree, arg)
-
-    results = [leg("eval", eval_leg), leg("string", string_leg), leg("quote", quote_leg)]
+    if S.is_plain(tree):
+        return [leg(None)]
+    results = [leg("eval"), leg("string"), leg("quote")]
     if observe.mutable_csp and results[1].status != "skip":
         detail = "expected the string leg to be skipped"
         results.append(CheckResult(f"{base}[string]", "fail", detail))
     return results
 
 
-def _goldens(entry: CorpusEntry, term: S.Expr) -> list[CheckResult]:
+def _goldens(entry: CorpusEntry, evaluation) -> list[CheckResult]:
     """The string golden, and the diagnostics the entry expects from the
     printing backends or from running the code."""
     results = []
     if entry.string_golden is not None:
         name = f"golden-string/{entry.name}"
-        ev = evaluate(term, "string")
-        if not (isinstance(ev.value, VCode) and isinstance(ev.value.code, StringCode)):
+        value = getattr(evaluation("string"), "value", None)
+        if not (isinstance(value, VCode) and isinstance(value.code, StringCode)):
             results.append(CheckResult(name, "fail", "no string code produced"))
         else:
-            text = ev.value.code.text
+            text = value.code.text
             same = S.alpha_equal(parse_plain(text), parse_plain(entry.string_golden))
             detail = "" if same else f"emitted {text!r}, want {entry.string_golden!r}"
             results.append(CheckResult(name, "pass" if same else "fail", detail))
-    if entry.quote_diag is not None:
-        for backend in ("quote", "string"):
-            name = f"diagnostic-{backend}/{entry.name}"
-            try:
-                evaluate(term, backend)
-                results.append(CheckResult(name, "fail", "expected a diagnostic"))
-            except Diagnostic as d:
-                status = "pass" if d.kind is entry.quote_diag else "fail"
-                results.append(CheckResult(name, status, d.message if status == "fail" else ""))
+    wanted = [(b, entry.quote_diag, evaluation(b)) for b in ("quote", "string") if entry.quote_diag]
     if entry.run_diag is not None:
-        name = f"diagnostic-run/{entry.name}"
-        try:
-            evaluate(term, "eval").force()
+        wanted.append(("run", entry.run_diag, _outcome(_run, evaluation("eval"), "eval", None)))
+    for check, kind, got in wanted:
+        name = f"diagnostic-{check}/{entry.name}"
+        if not isinstance(got, Diagnostic):
             results.append(CheckResult(name, "fail", "expected a diagnostic, got a value"))
-        except Diagnostic as d:
-            status = "pass" if d.kind is entry.run_diag else "fail"
-            results.append(CheckResult(name, status, "" if status == "pass" else d.render()))
+        else:
+            status = "pass" if got.kind is kind else "fail"
+            results.append(CheckResult(name, status, "" if status == "pass" else got.render()))
     return results
 
 
@@ -217,26 +227,26 @@ def check_entry(entry: CorpusEntry) -> list[CheckResult]:
     round trip, scope lint, term text, observations and goldens.
 
     The source is parsed once, its term (the translation, or the `target`
-    read by `parse_term`) is made once, and each is typed once; every leg
-    reads that one tree and term.  Sharing the term is safe: evaluation
-    never mutates a tree, and text holds no mutable `CspValue`.
+    read by `parse_term`) is made once, each is typed once, and each
+    backend evaluates the term at most once, for the round trip, the legs,
+    the golden and the diagnostics alike.  Sharing is safe: evaluation
+    never mutates a tree, text holds no mutable `CspValue`, and the round
+    trip reads the quote tree before its leg runs it.
     """
     tree = parse_source(entry.source) if entry.source is not None else None
     term = parse_term(entry.target) if entry.target is not None else translate(tree)
+    evaluation = functools.cache(functools.partial(_outcome, evaluate, term))
     staged = _verdict(tree) if tree is not None else None
     results = _typing(entry, staged, _verdict(term))
     expected = _expected_quote(entry, tree)
     if entry.quote_diag is None and expected is not None and entry.staged != "reject":
-        results.append(_round_trip(entry, term, expected))
+        results.append(_round_trip(f"round-trip/{entry.name}", evaluation("quote"), expected))
     if tree is not None:
-        problems = T.lint_scopes(term)
-        status = "fail" if problems else "pass"
-        results.append(CheckResult(f"lint/{entry.name}", status, "; ".join(problems)))
-    problem = _reads_back(term)
-    results.append(CheckResult(f"term-text/{entry.name}", "fail" if problem else "pass", problem))
+        results.append(_lint(f"lint/{entry.name}", term))
+    results.append(_term_text(f"term-text/{entry.name}", term))
     if entry.observe is not None and tree is not None:
-        results.extend(_observations(entry, tree, term))
-    results.extend(_goldens(entry, term))
+        results.extend(_observations(entry, tree, evaluation))
+    results.extend(_goldens(entry, evaluation))
     return results
 
 
@@ -360,7 +370,39 @@ def _first_order(t) -> bool:
     return all(_first_order(p) for p in ts._PARTS[type(t)](t))
 
 
+def _random_checks(e: S.Bracket, label: str):
+    """The oracles of a generated program, in order; each yields its result."""
+    scheme = infer_staged(TypeEnv(), e)
+    term = translate(e)
+    evaluation = functools.cache(functools.partial(_outcome, evaluate, term))
+    yield _term_text(label, term)
+    yield _preservation(label, True, _verdict(term)[1], False)
+    yield _lint(label, term)
+    yield _round_trip(label, evaluation("quote"), e.body)
+    # First-order programs must also agree across the backends.
+    body_ty = ts.resolve(scheme.body)
+    if isinstance(body_ty, ts.TCode) and _first_order(body_ty.item):
+        rebuilt = render_value(_run(evaluation("quote"), "quote", None))
+        reparsed = render_value(_run(evaluation("string"), "string", None))
+        if rebuilt != reparsed:
+            yield CheckResult(label, "fail", f"quote={rebuilt} disagrees with string={reparsed}")
+        try:
+            forced = render_value(_run(evaluation("eval"), "eval", None))
+        except Diagnostic as d:
+            # The evaluating backend forces an inserted binding at
+            # insertion time, which is undefined when a quoted let's
+            # RHS mentions an enclosing quoted-lambda binder.  The
+            # printing backends (compared above) still apply.
+            if d.kind is Kind.UNBOUND_VAR and "dynamic" in d.message:
+                forced = None
+            else:
+                raise
+        if forced is not None and forced != rebuilt:
+            yield CheckResult(label, "fail", f"eval={forced} disagrees with quote={rebuilt}")
+
+
 def check_random_program(e: S.Expr, label: str) -> CheckResult:
+    """The first failing check of a generated program, else a pass."""
     try:
         assert isinstance(e, S.Bracket)
         # The parser alone enforces staging: a well-formed program prints
@@ -370,71 +412,23 @@ def check_random_program(e: S.Expr, label: str) -> CheckResult:
             return CheckResult(label, "fail", f"does not re-parse as itself: {text!r}")
         if size(e) > 40:
             return CheckResult(label, "fail", f"generated program too large ({size(e)})")
-        scheme = infer_staged(TypeEnv(), e)
-        term = translate(e)
-        problem = _reads_back(term)
-        if problem:
-            return CheckResult(label, "fail", f"translation {problem}")
-        infer_host(TypeEnv(), term)
-        problems = T.lint_scopes(term)
-        if problems:
-            return CheckResult(label, "fail", "; ".join(problems))
-        ev = evaluate(term, "quote")
-        assert isinstance(ev.value, VCode) and isinstance(ev.value.code, QuoteCode)
-        if not S.alpha_equal(ev.value.code.tree, e.body):
-            return CheckResult(
-                label,
-                "fail",
-                f"round trip: {S.pretty(ev.value.code.tree)!r} vs {S.pretty(e.body)!r}",
-            )
-        # First-order programs must also agree across the backends.
-        body_ty = ts.resolve(scheme.body)
-        if isinstance(body_ty, ts.TCode) and _first_order(body_ty.item):
-            rebuilt = render_value(_run_plain(ev.value.code.tree, None))
-            text = evaluate(term, "string").value.code.text
-            reparsed = render_value(_run_plain(parse_plain(text), None))
-            if rebuilt != reparsed:
-                return CheckResult(
-                    label, "fail", f"quote={rebuilt} disagrees with string={reparsed}"
-                )
-            try:
-                forced = render_value(evaluate(term, "eval").force())
-            except Diagnostic as d:
-                # The evaluating backend forces an inserted binding at
-                # insertion time, which is undefined when a quoted let's
-                # RHS mentions an enclosing quoted-lambda binder.  The
-                # printing backends (compared above) still apply.
-                if d.kind is Kind.UNBOUND_VAR and "dynamic" in d.message:
-                    forced = None
-                else:
-                    raise
-            if forced is not None and forced != rebuilt:
-                return CheckResult(
-                    label, "fail", f"eval={forced} disagrees with quote={rebuilt}"
-                )
-        return CheckResult(label, "pass")
+        failed = (r for r in _random_checks(e, label) if r.status == "fail")
+        return next(failed, CheckResult(label, "pass"))
     except Diagnostic as d:
         return CheckResult(label, "fail", d.render())
 
 
 def run_random(seed: int, count: int) -> list[CheckResult]:
     rng = random.Random(seed)
-    results = []
-    for i in range(count):
-        program = random_bracket_program(rng)
-        results.append(check_random_program(program, f"random/{seed}/{i}"))
-    return results
+    programs = (random_bracket_program(rng) for _ in range(count))
+    return [check_random_program(p, f"random/{seed}/{i}") for i, p in enumerate(programs)]
 
 
 # --- the full run ----------------------------------------------------------
 
 
 def run_all(seed: int = 0, count: int = 100) -> list[CheckResult]:
-    results: list[CheckResult] = []
-    for entry in ENTRIES:
-        results.extend(check_entry(entry))
-    results.extend(run_random(seed, count))
-    return results
+    return [r for entry in ENTRIES for r in check_entry(entry)] + run_random(seed, count)
 
 
 def render_tap(results: list[CheckResult]) -> str:
@@ -450,8 +444,7 @@ def render_tap(results: list[CheckResult]) -> str:
             lines.append(f"not ok {i} - {r.name}")
             if r.detail:
                 lines.append(f"# {r.detail}")
-    failed = sum(1 for r in results if r.status == "fail")
-    lines.append(f"# {len(results)} checks, {failed} failed")
+    lines.append(f"# {len(results)} checks, {failed_count(results)} failed")
     return "\n".join(lines)
 
 

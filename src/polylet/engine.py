@@ -30,11 +30,13 @@ Values are slotted dataclasses, immutable by convention, except
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import syntax as S
 from .diagnostics import Diagnostic, Kind, type_error, unbound_var
+from .parser import _TOKEN, _int_limit, _kind
 from .syntax import UNIT_BINDER, WILDCARD, binds, int_text, quote_string, unescape
 
 
@@ -148,18 +150,22 @@ def rset_runtime(cell: RuntimeValue, v: RuntimeValue) -> VList:
 
 
 def parse_value_literal(text: str) -> RuntimeValue:
-    """Ground literal for a CLI argument: int, "string", (), or []."""
+    """Ground literal for a CLI argument: (), [], one string token as the
+    parser reads it, or an int as Python's `int` reads it (a sign and `_`
+    separators allowed)."""
     text = text.strip()
     if text == "()":
         return VUnit()
     if text == "[]":
         return VList(())
-    if text.startswith('"') and text.endswith('"') and len(text) >= 2:
+    if _kind(text) == "string" and _TOKEN.fullmatch(text):
         return VStr(unescape(text[1:-1]))
+    if not re.fullmatch(r"[+-]?\d+(?:_\d+)*", text):
+        raise type_error(f"cannot parse literal argument {text!r}")
     try:
         return VInt(int(text))
-    except ValueError:
-        raise type_error(f"cannot parse literal argument {text!r}") from None
+    except ValueError:  # Python's integer-string limit, left in force
+        raise type_error(_int_limit()) from None
 
 
 def render_value(v: RuntimeValue) -> str:

@@ -137,6 +137,19 @@ def test_quote_csp_ground_becomes_literal():
     assert quote_of(term) == S.IntLit(3)
 
 
+@pytest.mark.parametrize("source", [".<%((fun x -> x) :: [])>.", ".<%((fun x -> x), 1)>."])
+def test_persisted_list_or_pair_holding_a_function(source):
+    # A function has no literal, so neither has a list or pair holding one:
+    # the quote backend persists the whole value, the string backend refuses.
+    term = translate(parse_source(source))
+    tree = quote_of(term)
+    assert isinstance(tree, S.CspValue)
+    assert check_scope(QuoteCode(tree)) == [tree.value]
+    with pytest.raises(Diagnostic) as exc:
+        evaluate(term, "string")
+    assert exc.value.kind is Kind.CSP_SERIALIZATION
+
+
 def test_quote_csp_cell_is_embedded_value():
     term = translate(parse_source("let r = ref [] in .<rset %r 0>."))
     tree = quote_of(term)

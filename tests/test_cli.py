@@ -164,6 +164,21 @@ def test_run_unsound_program_reports_violation(write, capsys):
     assert "SoundnessViolation" in capsys.readouterr().err
 
 
+def test_run_arg_on_a_non_function_result(write, capsys):
+    path = write(".<1 + 2>.")
+    assert main(["run", path, "--arg", "1"]) == 1
+    message = ": TypeError: --arg given but the program result is not a function\n"
+    assert capsys.readouterr().err == path + message
+
+
+def test_run_result_holding_code(write, capsys):
+    # The cell keeps the code of a quoted lambda's variable, so the result
+    # is a list of code values, which print as `<code>`.
+    path = write("let r = ref [] in let c = .<fun x -> .~(let _ = rset r .<x>. in .<x>.)>. in !r")
+    assert main(["run", path]) == 0
+    assert capsys.readouterr().out == "[<code>]\n"
+
+
 def test_run_plain_program(write, capsys):
     path = write("let x = ref (1 :: []) in (rset x 2, rset x 3)")
     assert main(["run", path]) == 0
@@ -294,8 +309,10 @@ DOUBLED = f"let a0 = {HUGE} in " + "".join(f"let a{i} = a{i - 1} + a{i - 1} in "
          f": ResourceLimit: integer has more than {DIGITS} digits, too many to print"),
         (["run"], f"{HUGE} + {HUGE}",
          f": ResourceLimit: integer has more than {DIGITS} digits, too many to print"),
+        (["run", "--arg", HUGE + "9"], ".<fun x -> x>.",
+         f": TypeError: integer literal has more than {DIGITS} digits"),
     ],
-    ids=["tokenize", "pretty-string", "pretty-quote", "render_value"],
+    ids=["tokenize", "pretty-string", "pretty-quote", "render_value", "run-arg"],
 )  # fmt: skip
 def test_integers_past_the_digit_limit_get_a_diagnostic(write, capsys, command, text, message):
     path = write(text)

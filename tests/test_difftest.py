@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import random
 
@@ -79,6 +80,25 @@ def test_each_source_entry_is_parsed_once_and_typed_twice(monkeypatch):
             calls[name] = 0
         difftest.check_entry(entry)
         assert calls == {"parse_source": 1, "infer_staged": 2}, entry.name
+
+
+def test_each_backend_evaluates_each_corpus_term_at_most_once(monkeypatch):
+    # The round trip, the observation legs, the string golden and the
+    # diagnostic checks all read one evaluation per backend.  Runs of
+    # printed code as plain programs (backend None) are not counted.
+    calls = collections.Counter()
+    original = difftest.evaluate
+
+    def counting(term, backend="quote", *args, **kwargs):
+        calls[backend] += 1
+        return original(term, backend, *args, **kwargs)
+
+    monkeypatch.setattr(difftest, "evaluate", counting)
+    for entry in ENTRIES:
+        calls.clear()
+        difftest.check_entry(entry)
+        counts = {backend: n for backend, n in calls.items() if backend is not None}
+        assert all(n == 1 for n in counts.values()), (entry.name, counts)
 
 
 def test_tap_rendering():

@@ -381,8 +381,11 @@ def test_parse_value_literal():
     assert parse_value_literal('"x\\ny"') == VStr("x\ny")
     assert parse_value_literal("()") == VUnit()
     assert parse_value_literal("[]") == VList(())
-    with pytest.raises(Diagnostic):
-        parse_value_literal("wat")
+    # Rejected: text that is not one literal token, such as two strings, a
+    # string and a stray quote, or a string whose closing quote is escaped.
+    for bad in ("wat", '"a" "b"', '"""', '"a\\"'):
+        with pytest.raises(Diagnostic, match="cannot parse literal argument"):
+            parse_value_literal(bad)
 
 
 def test_render_value():

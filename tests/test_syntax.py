@@ -7,7 +7,8 @@ import pytest
 
 from polylet import syntax as S
 from polylet.difftest import random_bracket_program
-from polylet.parser import parse_plain, parse_source
+from polylet.engine import VInt, VList, VRefCell
+from polylet.parser import parse_plain, parse_source, parse_term
 from polylet.unstage import translate
 
 
@@ -71,6 +72,35 @@ def test_alpha_let_rhs_is_outside_the_binder():
     assert S.alpha_equal(a, parse_source("let y = x in y"))
     assert not S.alpha_equal(a, parse_source("let y = y in y"))
     assert not S.alpha_equal(parse_source("fun x -> y"), parse_source("fun y -> y"))
+
+
+def _cell():
+    return S.CspValue(VRefCell(VList(())))
+
+
+# Pairs the round-trip and golden oracles must tell apart, then pairs that
+# differ only in bound names, which they must not.
+@pytest.mark.parametrize(
+    "a, b, equal",
+    [
+        (parse_plain("x"), parse_plain("1"), False),
+        (parse_plain("1"), parse_plain('"1"'), False),
+        (parse_term("int 1"), parse_term('str "1"'), False),
+        (parse_term("nil"), parse_term("int 1"), False),
+        (_cell(), S.CspValue(VInt(1)), False),
+        (parse_plain("fun x -> x"), parse_plain("fun y -> y"), True),
+        (parse_plain("let x = 1 in x"), parse_plain("let y = 1 in y"), True),
+        (parse_term("lam (fun x -> x)"), parse_term("lam (fun y -> y)"), True),
+        (_cell(), _cell(), True),
+    ],
+    ids=[
+        "var-vs-int", "int-vs-string", "int-vs-str-combinator", "nil-vs-int-combinator",
+        "cell-vs-int", "renamed-fun", "renamed-let", "renamed-lam", "equal-cells",
+    ],
+)  # fmt: skip
+def test_alpha_equal_table(a, b, equal):
+    assert S.alpha_equal(a, b) is equal
+    assert S.alpha_equal(b, a) is equal
 
 
 def _let_chain(n, prefix, changed=None):
