@@ -10,15 +10,16 @@ resumed segment still reaches prompts below it.  Combinators that must
 apply object-level functions (lam, the scope builders, genletfun) run
 them on the main stack so captures may cross them.
 
-The control is a pair: `(term, env)` evaluates a term, by the step
-function that `_STEP` maps the term's class to, and `(None, value)`
-returns a value to the frame on top of the stack.  A frame is a tuple
-whose first item is the function that resumes it with a value.  Step
-functions and resumers push frames instead of recursing, so a deep
-program costs stack entries, not Python frames.  Only compound operands
-take that path: an atomic one (a variable, a literal or a persisted
-value) is evaluated in place by the step or resumer whose next operand
-it is, with no frame and no control of its own.
+The control is a pair: `(term, env)` evaluates a term, and `(None,
+value)` returns a value to the frame on top of the stack.  The machine's
+loop runs an application or an addition itself, and any other term by
+the step function that `_STEP` maps the term's class to.  A frame is a
+tuple whose first item is the function that resumes it with a value.
+The loop, step functions and resumers push frames instead of recursing,
+so a deep program costs stack entries, not Python frames.  Only compound
+operands take that path: an atomic one (a variable, a literal or a
+persisted value) is evaluated in place by whatever runs the form it is
+the next operand of, with no frame and no control of its own.
 
 Pair components evaluate right to left, mirroring the host language the
 generated traces come from; every other position is left to right.
@@ -243,33 +244,6 @@ def _then(m, e, env, frame, stack):
     return frame[0](m, frame, atom(e, env), stack)
 
 
-# App and Add, the hot path, are written out by hand.
-def _step_app(m, t, env, stack):
-    atom = _ATOM.get(type(t.fn))
-    if atom is None:
-        stack.append((_k_second, t.arg, env, _k_call))
-        return t.fn, env
-    fn = atom(t.fn, env)
-    atom = _ATOM.get(type(t.arg))
-    if atom is None:
-        stack.append((_k_call, fn))
-        return t.arg, env
-    return _apply(fn, atom(t.arg, env))
-
-
-def _step_add(m, t, env, stack):
-    atom = _ATOM.get(type(t.left))
-    if atom is None:
-        stack.append((_k_second, t.right, env, _k_add))
-        return t.left, env
-    left = atom(t.left, env)
-    atom = _ATOM.get(type(t.right))
-    if atom is None:
-        stack.append((_k_add, left))
-        return t.right, env
-    return _add(left, atom(t.right, env))
-
-
 def _step_comb(m, t, env, stack):
     if not t.args:
         return m._dispatch_comb(t.name, [], stack)
@@ -279,9 +253,7 @@ def _step_comb(m, t, env, stack):
 _STEP = {
     **{cls: lambda m, t, env, stack, atom=atom: (None, atom(t, env)) for cls, atom in _ATOM.items()},
     S.Fun: lambda m, t, env, stack: (None, VClosure(t.param, t.body, env)),
-    S.App: _step_app,
     S.Let: lambda m, t, env, stack: _then(m, t.rhs, env, (_k_let, t, env), stack),
-    S.Add: _step_add,
     S.Cons: lambda m, t, env, stack: _then(m, t.head, env, (_k_second, t.tail, env, _k_cons), stack),
     S.Pair: lambda m, t, env, stack: _then(m, t.second, env, (_k_second, t.first, env, _k_pair), stack),
     S.RefNew: lambda m, t, env, stack: _then(m, t.init, env, (_k_ref_new,), stack),
@@ -395,25 +367,74 @@ class Machine:
         return self._loop((term, env or {}), [])
 
     def call(self, fn: RuntimeValue, arg: RuntimeValue) -> RuntimeValue:
-        """Apply a function value to an argument on a fresh stack: a call of
-        a run's result after the run, or the eval backend's `app`."""
+        """Apply a function value to an argument, a native one directly and
+        a closure on a fresh stack: a call of a run's result after the run,
+        or the eval backend's `app`."""
+        if type(fn) is VNative:
+            return fn.fn(arg)
         return self._loop(_apply(fn, arg), [])
 
     def _loop(self, control, stack: list[tuple]) -> RuntimeValue:
-        step = _STEP
+        # App and Add, the hot path, run here: an atomic operand is read in
+        # place (through `_ATOM`, or from env if a variable), a compound one
+        # pushes its frame.  A popped `_k_call` frame ends like an App, below.
+        step, get, App, Add, k_call = _STEP, _ATOM.get, S.App, S.Add, _k_call
+        t, x = control
         while True:
-            t, x = control
-            if t is not None:
+            if t is None:
+                if not stack:
+                    return x
+                frame = stack.pop()
+                if frame[0] is not k_call:
+                    t, x = frame[0](self, frame, x, stack)
+                    continue
+                fn, arg = frame[1], x
+            elif (cls := type(t)) is App:
+                e = t.fn
+                atom = get(type(e))
+                if atom is None:
+                    stack.append((_k_second, t.arg, x, k_call))
+                    t = e
+                    continue
+                fn = x[e.name] if atom is _var and e.name in x else atom(e, x)
+                e = t.arg
+                atom = get(type(e))
+                if atom is None:
+                    stack.append((k_call, fn))
+                    t = e
+                    continue
+                arg = x[e.name] if atom is _var and e.name in x else atom(e, x)
+            elif cls is Add:
+                e = t.left
+                atom = get(type(e))
+                if atom is None:
+                    stack.append((_k_second, t.right, x, _k_add))
+                    t = e
+                    continue
+                left = x[e.name] if atom is _var and e.name in x else atom(e, x)
+                e = t.right
+                atom = get(type(e))
+                if atom is None:
+                    stack.append((_k_add, left))
+                    t = e
+                    continue
+                right = x[e.name] if atom is _var and e.name in x else atom(e, x)
+                if type(left) is VInt and type(right) is VInt:
+                    t, x = None, VInt(left.value + right.value)
+                else:
+                    t, x = _add(left, right)  # raises
+                continue
+            else:
                 try:
-                    fn = step[type(t)]
+                    fn = step[cls]
                 except KeyError:
                     raise TypeError(f"unexpected term {t!r}") from None
-                control = fn(self, t, x, stack)
-            elif stack:
-                frame = stack.pop()
-                control = frame[0](self, frame, x, stack)
+                t, x = fn(self, t, x, stack)
+                continue
+            if type(fn) is VClosure and fn.param != UNIT_BINDER and fn.param != WILDCARD:
+                t, x = fn.body, {**fn.env, fn.param: arg}
             else:
-                return x
+                t, x = _apply(fn, arg)
 
     # -- combinator dispatch --
 

@@ -69,28 +69,37 @@ def is_syntactic_value(e: S.Expr) -> bool:
     return is_nonexpansive(e, _VALUE_LEAVES, _VALUE_NODES)
 
 
-def is_nonexpansive(e: S.Expr, leaves=_NONEXPANSIVE_LEAVES, nodes=_NONEXPANSIVE_NODES) -> bool:
+def is_nonexpansive(e: S.Expr, leaves=_NONEXPANSIVE_LEAVES, nodes=_NONEXPANSIVE_NODES, seen=None) -> bool:
     """Expressions whose evaluation visibly contributes no effect.
 
     Values, brackets, CSP of non-expansive operands, and let-expressions
     over non-expansive parts qualify; applications, reference operations,
     escapes, and applied combinators do not.  Whether e is a leaf, or a
     node whose children all are, recursively: past the root, on an
-    explicit stack, so any depth is fine.
+    explicit stack, so any depth is fine.  A walk keeps its verdict in `seen`
+    by id of e, and reads a let's right-hand side's from there if it is kept.
     """
     cls = type(e)
     if cls in leaves:
         return True
     if cls not in nodes:
         return cls is S.Comb and not e.args
-    stack = list(S.children(e))
+    seen, stack = {} if seen is None else seen, [e]
     while stack:
-        e = stack.pop()
-        cls = type(e)
+        x = stack.pop()
+        cls = type(x)
         if cls in nodes:
-            stack += S.children(e)
-        elif cls not in leaves and (cls is not S.Comb or e.args):
+            if cls is not S.Let or id(x.rhs) not in seen:
+                stack += S.children(x)
+            elif seen[id(x.rhs)]:
+                stack.append(x.body)
+            else:
+                seen[id(e)] = False
+                return False
+        elif cls not in leaves and (cls is not S.Comb or x.args):
+            seen[id(e)] = False
             return False
+    seen[id(e)] = True
     return True
 
 
@@ -111,7 +120,7 @@ def generalize(t: Type, env: TypeEnv, rhs_nonexpansive: bool, policy: GenPolicy)
 def infer_staged(env: TypeEnv, e: S.Expr, policy: GenPolicy = GenPolicy.RELAXED) -> Scheme:
     env = env.copy()  # so that the caller's is as it was, also when a rule raises
     t = _INFER[type(e)](env, e, 0, policy)
-    flag = is_syntactic_value(e) if policy is _STRICT else is_nonexpansive(e)
+    flag = is_syntactic_value(e) if policy is _STRICT else is_nonexpansive(e, seen=env.verdicts)
     return generalize(t, env, flag, policy)
 
 
@@ -190,7 +199,7 @@ def _infer_let(env, e, level, policy):
         if name == S.UNIT_BINDER:
             unify(rhs_ty, UNIT)
         return _INFER[type(body)](env, body, level, policy)
-    flag = is_syntactic_value(rhs) if policy is _STRICT else is_nonexpansive(rhs)
+    flag = is_syntactic_value(rhs) if policy is _STRICT else is_nonexpansive(rhs, seen=env.verdicts)
     env.bind(name, level, generalize(rhs_ty, env, flag, policy))
     result = _INFER[type(body)](env, body, level, policy)
     env.unbind(name)

@@ -238,13 +238,15 @@ class TypeEnv:
     `(level, scheme)` bindings, innermost last: the stage `level` (0 or 1)
     the variable is bound at, and its `scheme`.  Inference walks the tree
     depth-first, so it `bind`s a name on entering its scope and `unbind`s
-    it on leaving.  `TypeEnv()` is the empty environment, of depth 0."""
+    it on leaving.  `TypeEnv()` is the empty environment, of depth 0.
+    `verdicts` is one run's `is_nonexpansive` verdicts, by id of the term."""
 
-    __slots__ = ("table", "depth")
+    __slots__ = ("table", "depth", "verdicts")
 
     def __init__(self) -> None:
         self.table: defaultdict[str, list[tuple[int, Scheme]]] = defaultdict(list)
         self.depth = 0
+        self.verdicts: dict[int, bool] = {}
 
     def bind(self, name: str, level: int, scheme: Scheme) -> None:
         """Push one binding, lowering the scheme's free variables to the

@@ -546,6 +546,37 @@ def test_generalization_work_linear_in_let_chain(monkeypatch, frontend):
     assert large <= 5 * small, (small, large)
 
 
+def _nested_let_chain(n):
+    # let x0 = let x1 = ... let x(n-1) = 1 in (x(n-1), 1) ... in (x0, 1)
+    lets = "".join(f"let x{i} = " for i in range(n))
+    return lets + "1" + "".join(f" in (x{i}, 1)" for i in reversed(range(n)))
+
+
+@pytest.mark.parametrize("policy", [GenPolicy.NON_EXPANSIVE, GenPolicy.RELAXED])
+def test_nonexpansive_work_linear_in_nested_let_chain(monkeypatch, policy):
+    # Each let's right-hand side holds every let nested in it: its verdict
+    # must reuse theirs, not walk them again.  The pair bodies give each
+    # verdict one node to open, so the count grows with the lets.
+    calls = [0]
+    original = S.children
+
+    def counting(e):
+        calls[0] += 1
+        return original(e)
+
+    monkeypatch.setattr(S, "children", counting)
+
+    def walks(n):
+        e = parse_source(_nested_let_chain(n))
+        calls[0] = 0
+        assert render_scheme(infer_staged(TypeEnv(), e, policy)).endswith(" * int")
+        return calls[0]
+
+    small, large = walks(25), walks(100)
+    assert small >= 25  # at least one node opened per let
+    assert large <= 5 * small, (small, large)
+
+
 def _wide_expansive_let(n):
     lists = "[]"
     for _ in range(n - 1):
