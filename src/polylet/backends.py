@@ -22,7 +22,6 @@ one funscope shares a single generated binder.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import syntax as S
@@ -42,6 +41,7 @@ from .engine import (
     rset_runtime,
     runtime_tag,
 )
+from .records import record
 
 __all__ = [
     "StringCode",
@@ -55,17 +55,17 @@ __all__ = [
 ]
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class StringCode:
     text: str
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class QuoteCode:
     tree: S.Expr
 
 
-@dataclass(slots=True, eq=False)
+@record(eq=False)
 class EvalCode:
     thunk: Callable[[], RuntimeValue]
 

@@ -8,20 +8,24 @@ import sys
 
 from . import syntax as S
 from .backends import StringCode, evaluate
-from .diagnostics import Diagnostic, recursion_limit, type_error
+from .diagnostics import Diagnostic, location, parse_error, recursion_limit, type_error
 from .engine import VCode, VClosure, VNative, parse_value_literal, render_value
 from .parser import parse_source
 from .typecheck import GenPolicy, infer_host, infer_staged
 from .typesys import TypeEnv, render_scheme
 from .unstage import translate
-from . import difftest
 
 _POLICIES = {p.value: p for p in GenPolicy}
 
 
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError as err:  # decoded in one piece: offsets are the file's
+            text = err.object[: err.start].decode("utf-8")
+            message = f"source is not UTF-8 at byte offset {err.start}: {err.reason}"
+            raise parse_error(message, location(text, len(text))) from None
 
 
 def _cmd_typecheck(args: argparse.Namespace) -> int:
@@ -70,6 +74,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_difftest(args: argparse.Namespace) -> int:
+    from . import difftest  # only this command needs the corpus and generator
     results = difftest.run_all(seed=args.seed, count=args.count)
     print(difftest.render_tap(results))
     return 0 if difftest.failed_count(results) == 0 else 1

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import enum
 import sys
-from dataclasses import dataclass
+
+from .records import record
 
 
 class Kind(enum.Enum):
@@ -21,9 +22,9 @@ class Kind(enum.Enum):
     RESOURCE_LIMIT = "ResourceLimit"
 
 
-@dataclass(frozen=True)
+@record
 class Location:
-    """Position in the input text: character offset plus 1-based line/column."""
+    """Position in input text, immutable by convention: char offset, 1-based line/column."""
 
     offset: int
     line: int

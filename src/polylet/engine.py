@@ -24,20 +24,21 @@ the next operand of, with no frame and no control of its own.
 Pair components evaluate right to left, mirroring the host language the
 generated traces come from; every other position is left to right.
 
-Values are slotted dataclasses, immutable by convention, except
-`VRefCell.contents` (`rset`) and `VScope.memo` (written once, by `genletfun`).
+Values are records, immutable by convention, except `VRefCell.contents`
+(`rset`) and `VScope.memo` (written once, by `genletfun`): dataclass
+generates only their `__init__`, and `__repr__`, `__eq__` and `__hash__` are shared.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import syntax as S
 from .diagnostics import Diagnostic, Kind, type_error, unbound_var
 from .parser import _TOKEN, _int_limit, _kind
+from .records import record
 from .syntax import UNIT_BINDER, WILDCARD, binds, int_text, quote_string, unescape
 
 
@@ -51,47 +52,47 @@ class RuntimeValue:
         return render_value(self)
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class VInt(RuntimeValue):
     value: int
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class VStr(RuntimeValue):
     value: str
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class VUnit(RuntimeValue):
     pass
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class VList(RuntimeValue):
     items: tuple[RuntimeValue, ...]
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class VPair(RuntimeValue):
     first: RuntimeValue
     second: RuntimeValue
 
 
-@dataclass(slots=True, eq=False)
+@record(eq=False)
 class VRefCell(RuntimeValue):
     """Identity is observable: separately created cells are distinct."""
 
     contents: RuntimeValue
 
 
-@dataclass(slots=True, eq=False)
+@record(eq=False)
 class VClosure(RuntimeValue):
     param: str
     body: S.Expr
     env: dict[str, RuntimeValue]
 
 
-@dataclass(slots=True, eq=False)
+@record(eq=False)
 class VNative(RuntimeValue):
     """A host-level function value (e.g. a forced generated function)."""
 
@@ -99,12 +100,12 @@ class VNative(RuntimeValue):
     label: str = "<fun>"
 
 
-@dataclass(slots=True, eq=False)
+@record(eq=False)
 class VCode(RuntimeValue):
     code: object  # a backend CodeValue
 
 
-@dataclass(slots=True, eq=False)
+@record(eq=False)
 class VScope(RuntimeValue):
     """A scope's prompt; a funscope (`fun`) also keeps, written once, the
     function binding it has inserted."""
@@ -498,7 +499,7 @@ class Machine:
         return None, resume_value
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class Evaluation:
     """The result of one run, with its machine kept alive so that
     eval-backend code values can be forced (and applied) afterwards."""

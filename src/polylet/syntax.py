@@ -9,20 +9,20 @@ quotation: brackets never nest, and escapes only occur inside a bracket.
 
 Traversals go through one generic pair: `children(e)` lists the
 subexpressions in field order, and `rebuild(e, kids)` makes the same
-node over new children.  Nodes, like types and run-time values, are slotted
-dataclasses, immutable by convention: no field is assigned after it is
-built.  Only `TVar` cells, `VRefCell.contents` and `VScope.memo` mutate.
+node over new children.  Nodes, like types and values, are records, immutable
+by convention: dataclass generates only their `__init__`, and `__repr__`,
+`__eq__` and `__hash__` are the ones `records` shares.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from operator import attrgetter, is_
 from typing import Sequence
 
 from .diagnostics import Kind, Diagnostic
+from .records import record
 
 # Binder names are ordinary identifiers, or one of two special forms that
 # bind nothing: "()" (unit pattern) and "_" (wildcard).
@@ -41,100 +41,100 @@ class Expr:
     __slots__ = ()
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class Var(Expr):
     name: str
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class IntLit(Expr):
     value: int
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class StrLit(Expr):
     value: str
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class Nil(Expr):
     pass
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class Unit(Expr):
     pass
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class Add(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class Pair(Expr):
     first: Expr
     second: Expr
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class Cons(Expr):
     head: Expr
     tail: Expr
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class RefNew(Expr):
     init: Expr
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class RefGet(Expr):
     ref: Expr
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class Rset(Expr):
     ref: Expr
     value: Expr
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class App(Expr):
     fn: Expr
     arg: Expr
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class Fun(Expr):
     param: str
     body: Expr
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class Let(Expr):
     name: str
     rhs: Expr
     body: Expr
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class Bracket(Expr):
     body: Expr
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class Escape(Expr):
     body: Expr
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class Csp(Expr):
     body: Expr
 
 
-@dataclass(slots=True, eq=False)
+@record(eq=False)
 class CspValue(Expr):
     """A run-time value persisted into rebuilt code, or embedded in a
     hand-built term.
@@ -146,7 +146,7 @@ class CspValue(Expr):
     value: object
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class Comb(Expr):
     """Saturated application of a code-combinator constant."""
 

@@ -2,7 +2,8 @@
 
 Unification works on mutable type-variable cells with an occurs check and
 path compression, so each inference run owns its substitution implicitly.
-Every other type is a slotted dataclass, immutable by convention.
+Every other type is a record, immutable by convention: dataclass generates
+only its `__init__`, and `__repr__`, `__eq__` and `__hash__` are shared.
 
 Generalization is linear in the program, by ranks on type variables
 (Remy's levels).  A `TypeEnv` is a scoped table: each name maps to a
@@ -31,10 +32,10 @@ from __future__ import annotations
 import itertools
 import sys
 from collections import defaultdict
-from dataclasses import dataclass
 from operator import attrgetter
 
 from .diagnostics import type_error
+from .records import record
 
 _var_ids = itertools.count(1)
 
@@ -57,54 +58,54 @@ class TVar(Type):
         return f"'t{self.id}"
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class TInt(Type):
     pass
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class TStr(Type):
     pass
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class TUnit(Type):
     pass
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class TList(Type):
     item: Type
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class TPair(Type):
     first: Type
     second: Type
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class TArrow(Type):
     arg: Type
     result: Type
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class TRef(Type):
     item: Type
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class TCode(Type):
     item: Type
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class TScope(Type):
     answer: Type
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@record
 class TFunScope(Type):
     answer: Type
 
@@ -207,7 +208,7 @@ def _collect_vars(t: Type, sign: int, out: dict[TVar, bool]) -> None:
             _collect_vars(p, sign, out)
 
 
-@dataclass(slots=True, eq=False)
+@record(eq=False)
 class Scheme:
     quantified: tuple[TVar, ...]
     body: Type

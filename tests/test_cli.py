@@ -223,6 +223,40 @@ def test_missing_file_errors(capsys):
     assert main(["typecheck", "/nonexistent/prog.pml"]) == 1
 
 
+# Line 2 holds a two-byte character before the bad byte: the offset counts
+# bytes, the column characters.
+NOT_UTF8 = b'1 +\n  "\xc3\xa9" \xff\xfe'
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["typecheck"], ["translate"], ["codegen", "--backend", "string"], ["run"]],
+    ids=lambda command: command[0],
+)
+def test_source_that_is_not_utf8_gets_a_diagnostic(tmp_path, capsys, command):
+    path = tmp_path / "prog.pml"
+    path.write_bytes(NOT_UTF8)
+    assert main([*command, str(path)]) == 1
+    message = "ParseError: source is not UTF-8 at byte offset 11: invalid start byte"
+    assert capsys.readouterr().err == f"{path}:2:7: {message}\n"
+
+
+def test_importing_the_cli_leaves_difftest_unloaded():
+    src = os.path.dirname(os.path.dirname(polylet.__file__))
+    probe = "import sys, polylet.cli; print(*(m for m in sys.modules if m.startswith('polylet')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "polylet.cli" in loaded
+    assert "polylet.difftest" not in loaded and "polylet.corpus" not in loaded
+
+
 def test_difftest_subcommand(capsys):
     assert main(["difftest", "--seed", "1", "--count", "3"]) == 0
     out = capsys.readouterr().out

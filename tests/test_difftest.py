@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import random
+import sys
 
 import pytest
 
@@ -120,6 +121,19 @@ def test_random_programs_well_formed_and_bounded():
         assert S.alpha_equal(parse_source(S.pretty(program)), program)
         assert difftest.size(program) <= 40
         infer_staged(TypeEnv(), program)  # the generator is type-directed
+
+
+def test_size_counts_a_deep_chain_without_recursion():
+    chain = S.Nil()
+    for i in range(100_000):
+        chain = S.Cons(S.IntLit(i), chain)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        assert difftest.size(chain) == 200_001
+    finally:
+        sys.setrecursionlimit(limit)
+    assert difftest.size(S.Let("x", S.IntLit(1), S.Pair(S.Var("x"), S.Unit()))) == 5
 
 
 def test_random_seed_reproducible():
