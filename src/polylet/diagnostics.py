@@ -71,3 +71,28 @@ def unbound_var(name: str, location: Location | None = None) -> Diagnostic:
 def recursion_limit(location: Location | None = None) -> Diagnostic:
     limit = sys.getrecursionlimit()
     return Diagnostic(Kind.RESOURCE_LIMIT, f"nesting exceeds the recursion limit ({limit})", location)
+
+
+PRINT_LIMIT = 1_000_000  # nodes in a printed type or value, counted as a tree
+
+
+def print_limit(what: str, size) -> Diagnostic:
+    return Diagnostic(Kind.RESOURCE_LIMIT, f"a {what} of {size} nodes exceeds the print limit ({PRINT_LIMIT})")
+
+
+def check_print_size(what: str, root, parts) -> None:
+    """Raise `print_limit` if root, printed as a tree, would pass the limit.
+    Counts each node of the DAG that `parts` gives once, by id."""
+    sizes: dict[int, int] = {}
+    stack = [root]  # each entry is a distinct node of the tree
+    while stack:
+        node = stack[-1]
+        todo = [p for p in parts(node) if id(p) not in sizes]
+        if not todo:
+            sizes[id(stack.pop())] = 1 + sum([sizes[id(p)] for p in parts(node)])
+        elif len(stack) < PRINT_LIMIT:
+            stack += todo
+        else:  # so the tree is larger, or infinite: a cell that holds itself
+            raise print_limit(what, f"more than {PRINT_LIMIT}")
+    if sizes[id(root)] > PRINT_LIMIT:
+        raise print_limit(what, sizes[id(root)])

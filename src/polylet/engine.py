@@ -36,7 +36,7 @@ import re
 from typing import Callable, Optional
 
 from . import syntax as S
-from .diagnostics import Diagnostic, Kind, type_error, unbound_var
+from .diagnostics import Diagnostic, Kind, check_print_size, type_error, unbound_var
 from .parser import _TOKEN, _int_limit, _kind
 from .records import record
 from .syntax import UNIT_BINDER, WILDCARD, binds, int_text, quote_string, unescape
@@ -171,6 +171,18 @@ def parse_value_literal(text: str) -> RuntimeValue:
 
 
 def render_value(v: RuntimeValue) -> str:
+    check_print_size("value", v, _value_parts)
+    return _render_value(v)
+
+
+def _value_parts(v: RuntimeValue) -> tuple:
+    cls = type(v)
+    if cls is VPair:
+        return (v.first, v.second)
+    return v.items if cls is VList else (v.contents,) if cls is VRefCell else ()
+
+
+def _render_value(v: RuntimeValue) -> str:
     if isinstance(v, VInt):
         return int_text(v.value)
     if isinstance(v, VStr):
@@ -178,11 +190,11 @@ def render_value(v: RuntimeValue) -> str:
     if isinstance(v, VUnit):
         return "()"
     if isinstance(v, VList):
-        return "[" + "; ".join(render_value(x) for x in v.items) + "]"
+        return "[" + "; ".join(_render_value(x) for x in v.items) + "]"
     if isinstance(v, VPair):
-        return f"({render_value(v.first)}, {render_value(v.second)})"
+        return f"({_render_value(v.first)}, {_render_value(v.second)})"
     if isinstance(v, VRefCell):
-        return "{contents = " + render_value(v.contents) + "}"
+        return "{contents = " + _render_value(v.contents) + "}"
     if isinstance(v, (VClosure, VNative)):
         return "<fun>"
     if isinstance(v, VCode):

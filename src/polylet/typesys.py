@@ -5,9 +5,14 @@ path compression, so each inference run owns its substitution implicitly.
 Every other type is a record, immutable by convention: dataclass generates
 only its `__init__`, and `__repr__`, `__eq__` and `__hash__` are shared.
 
-Generalization is linear in the program, by ranks on type variables
-(Remy's levels).  A `TypeEnv` is a scoped table: each name maps to a
-stack of its bindings, and `depth` counts the bindings in scope.  The
+Let-bound sharing makes a type a DAG whose tree can be exponential.  The
+walkers (`resolve`, `occurs`, `unify`, `free_type_vars`, `_subst`) are
+loops, not recursion, that enter a shared pair or arrow once, by id, in the
+left-to-right, depth-first order of a walk of the tree.
+
+Generalization walks the type, never the environment, by ranks on type
+variables (Remy's levels).  A `TypeEnv` is a scoped table: each name maps
+to a stack of its bindings, and `depth` counts the bindings in scope.  The
 rank invariant: an unbound variable that the binding at depth k can
 reach has rank at most k.  A variable enters a let's right-hand side
 fresh, by instantiation, or through the environment, so the variables of
@@ -20,7 +25,8 @@ environment at all.  Ranks are only ever lowered, in two places:
   the value restriction left ungeneralized);
 - `unify`, binding a variable v, lowers every variable of the other side
   to v's rank during the occurs check, so whatever v could reach stays
-  reachable at the same rank.
+  reachable at the same rank.  Entering a shared node once changes none
+  of this: a second visit would lower nothing further.
 
 A fresh variable starts at `UNBOUNDED_RANK`: nothing can reach it yet.
 The rank is a position in the environment; it is unrelated to the stage
@@ -34,7 +40,7 @@ import sys
 from collections import defaultdict
 from operator import attrgetter
 
-from .diagnostics import type_error
+from .diagnostics import check_print_size, type_error
 from .records import record
 
 _var_ids = itertools.count(1)
@@ -102,12 +108,12 @@ class TCode(Type):
 
 @record
 class TScope(Type):
-    answer: Type
+    item: Type
 
 
 @record
 class TFunScope(Type):
-    answer: Type
+    item: Type
 
 
 INT = TInt()
@@ -117,18 +123,25 @@ UNIT = TUnit()
 
 def resolve(t: Type) -> Type:
     """Chase variable bindings, compressing paths."""
-    if type(t) is TVar and t.instance is not None:
-        root = resolve(t.instance)
-        t.instance = root
-        return root
-    return t
+    if type(t) is not TVar or t.instance is None:
+        return t
+    root = t.instance
+    while type(root) is TVar and root.instance is not None:
+        root = root.instance
+    while t is not root:
+        t.instance, t = root, t.instance
+    return root
 
 
-# Each class's component types, in field order.
+# The classes of one part, `item`, and those that make it invariant.
+_ONE_PART = frozenset((TList, TRef, TCode, TScope, TFunScope))
+_INVARIANT = frozenset((TRef, TScope, TFunScope))
+
+# Each class's component types, in field order, for the cold walkers; the
+# hot ones read the fields directly.
 _PARTS = {
     **dict.fromkeys((TVar, TInt, TStr, TUnit), lambda t: ()),
-    **dict.fromkeys((TList, TRef, TCode), lambda t: (t.item,)),
-    **dict.fromkeys((TScope, TFunScope), lambda t: (t.answer,)),
+    **dict.fromkeys(_ONE_PART, lambda t: (t.item,)),
     TPair: attrgetter("first", "second"),
     TArrow: attrgetter("arg", "result"),
 }
@@ -137,40 +150,64 @@ _PARTS = {
 def occurs(v: TVar, t: Type) -> bool:
     """Whether v occurs in t; lowers the rank of t's other variables to
     v's on the way, as binding v to t makes them reachable wherever v is."""
-    t = resolve(t)
-    if t is v:
-        return True
-    if isinstance(t, TVar):
-        if t.rank > v.rank:
-            t.rank = v.rank
-        return False
-    for p in _PARTS[type(t)](t):
-        if occurs(v, p):
-            return True
-    return False
+    stack = seen = None
+    while True:
+        if type(t) is TVar and t.instance is not None:
+            t = resolve(t)
+        cls = type(t)
+        if cls is TVar:
+            if t is v:
+                return True
+            if t.rank > v.rank:
+                t.rank = v.rank
+        elif cls in _ONE_PART:
+            t = t.item
+            continue
+        elif cls is TArrow or cls is TPair:
+            if seen is None:
+                stack, seen = [], set()
+            if id(t) not in seen:
+                seen.add(id(t))
+                stack.append(t.result if cls is TArrow else t.second)
+                t = t.arg if cls is TArrow else t.first
+                continue
+        if not stack:
+            return False
+        t = stack.pop()
 
 
 def unify(a: Type, b: Type) -> None:
-    if type(a) is TVar:
-        a = resolve(a)
-    if type(b) is TVar:
-        b = resolve(b)
-    if a is b:
-        return
-    if type(a) is TVar:
-        if occurs(a, b):
-            raise _mismatch("occurs check: cannot construct infinite type {} = {}", a, b)
-        a.instance = b
-        return
-    if type(b) is TVar:
-        unify(b, a)
-        return
-    cls = type(a)
-    if cls is not type(b):
-        raise _mismatch("cannot unify {} with {}", a, b)
-    parts = _PARTS[cls]
-    for x, y in zip(parts(a), parts(b)):
-        unify(x, y)
+    stack = seen = None
+    while True:
+        if type(a) is TVar and a.instance is not None:
+            a = resolve(a)
+        if type(b) is TVar and b.instance is not None:
+            b = resolve(b)
+        cls = type(a)
+        if a is b:
+            pass
+        elif cls is TVar or type(b) is TVar:
+            if cls is not TVar:
+                a, b = b, a
+            if occurs(a, b):
+                raise _mismatch("occurs check: cannot construct infinite type {} = {}", a, b)
+            a.instance = b
+        elif cls is not type(b):
+            raise _mismatch("cannot unify {} with {}", a, b)
+        elif cls in _ONE_PART:
+            a, b = a.item, b.item
+            continue
+        elif cls is TArrow or cls is TPair:
+            if seen is None:
+                stack, seen = [], set()
+            if (id(a), id(b)) not in seen:
+                seen.add((id(a), id(b)))
+                stack.append((a.result, b.result) if cls is TArrow else (a.second, b.second))
+                a, b = (a.arg, b.arg) if cls is TArrow else (a.first, b.first)
+                continue
+        if not stack:
+            return
+        a, b = stack.pop()
 
 
 def _mismatch(template: str, a: Type, b: Type):
@@ -186,26 +223,30 @@ def free_type_vars(t: Type) -> dict[TVar, bool]:
     an arrow's argument negates it, and ref, scope, and funscope make it 0
     (invariant)."""
     out: dict[TVar, bool] = {}
-    _collect_vars(t, 1, out)
-    return out
-
-
-def _collect_vars(t: Type, sign: int, out: dict[TVar, bool]) -> None:
-    t = resolve(t)
-    cls = type(t)
-    if cls is TVar:
-        if sign != 1:
-            out[t] = True
-        elif t not in out:
-            out[t] = False
-    elif cls is TArrow:
-        _collect_vars(t.arg, -sign, out)
-        _collect_vars(t.result, sign, out)
-    else:
-        if cls in (TRef, TScope, TFunScope):
-            sign = 0
-        for p in _PARTS[cls](t):
-            _collect_vars(p, sign, out)
+    sign, stack, seen = 1, None, None
+    while True:
+        if type(t) is TVar and t.instance is not None:
+            t = resolve(t)
+        cls = type(t)
+        if cls is TVar:
+            if sign != 1:
+                out[t] = True
+            elif t not in out:
+                out[t] = False
+        elif cls in _ONE_PART:
+            t, sign = t.item, 0 if cls in _INVARIANT else sign
+            continue
+        elif cls is TArrow or cls is TPair:
+            if seen is None:
+                stack, seen = [], set()
+            if (id(t), sign) not in seen:
+                seen.add((id(t), sign))
+                stack.append((t.result if cls is TArrow else t.second, sign))
+                t, sign = (t.arg, -sign) if cls is TArrow else (t.first, sign)
+                continue
+        if not stack:
+            return out
+        t, sign = stack.pop()
 
 
 @record(eq=False)
@@ -227,11 +268,39 @@ def monotype(t: Type) -> Scheme:
 
 
 def _subst(t: Type, mapping: dict[TVar, Type]) -> Type:
-    t = resolve(t)
-    if isinstance(t, TVar):
-        return mapping.get(t, t)
-    parts = _PARTS[type(t)](t)
-    return type(t)(*[_subst(p, mapping) for p in parts]) if parts else t
+    """t with mapping's variables replaced.  Each node is copied once, so
+    the copy shares as t does, and a node with none of them is itself."""
+    memo: dict[int, Type] = {}
+    frames: list[tuple[Type, Type]] = []  # (node, its first part's copy, or node)
+    while True:
+        while True:  # down first parts, to a leaf or a node copied already
+            if type(t) is TVar and t.instance is not None:
+                t = resolve(t)
+            cls = type(t)
+            if cls is TVar:
+                t = mapping.get(t, t)
+            elif cls in _BASE or id(t) in memo:
+                t = memo.get(id(t), t)
+            else:
+                frames.append((t, t))
+                t = t.item if cls in _ONE_PART else t.arg if cls is TArrow else t.first
+                continue
+            break
+        while frames:  # up, copying each node whose parts are copied
+            node, first = frames.pop()
+            cls = type(node)
+            if cls in _ONE_PART:
+                t = node if t is node.item else cls(t)
+            elif first is node:
+                frames.append((node, t))
+                t = node.result if cls is TArrow else node.second
+                break
+            else:
+                parts = (node.arg, node.result) if cls is TArrow else (node.first, node.second)
+                t = node if first is parts[0] and t is parts[1] else cls(first, t)
+            memo[id(node)] = t
+        else:
+            return t
 
 
 class TypeEnv:
@@ -308,6 +377,7 @@ def _var_name(i: int) -> str:
 
 def _render(t: Type, code_word: str, names: dict[TVar, str]) -> str:
     """Prints from an explicit stack, so any depth of type is fine."""
+    check_print_size("type", resolve(t), lambda t: [resolve(p) for p in _PARTS[type(t)](t)])
     out: list[str] = []
     stack: list = [(t, _ARROW)]
     while stack:
@@ -323,8 +393,7 @@ def _render(t: Type, code_word: str, names: dict[TVar, str]) -> str:
         elif cls in _BASE:
             out.append(_BASE[cls])
         elif cls in _POSTFIX:
-            (part,) = _PARTS[cls](t)
-            stack += (" " + (_POSTFIX[cls] or code_word), (part, _POST))
+            stack += (" " + (_POSTFIX[cls] or code_word), (t.item, _POST))
         elif cls in _INFIX:
             level, left_level, operator, right_level = _INFIX[cls]
             left, right = _PARTS[cls](t)

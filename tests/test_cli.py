@@ -101,6 +101,34 @@ def test_typecheck_long_plain_literal_let_chain(write):
     assert proc.stdout == "int\n"
 
 
+def _pairs(n, tail=None):
+    # let x0 = 1 in let x1 = (x0, x0) in ...: n nodes as a DAG, 2^n - 1 as a tree.
+    lets = "".join(f"let x{i} = (x{i - 1}, x{i - 1}) in " for i in range(1, n))
+    return f"let x0 = 1 in {lets}{tail or f'x{n - 1}'}"
+
+
+@pytest.mark.parametrize(
+    "args, text, message",
+    [
+        (["typecheck"], f".<{_pairs(40)}>.", "a type of 1099511627776 nodes"),
+        (["typecheck", "--system", "host"], f".<{_pairs(40)}>.", "a type of 1099511627776 nodes"),
+        (["run"], _pairs(40), "a value of 1099511627775 nodes"),
+        (["typecheck"], _pairs(40, "x39 + 1"), "a type of 1099511627775 nodes"),
+        # A persisted cell, behind a thunk the value restriction lets
+        # through, is made to hold itself: its tree has no end.
+        (["run"], ".<let f = fun () -> %(ref []) in rset (f ()) (f ())>.", "a value of more than 1000000 nodes"),
+    ],
+    ids=["staged", "host", "run", "mismatch", "cyclic-run"],
+)
+def test_printing_too_large_a_type_or_value_is_a_resource_limit(write, args, text, message):
+    # Inference and evaluation share what the program shares; printing
+    # cannot, so its size is counted first and stops at a named limit.
+    proc = _cli(*args, write(text))
+    assert proc.returncode == 1, proc.stdout[:200]
+    assert proc.stdout == ""
+    assert proc.stderr.endswith(f": ResourceLimit: {message} exceeds the print limit (1000000)\n"), proc.stderr
+
+
 def test_gen_policy_flag(write, capsys):
     relaxed_only = 'let x = (let r = ref [] in !r) in (2 :: x, "3" :: x)'
     path = write(relaxed_only)

@@ -1,4 +1,7 @@
 import gc
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -584,28 +587,190 @@ def _wide_expansive_let(n):
     return f"let p = (let r = ref 0 in {lists}) in p"
 
 
+def _dag_nodes(t):
+    """How many distinct nodes, by id, t reaches."""
+    seen, stack = set(), [t]
+    while stack:
+        t = typesys.resolve(stack.pop())
+        if id(t) not in seen:
+            seen.add(id(t))
+            stack += typesys._PARTS[type(t)](t)
+    return len(seen)
+
+
+def _free_type_vars_nodes(monkeypatch, text, **kwargs):
+    """The distinct nodes handed to each `free_type_vars` call while the
+    staged system types text, summed over the calls."""
+    visited = []
+    original = typesys.free_type_vars
+
+    def counting(t):
+        visited.append(_dag_nodes(t))
+        return original(t)
+
+    monkeypatch.setattr(typesys, "free_type_vars", counting)
+    monkeypatch.setattr(typecheck, "free_type_vars", counting)
+    scheme = infer_staged(TypeEnv(), parse_source(text), **kwargs)
+    return scheme, sum(visited)
+
+
 def test_relaxed_variance_work_linear_in_type_size(monkeypatch):
     # An expansive right-hand side whose type holds n variables: relaxed
     # generalization must find every variable's variance in one pass.
-    calls = [0]
-    original = typesys.resolve
-
-    def counting(t):
-        calls[0] += 1
-        return original(t)
-
-    monkeypatch.setattr(typesys, "resolve", counting)
-    monkeypatch.setattr(typecheck, "resolve", counting)
-
-    def resolves(n):
-        e = parse_source(_wide_expansive_let(n))
-        calls[0] = 0
-        scheme = infer_staged(TypeEnv(), e, policy=GenPolicy.RELAXED)
+    def nodes(n):
+        scheme, count = _free_type_vars_nodes(monkeypatch, _wide_expansive_let(n), policy=GenPolicy.RELAXED)
         assert len(scheme.quantified) == n  # every list item type is covariant
-        return calls[0]
+        return count
 
-    small, large = resolves(25), resolves(100)
+    small, large = nodes(25), nodes(100)
+    assert small >= 25 * 3  # n pairs and n lists, at least
     assert large <= 5 * small, (small, large)
+
+
+def _pairs(n, tail=None, x="x"):
+    # let x0 = 1 in let x1 = (x0, x0) in ... in x(n-1): a type of n nodes
+    # as a DAG, but of 2^n - 1 as a tree.
+    lets = "".join(f"let {x}{i} = ({x}{i - 1}, {x}{i - 1}) in " for i in range(1, n))
+    return f"let {x}0 = 1 in {lets}{tail or f'{x}{n - 1}'}"
+
+
+def test_generalization_work_quadratic_in_pairs(monkeypatch):
+    # Each walk enters a shared node once, so the work is polynomial, not
+    # 2^n.  It is still quadratic: each let's generalization walks the whole
+    # DAG again.  Linear time needs ranks on compound types, so that a walk
+    # skips what holds no variable deeper than the environment (ROADMAP
+    # item 12).
+    small = _free_type_vars_nodes(monkeypatch, f".<{_pairs(25)}>.")[1]
+    large = _free_type_vars_nodes(monkeypatch, f".<{_pairs(100)}>.")[1]
+    assert small >= 25
+    assert large <= 20 * small, (small, large)
+
+
+# Each program hangs when a walker goes through a shared type as a tree.
+# It is typed in both systems, in a fresh interpreter at the default
+# recursion limit; the interpreter prints the distinct nodes of each type.
+SHARED_TYPE_CASES = {
+    "pairs_plain": (_pairs(900), 900),
+    "pairs_quoted": (f".<{_pairs(300)}>.", 301),
+    "occurs": (_pairs(300, "(fun p -> p) x299"), 300),
+    "unify": (_pairs(300, _pairs(300, "x299 :: y299 :: []", "y")), 301),  # chains built apart
+    "instantiate": (_pairs(300, 'let f = fun y -> (x299, y) in (f 1, f "a")'), 304),
+}
+
+_TYPE_BOTH_SYSTEMS = """
+import sys
+from polylet import infer_host, infer_staged, parse_source, translate
+from polylet.typesys import _PARTS, TypeEnv, resolve
+
+e = parse_source(sys.stdin.read())
+for scheme in (infer_staged(TypeEnv(), e), infer_host(TypeEnv(), translate(e))):
+    seen, stack = set(), [scheme.body]
+    while stack:
+        t = resolve(stack.pop())
+        if id(t) not in seen:
+            seen.add(id(t))
+            stack += _PARTS[type(t)](t)
+    print(len(seen))
+"""
+
+
+@pytest.mark.parametrize("case", sorted(SHARED_TYPE_CASES))
+def test_shared_types_type_in_polynomial_time(case):
+    text, nodes = SHARED_TYPE_CASES[case]
+    src = os.path.dirname(os.path.dirname(typesys.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TYPE_BOTH_SYSTEMS],
+        input=text,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{nodes}\n{nodes}\n"
+
+
+def test_instance_shares_as_its_scheme_does():
+    v = TVar()
+    shared = TArrow(v, TList(v))
+    a, b = TVar(), TVar()
+    fixed = TArrow(a, b)
+    inst = typesys.Scheme((v,), TPair(shared, TPair(shared, fixed))).instantiate()
+    assert inst.first is inst.second.first
+    assert inst.first is not shared
+    assert inst.second.second is fixed  # no quantified variable: itself
+    assert free_type_vars(inst) == {inst.first.arg: True, a: True, b: False}
+
+
+@pytest.fixture
+def default_recursion_limit():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    yield
+    sys.setrecursionlimit(limit)
+
+
+def _deep_list(n, leaf):
+    for _ in range(n):
+        leaf = TList(leaf)
+    return leaf
+
+
+DEEP = 100_000
+
+
+def _unify_deep(a, b, deep_a, deep_b):
+    typesys.unify(deep_a, deep_b)
+    assert typesys.resolve(a) is typesys.resolve(b)
+
+
+def _instantiate_deep(a, b, deep_a, deep_b):
+    inst = typesys.Scheme((a,), deep_a).instantiate()
+    for _ in range(DEEP):
+        assert type(inst) is TList
+        inst = inst.item
+    assert type(inst) is TVar and inst is not a
+
+
+def _occurs_deep(a, b, deep_a, deep_b):
+    assert typesys.occurs(a, deep_a)
+
+
+def _free_type_vars_deep(a, b, deep_a, deep_b):
+    assert free_type_vars(deep_b) == {b: False}
+
+
+DEEP_WALKS = {
+    "unify": _unify_deep,
+    "occurs": _occurs_deep,
+    "free_type_vars": _free_type_vars_deep,
+    "instantiate": _instantiate_deep,
+}
+
+
+@pytest.mark.parametrize("walk", sorted(DEEP_WALKS))
+def test_walkers_are_depth_safe(default_recursion_limit, walk):
+    # Each walk is 100,000 types deep, at the interpreter's default limit.
+    a, b = TVar(), TVar()
+    DEEP_WALKS[walk](a, b, _deep_list(DEEP, a), _deep_list(DEEP, b))
+
+
+def test_resolve_of_a_long_variable_chain(default_recursion_limit):
+    chain = [TVar() for _ in range(DEEP)]
+    for v, w in zip(chain, chain[1:]):
+        v.instance = w
+    chain[-1].instance = INT
+    assert typesys.resolve(chain[0]) is INT
+    assert all(v.instance is INT for v in chain)  # paths compressed
+
+
+@pytest.mark.parametrize("cls", [TArrow, TPair])
+def test_mismatch_after_the_first_part_binds(cls):
+    # The first part is unified first, so the message shows its binding.
+    a, b = TVar(), TVar()
+    with pytest.raises(Diagnostic) as exc:
+        typesys.unify(cls(a, TList(TPair(a, b))), cls(INT, TList(STR)))
+    assert exc.value.message == "cannot unify int * '_1 with string"
 
 
 def _vars_made(thunk):
