@@ -38,6 +38,7 @@ from .engine import (
     VStr,
     VUnit,
     RuntimeValue,
+    add_ints,
     rset_runtime,
     runtime_tag,
 )
@@ -177,7 +178,8 @@ class EvalBackend:
         body: Callable[[], RuntimeValue],
     ) -> RuntimeValue:
         saved = self.dynenv
-        self.dynenv = {**denv, ref: value}
+        self.dynenv = env = denv.copy()
+        env[ref] = value
         try:
             return body()
         finally:
@@ -232,13 +234,7 @@ class EvalBackend:
         if name == "add":
             a, b = codes
 
-            def add() -> RuntimeValue:
-                x, y = self.force(a), self.force(b)
-                if not (isinstance(x, VInt) and isinstance(y, VInt)):
-                    raise type_error("addition of non-integers")
-                return VInt(x.value + y.value)
-
-            return self._wrap(add)
+            return self._wrap(lambda: add_ints(self.force(a), self.force(b)))
         if name == "app":
             f, x = codes
             return self._wrap(lambda: self.machine.call(self.force(f), self.force(x)))

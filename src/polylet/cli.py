@@ -129,6 +129,8 @@ def main(argv: list[str] | None = None) -> int:
         args.name_start = int(seed)  # raises past Python's integer-string limit
     except ValueError:
         parser.error(f"POLYLET_SEED must be a non-negative decimal integer, not {seed!r}")
+    if getattr(args, "count", 0) < 0:
+        parser.error(f"--count must be non-negative, not {args.count}")
     filename = getattr(args, "file", "<input>")
     try:
         return args.fn(args)

@@ -19,7 +19,9 @@ The loop, step functions and resumers push frames instead of recursing,
 so a deep program costs stack entries, not Python frames.  Only compound
 operands take that path: an atomic one (a variable, a literal or a
 persisted value) is evaluated in place by whatever runs the form it is
-the next operand of, with no frame and no control of its own.
+the next operand of, with no frame and no control of its own (an integer
+literal addend is never boxed).  Closure entry and `let` bind by
+copy-and-store, `env.copy()` then one store: no held environment changes.
 
 Pair components evaluate right to left, mirroring the host language the
 generated traces come from; every other position is left to right.
@@ -212,12 +214,13 @@ def _render_value(v: RuntimeValue) -> str:
 
 def _apply(fn: RuntimeValue, arg: RuntimeValue):
     if type(fn) is VClosure:
-        param = fn.param
+        param, env = fn.param, fn.env
         if param != UNIT_BINDER and param != WILDCARD:
-            return fn.body, {**fn.env, param: arg}
-        if param == UNIT_BINDER and type(arg) is not VUnit:
+            env = env.copy()
+            env[param] = arg
+        elif param == UNIT_BINDER and type(arg) is not VUnit:
             raise type_error("unit-pattern function applied to a non-unit value")
-        return fn.body, fn.env
+        return fn.body, env
     if isinstance(fn, VNative):
         return None, fn.fn(arg)
     raise type_error(f"cannot apply a {runtime_tag(fn)} value")
@@ -236,11 +239,15 @@ def _var(t, env):
         raise unbound_var(t.name) from None
 
 
+def _int_lit(t, env):
+    return VInt(t.value)
+
+
 # Atomic operands: evaluated in place, by (term, env) -> value, by the step
 # or resumer whose next operand they are.
 _ATOM = {
     S.Var: _var,
-    S.IntLit: lambda t, env: VInt(t.value),
+    S.IntLit: _int_lit,
     S.StrLit: lambda t, env: VStr(t.value),
     S.Unit: lambda t, env: VUnit(),
     S.Nil: lambda t, env: VList(()),
@@ -290,18 +297,19 @@ def _k_call(m, f, v, stack):
 def _k_let(m, f, v, stack):
     _, t, env = f
     if binds(t.name):
-        env = {**env, t.name: v}
+        env = env.copy()
+        env[t.name] = v
     return t.body, env
 
 
-def _add(left, right):
+def add_ints(left: RuntimeValue, right: RuntimeValue) -> VInt:
     if not (isinstance(left, VInt) and isinstance(right, VInt)):
         raise type_error("addition of non-integers")
-    return None, VInt(left.value + right.value)
+    return VInt(left.value + right.value)
 
 
 def _k_add(m, f, v, stack):
-    return _add(f[1], v)
+    return None, add_ints(f[1], v)
 
 
 def _k_cons(m, f, v, stack):
@@ -389,9 +397,10 @@ class Machine:
 
     def _loop(self, control, stack: list[tuple]) -> RuntimeValue:
         # App and Add, the hot path, run here: an atomic operand is read in
-        # place (through `_ATOM`, or from env if a variable), a compound one
-        # pushes its frame.  A popped `_k_call` frame ends like an App, below.
-        step, get, App, Add, k_call = _STEP, _ATOM.get, S.App, S.Add, _k_call
+        # place (a variable from env, an integer literal addend unboxed, any
+        # other through `_ATOM`), a compound one pushes its frame.  A popped
+        # `_k_call` frame ends like an App, below: a closure by copy-and-store.
+        step, get, App, Add, k_call, int_lit = _STEP, _ATOM.get, S.App, S.Add, _k_call, _int_lit
         t, x = control
         while True:
             if t is None:
@@ -431,11 +440,14 @@ class Machine:
                     stack.append((_k_add, left))
                     t = e
                     continue
+                if atom is int_lit and type(left) is VInt:
+                    t, x = None, VInt(left.value + e.value)
+                    continue
                 right = x[e.name] if atom is _var and e.name in x else atom(e, x)
                 if type(left) is VInt and type(right) is VInt:
                     t, x = None, VInt(left.value + right.value)
                 else:
-                    t, x = _add(left, right)  # raises
+                    t, x = None, add_ints(left, right)  # raises
                 continue
             else:
                 try:
@@ -445,7 +457,8 @@ class Machine:
                 t, x = fn(self, t, x, stack)
                 continue
             if type(fn) is VClosure and fn.param != UNIT_BINDER and fn.param != WILDCARD:
-                t, x = fn.body, {**fn.env, fn.param: arg}
+                t, x = fn.body, fn.env.copy()
+                x[fn.param] = arg
             else:
                 t, x = _apply(fn, arg)
 

@@ -292,6 +292,14 @@ def test_difftest_subcommand(capsys):
     assert "not ok" not in out
 
 
+def test_negative_difftest_count_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["difftest", "--count", "-5"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--count" in captured.err and captured.out == ""
+
+
 @pytest.mark.skipif(shutil.which("polylet") is None, reason="entry point not installed")
 def test_console_entry_point(write):
     path = write(".<1 + 2>.")

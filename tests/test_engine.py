@@ -51,9 +51,23 @@ def test_application_argument_order_left_to_right():
 
 
 def test_unbound_variable_is_diagnosed():
-    with pytest.raises(Diagnostic) as exc:
-        evaluate(S.Var("ghost"), None)
-    assert exc.value.kind is Kind.UNBOUND_VAR
+    for term in (S.Var("ghost"), S.Add(S.Var("ghost"), S.IntLit(7))):
+        with pytest.raises(Diagnostic) as exc:
+            evaluate(term, None)
+        assert exc.value.kind is Kind.UNBOUND_VAR
+        assert exc.value.message == "unbound variable ghost"
+
+
+def test_binding_never_changes_an_environment_held_elsewhere():
+    # Closure entry and `let` extend a copy of the environment: a closure
+    # whose body shadows its parameter gives the same answers on every call,
+    # and a closure made before a shadowing `let` still sees the outer one.
+    ev = evaluate(translate(parse_plain("let a = 5 in fun x -> let x = x + a in x + x")), None)
+    fn = ev.value
+    held = dict(fn.env)
+    assert [ev.call(fn, VInt(n)) for n in (1, 10, 1)] == [VInt(12), VInt(30), VInt(12)]
+    assert fn.env == held
+    assert run_plain("let y = 1 in let g = fun z -> y + z in let y = 100 in g 0 + y") == VInt(101)
 
 
 # --- the step table -------------------------------------------------------------
@@ -146,10 +160,13 @@ def test_deep_terms_run_without_python_recursion():
         sys.setrecursionlimit(limit)
 
 
-def _genfun_chain(depth):
+def _genfun_lets(depth):
     lets = ["let f0 = fun z -> z + 7 in "]
-    lets += [f"let f{k} = fun z -> f{k - 1} (f{k - 1} z) in " for k in range(1, depth + 1)]
-    return translate(parse_plain("".join(lets) + f"fun x -> f{depth} x"))
+    return lets + [f"let f{k} = fun z -> f{k - 1} (f{k - 1} z) in " for k in range(1, depth + 1)]
+
+
+def _genfun_chain(depth):
+    return translate(parse_plain("".join(_genfun_lets(depth)) + f"fun x -> f{depth} x"))
 
 
 class _CountingStack(list):
@@ -177,6 +194,27 @@ def test_atomic_operands_take_no_steps():
     # frame of its own would push at least one more per call of each fK.
     assert _frames_per_call(6) == 2**6 - 1
     assert _frames_per_call(8) == 2**8 - 1
+
+
+def test_a_literal_addend_is_not_boxed():
+    # Generated code of a depth-6 genfun chain: one call runs 2**6 additions
+    # `z + 7`, and each allocates only its sum, not a box for the 7.
+    source = "".join(_genfun_lets(6)) + "fun x -> f6 x"
+    tree = evaluate(translate(parse_source(f".<{source}>.")), "quote").value.code.tree
+    run = evaluate(tree, None)
+    arg, calls = VInt(1), []
+
+    def count(frame, event, _):
+        if event == "call" and frame.f_code is VInt.__init__.__code__:
+            calls.append(event)
+
+    sys.setprofile(count)
+    try:
+        result = run.call(run.value, arg)
+    finally:
+        sys.setprofile(None)
+    assert result == VInt(1 + 7 * 2**6)
+    assert len(calls) == 2**6
 
 
 _NOPE = S.Var("nope")
@@ -235,6 +273,7 @@ _MODES = {
         ("plain", "1 2", "cannot apply a int value"),
         ("plain", "(fun x -> x) (ref 1) 2", "cannot apply a ref value"),
         ("plain", '1 + "a"', "addition of non-integers"),
+        ("plain", '"a" + 7', "addition of non-integers"),
         ("plain", "1 :: 2", "cons onto a non-list"),
         ("plain", "!1", "dereference of a non-cell"),
         ("plain", "rset 1 2", "rset expects a reference cell, got int"),

@@ -1,4 +1,6 @@
+import os
 import random
+import subprocess
 import sys
 
 import pytest
@@ -169,6 +171,38 @@ def test_lint_scopes_any_depth_of_lam():
         body = c("lam", S.Fun(f"x{i}", body))
     term = c("new_scope", S.Fun("p", body))
     assert T.lint_scopes(term) == ["genlet for p is separated from its scope by a lam"]
+
+
+# The translation of a 50,000-let quoted chain, `new_scope (fun p0 -> let x0 =
+# genlet p0 (int 0) in new_scope (fun p1 -> let x1 = genlet p1 (add x0 (int
+# 1)) in ...))`, built bottom-up because `translate` of it recurses.
+_LINT_LET_CHAIN = """
+from polylet import syntax as S
+from polylet.target import lint_scopes
+
+n = 50_000
+body = S.Var(f"x{n - 1}")
+for i in reversed(range(n)):
+    rhs = S.comb("add", S.Var(f"x{i - 1}"), S.comb("int", S.IntLit(1))) if i else S.comb("int", S.IntLit(0))
+    let = S.Let(f"x{i}", S.comb("genlet", S.Var(f"p{i}"), rhs), body)
+    body = S.comb("new_scope", S.Fun(f"p{i}", let))
+print(lint_scopes(body))
+"""
+
+
+def test_lint_scopes_is_linear_in_a_let_chain():
+    # At the default recursion limit; a lint quadratic in the binders would
+    # take minutes here.
+    src = os.path.dirname(os.path.dirname(T.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LINT_LET_CHAIN],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_free_vars_preserved():
