@@ -3,8 +3,8 @@
 The package parses staged programs, type-checks them with the level-
 indexed Hindley-Milner system, translates quotations away into plain
 terms over code combinators, and interprets those terms under three
-backends (text emission, quotation rebuilding, meta-circular evaluation)
-with let insertion via delimited control.
+backends (text emission, quotation rebuilding, and running the rebuilt
+tree) with let insertion via delimited control.
 """
 
 from .diagnostics import Diagnostic, Kind, Location

@@ -9,7 +9,7 @@ import sys
 from . import syntax as S
 from .backends import StringCode, evaluate
 from .diagnostics import Diagnostic, location, parse_error, recursion_limit, type_error
-from .engine import VCode, VClosure, VNative, parse_value_literal, render_value
+from .engine import VCode, VClosure, parse_value_literal, render_value
 from .parser import parse_source
 from .typecheck import GenPolicy, infer_host, infer_staged
 from .typesys import TypeEnv, render_scheme
@@ -66,7 +66,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     ev = evaluate(translate(expr), "eval", name_start=args.name_start)
     value = ev.force()
     if args.arg is not None:
-        if not isinstance(value, (VClosure, VNative)):
+        if not isinstance(value, VClosure):
             raise type_error("--arg given but the program result is not a function")
         value = ev.call(value, parse_value_literal(args.arg))
     print(render_value(value))
@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cg.add_argument("--backend", choices=("string", "quote"), required=True)
     p_cg.set_defaults(fn=_cmd_codegen)
 
-    p_run = sub.add_parser("run", help="evaluate via the meta-circular backend")
+    p_run = sub.add_parser("run", help="generate code with the eval backend and run it")
     p_run.add_argument("file")
     p_run.add_argument("--arg", default=None, help="literal to apply a function result to")
     p_run.set_defaults(fn=_cmd_run)

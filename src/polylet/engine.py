@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from typing import Callable, Optional
+from typing import Optional
 
 from . import syntax as S
 from .diagnostics import Diagnostic, Kind, check_print_size, type_error, unbound_var
@@ -95,16 +95,8 @@ class VClosure(RuntimeValue):
 
 
 @record(eq=False)
-class VNative(RuntimeValue):
-    """A host-level function value (e.g. a forced generated function)."""
-
-    fn: Callable[[RuntimeValue], RuntimeValue]
-    label: str = "<fun>"
-
-
-@record(eq=False)
 class VCode(RuntimeValue):
-    code: object  # a backend CodeValue
+    code: object  # a tree; a finished quote or string run wraps it
 
 
 @record(eq=False)
@@ -120,8 +112,7 @@ class VScope(RuntimeValue):
 # The tag each value class shows in run-time errors.
 _TAGS = {
     **{VInt: "int", VStr: "string", VUnit: "unit", VList: "list", VPair: "pair"},
-    **{VRefCell: "ref", VCode: "code"},
-    **dict.fromkeys((VClosure, VNative), "function"),
+    **{VRefCell: "ref", VClosure: "function", VCode: "code"},
 }
 
 
@@ -197,7 +188,7 @@ def _render_value(v: RuntimeValue) -> str:
         return f"({_render_value(v.first)}, {_render_value(v.second)})"
     if isinstance(v, VRefCell):
         return "{contents = " + _render_value(v.contents) + "}"
-    if isinstance(v, (VClosure, VNative)):
+    if isinstance(v, VClosure):
         return "<fun>"
     if isinstance(v, VCode):
         return "<code>"
@@ -221,8 +212,6 @@ def _apply(fn: RuntimeValue, arg: RuntimeValue):
         elif param == UNIT_BINDER and type(arg) is not VUnit:
             raise type_error("unit-pattern function applied to a non-unit value")
         return fn.body, env
-    if isinstance(fn, VNative):
-        return None, fn.fn(arg)
     raise type_error(f"cannot apply a {runtime_tag(fn)} value")
 
 
@@ -368,10 +357,15 @@ def _k_post(m, f, v, stack):
     return None, f[1](v)
 
 
+# The mark that generated code's environment carries, and so every function
+# it makes captures: no name can be this key.
+_IN_CODE = object()
+
+
 class Machine:
-    """One run.  `force_depth` counts the eval-backend code running; it is
-    kept here, not in that backend, because `_find_prompt` must refuse a
-    capture while generated code runs, before it searches for the prompt."""
+    """One run.  `force_depth` counts the generated code running (eval
+    backend trees, by `run_code`); `_find_prompt` must refuse a capture
+    while generated code runs, before it searches for the prompt."""
 
     def __init__(self, name_start: int = 1):
         self.backend = None  # installed by `backends.evaluate`
@@ -388,12 +382,22 @@ class Machine:
         return self._loop((term, env or {}), [])
 
     def call(self, fn: RuntimeValue, arg: RuntimeValue) -> RuntimeValue:
-        """Apply a function value to an argument, a native one directly and
-        a closure on a fresh stack: a call of a run's result after the run,
-        or the eval backend's `app`."""
-        if type(fn) is VNative:
-            return fn.fn(arg)
-        return self._loop(_apply(fn, arg), [])
+        """Apply a function value to an argument on a fresh stack: a call of
+        a run's result after the run.  A function that generated code made
+        runs as generated code."""
+        term, env = _apply(fn, arg)
+        if _IN_CODE in env:
+            return self.run_code(term, env)
+        return self._loop((term, env), [])
+
+    def run_code(self, tree: S.Expr, env: dict | None = None) -> RuntimeValue:
+        """Run a generated tree, from a fresh marked environment if none is
+        given, with `force_depth` raised."""
+        self.force_depth += 1
+        try:
+            return self._loop((tree, {_IN_CODE: VUnit()} if env is None else env), [])
+        finally:
+            self.force_depth -= 1
 
     def _loop(self, control, stack: list[tuple]) -> RuntimeValue:
         # App and Add, the hot path, run here: an atomic operand is read in
@@ -526,17 +530,18 @@ class Machine:
 
 @record(eq=False)
 class Evaluation:
-    """The result of one run, with its machine kept alive so that
-    eval-backend code values can be forced (and applied) afterwards."""
+    """The result of one run, with its machine kept alive so that an
+    eval-backend tree can be run, and the functions it makes applied,
+    afterwards."""
 
     value: RuntimeValue
     machine: Machine
 
     def force(self) -> RuntimeValue:
-        """The final value; eval-backend code values are run to a result."""
-        backend = self.machine.backend
-        if isinstance(self.value, VCode) and hasattr(backend, "force"):
-            return backend.force(self.value.code)
+        """The final value; an eval-backend tree (a bare one) is run to a
+        result, again on each call."""
+        if isinstance(self.value, VCode) and isinstance(self.value.code, S.Expr):
+            return self.machine.run_code(self.value.code)
         return self.value
 
     def call(self, fn: RuntimeValue, arg: RuntimeValue) -> RuntimeValue:

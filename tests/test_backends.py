@@ -224,6 +224,21 @@ def test_no_let_insertion_while_running_generated_code():
     assert "running generated code" in exc.value.message
 
 
+def test_generated_function_called_after_the_run_is_still_generated_code():
+    # A generated function applied after the run runs as generated code:
+    # the persisted code generator it calls may not insert a let.  The
+    # same generator, itself the run's result, is an ordinary function
+    # and may.
+    gen = "%(fun u -> .<let z = 1 in z>.)"
+    ev = evaluate(translate(parse_source(f".<fun y -> {gen} y>.")), "eval")
+    with pytest.raises(Diagnostic) as exc:
+        ev.call(ev.force(), VInt(0))
+    assert exc.value.kind is Kind.SCOPE_EXTRUSION
+    assert "running generated code" in exc.value.message
+    ev = evaluate(translate(parse_source(f".<{gen}>.")), "eval")
+    assert isinstance(ev.call(ev.force(), VInt(0)), VCode)
+
+
 def test_insertion_time_forcing_limit_for_lam_dependent_lets():
     # A quoted let whose RHS mentions the enclosing quoted binder: the
     # inserted binding is forced at insertion time, when the binder's

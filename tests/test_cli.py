@@ -129,6 +129,24 @@ def test_printing_too_large_a_type_or_value_is_a_resource_limit(write, args, tex
     assert proc.stderr.endswith(f": ResourceLimit: {message} exceeds the print limit (1000000)\n"), proc.stderr
 
 
+def test_run_of_a_long_chain_of_generated_calls(write):
+    # Generated code runs on the machine's stack: 300 generated functions,
+    # each calling the one before, run at the default recursion limit.
+    n = 300
+    lets = "".join(f"let f{i} = fun x -> f{i - 1} x + 1 in " for i in range(1, n))
+    proc = _cli("run", "--arg", "0", write(f".<let f0 = fun x -> x + 1 in {lets}f{n - 1}>."))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{n}\n"
+
+
+def test_run_shares_a_persisted_value_without_rebuilding_it(write):
+    # x39 is a DAG of 40 nodes but a tree of 2^40: the eval backend
+    # persists it as it is, where rebuilding it as a literal would not end.
+    proc = _cli("run", write(_pairs(40, ".<let y = %x39 in 7>.")))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "7\n"
+
+
 def test_gen_policy_flag(write, capsys):
     relaxed_only = 'let x = (let r = ref [] in !r) in (2 :: x, "3" :: x)'
     path = write(relaxed_only)

@@ -5,7 +5,7 @@ import pytest
 
 from polylet import engine
 from polylet import syntax as S
-from polylet.backends import EvalBackend, evaluate
+from polylet.backends import evaluate
 from polylet.diagnostics import Diagnostic, Kind
 from polylet.engine import (
     Machine,
@@ -321,36 +321,7 @@ def test_rset_heterogeneous_prepend_is_violation():
     assert exc.value.kind is Kind.SOUNDNESS_VIOLATION
 
 
-# --- dynamic binding ----------------------------------------------------------
-
-
-def test_dlet_immediate_lookup():
-    backend = EvalBackend(Machine())
-    r = backend.dnew()
-    assert backend.dlet(backend.dynenv, r, VInt(5), lambda: backend.dref(r)) == VInt(5)
-
-
-def test_dlet_nested_same_id_restores():
-    backend = EvalBackend(Machine())
-    r = backend.dnew()
-
-    def outer():
-        seen = [backend.dref(r)]
-        backend.dlet(backend.dynenv, r, VInt(2), lambda: seen.append(backend.dref(r)))
-        seen.append(backend.dref(r))
-        return seen
-
-    seen = backend.dlet(backend.dynenv, r, VInt(1), outer)
-    assert seen == [VInt(1), VInt(2), VInt(1)]
-    with pytest.raises(Diagnostic):
-        backend.dref(r)  # environment fully restored: binding gone
-
-
-def test_dref_unbound_dynamic_variable():
-    backend = EvalBackend(Machine())
-    with pytest.raises(Diagnostic) as exc:
-        backend.dref(99)
-    assert exc.value.kind is Kind.UNBOUND_VAR
+# --- generated functions -----------------------------------------------------
 
 
 def test_eval_backend_lam_binds_dynamically_per_application():
@@ -358,6 +329,15 @@ def test_eval_backend_lam_binds_dynamically_per_application():
     fn = ev.force()
     assert ev.call(fn, VInt(4)) == VInt(5)
     assert ev.call(fn, VInt(10)) == VInt(11)
+
+
+def test_eval_backend_nested_generated_functions_keep_their_own_bindings():
+    ev = evaluate(translate(parse_source(".<fun x -> fun y -> (x, y)>.")), "eval")
+    f = ev.force()
+    g1, g2 = ev.call(f, VInt(1)), ev.call(f, VInt(2))
+    assert ev.call(g1, VInt(10)) == VPair(VInt(1), VInt(10))
+    assert ev.call(g2, VInt(20)) == VPair(VInt(2), VInt(20))
+    assert ev.call(g1, VInt(30)) == VPair(VInt(1), VInt(30))
 
 
 # --- delimited control ---------------------------------------------------------

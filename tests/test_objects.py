@@ -17,7 +17,7 @@ import pytest
 
 from polylet import backends, diagnostics, engine, records, typesys
 from polylet import syntax as S
-from polylet.backends import EvalCode, QuoteCode, StringCode, evaluate
+from polylet.backends import QuoteCode, StringCode, evaluate
 from polylet.corpus import ENTRIES
 from polylet.diagnostics import Diagnostic, Location
 from polylet.engine import (
@@ -26,7 +26,6 @@ from polylet.engine import (
     VCode,
     VInt,
     VList,
-    VNative,
     VPair,
     VRefCell,
     VScope,
@@ -98,10 +97,8 @@ BY_IDENTITY = [
     S.CspValue(VRefCell(VList(()))),
     VRefCell(VList(())),
     VClosure("x", X, {}),
-    VNative(lambda v: v),
     VCode(S.Unit()),
     VScope(1),
-    EvalCode(lambda: VUnit()),
     Scheme((), INT),
     evaluate(S.Unit(), None),
 ]
@@ -147,12 +144,12 @@ def test_every_class_has_a_sample():
     sampled = {type(obj) for obj in BY_VALUE + BY_IDENTITY + CELLS}
     assert _concrete_classes() <= sampled
     assert _record_classes() <= sampled
-    assert {QuoteCode, StringCode, EvalCode} <= sampled
+    assert {QuoteCode, StringCode} <= sampled
 
 
 def test_records_share_every_method_but_init():
     classes = _record_classes()
-    assert len(classes) == 45
+    assert len(classes) == 43
     for cls in classes:
         assert cls.__repr__ is records.record_repr, cls
         if cls in IDENTITY_CLASSES:
