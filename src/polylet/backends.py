@@ -7,16 +7,13 @@
              that built it; an inserted let's right-hand side is run once,
              at insertion time, and its value is what the scope sees.
 
-A backend is built on one run's machine and installed as its `backend`.
-The machine splits `lam` around its own application of the body
-(`begin_lam`, `finish_lam`); `genlet_parts` gives what the resumed
-continuation sees and an optional wrapper for the delimited result (the
-inserted let around the scope's code); `apply_simple` builds the rest.
-
-Let insertion is shared across backends: `genlet` captures up to its
-scope's prompt and splices a binding at the scope point; `genletfun`
-additionally memoizes the inserted function binding, so every use within
-one funscope shares a single generated binder.
+The machine builds every node itself (`engine._COMB`).  A backend,
+installed as the run's `Machine.backend`, gives only what differs:
+`lift` rebuilds or embeds a persisted value; `genlet_parts` gives what
+the continuation resumed by a let insertion sees, and the binding, if
+any, to insert around the scope's code; `label` names the backend in
+messages; `binder_prefix` starts the names that `lam` and `genletfun`
+make.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from __future__ import annotations
 from typing import Optional
 
 from . import syntax as S
-from .diagnostics import Diagnostic, Kind, type_error
+from .diagnostics import Diagnostic, Kind
 from .engine import (
     Evaluation,
     Machine,
@@ -95,53 +92,17 @@ def check_scope(code: QuoteCode) -> list[RuntimeValue]:
     return persisted
 
 
-# The node class each compound combinator builds.
-_NODE_OF = {name: cls for cls, name in S.COMB_OF.items()}
-
-
 class QuoteBackend:
     """Code values are bare trees; `evaluate` wraps the final one."""
 
     label, binder_prefix = "quote", "x"
 
-    def __init__(self, machine: Machine):
-        self.machine = machine
-
-    def _tree(self, v: RuntimeValue) -> S.Expr:
-        if isinstance(v, VCode):
-            return v.code
-        raise type_error(f"{self.label} backend got a non-code operand ({runtime_tag(v)})")
-
     def lift(self, v: RuntimeValue) -> S.Expr:
-        lit = value_to_literal(v)
-        return lit if lit is not None else S.CspValue(v)
+        return value_to_literal(v) or S.CspValue(v)
 
-    def begin_lam(self) -> tuple[str, VCode]:
-        name = self.machine.gensym(self.binder_prefix)
-        return name, VCode(S.Var(name))
-
-    def finish_lam(self, binder: str, body: VCode) -> VCode:
-        return VCode(S.Fun(binder, self._tree(body)))
-
-    def genlet_parts(self, code: VCode):
-        tvar = self.machine.gensym("t")
-        bound = self._tree(code)
-
-        def wrap(rest: RuntimeValue) -> RuntimeValue:
-            return VCode(S.Let(tvar, bound, self._tree(rest)))
-
-        return VCode(S.Var(tvar)), wrap
-
-    def apply_simple(self, name: str, values: list[RuntimeValue]) -> RuntimeValue:
-        node = _NODE_OF.get(name)
-        if node is not None:
-            return VCode(node(*map(self._tree, values)))
-        if name in ("int", "str", "csp"):
-            (v,) = values
-            return VCode(self.lift(v))
-        if name == "nil":
-            return VCode(S.Nil())
-        raise type_error(f"unknown combinator {name}")
+    def genlet_parts(self, m: Machine, code: VCode):
+        tvar = m.gensym("t")
+        return VCode(S.Var(tvar)), (tvar, code.code)
 
 
 class EvalBackend(QuoteBackend):
@@ -154,16 +115,12 @@ class EvalBackend(QuoteBackend):
     def lift(self, v: RuntimeValue) -> S.Expr:
         return S.CspValue(v)
 
-    def genlet_parts(self, code: VCode):
-        # The continuation sees the bound value, and there is nothing to wrap.
-        return VCode(S.CspValue(self.machine.run_code(self._tree(code)))), None
+    def genlet_parts(self, m: Machine, code: VCode):
+        # The continuation sees the bound value, and nothing is inserted.
+        return VCode(S.CspValue(m.run_code(code.code))), None
 
 
-_BACKENDS = {
-    "string": QuoteBackend,
-    "quote": QuoteBackend,
-    "eval": EvalBackend,
-}
+_BACKENDS = {"string": QuoteBackend, "quote": QuoteBackend, "eval": EvalBackend}
 
 
 def evaluate(term, backend: str | None = "quote", name_start: int = 1) -> Evaluation:
@@ -175,17 +132,15 @@ def evaluate(term, backend: str | None = "quote", name_start: int = 1) -> Evalua
     """
     machine = Machine(name_start)
     if backend is not None:
-        machine.backend = _BACKENDS[backend](machine)
+        machine.backend = _BACKENDS[backend]()
     value = machine.execute(term)
     if backend in ("quote", "string") and isinstance(value, VCode):
         code = QuoteCode(value.code)
         persisted = check_scope(code)
         if backend == "string":
             if persisted:
-                raise Diagnostic(
-                    Kind.CSP_SERIALIZATION,
-                    f"cannot serialize a {runtime_tag(persisted[0])} value into emitted code",
-                )
+                tag = runtime_tag(persisted[0])
+                raise Diagnostic(Kind.CSP_SERIALIZATION, f"cannot serialize a {tag} value into emitted code")
             code = StringCode(S.pretty(code.tree))
         value = VCode(code)
     return Evaluation(value=value, machine=machine)

@@ -1,30 +1,32 @@
 """Call-by-value evaluator for translated terms, with delimited control.
 
 A `Machine` is one run of a term, with its name supply, prompt counter
-and combinator backend.  It is defunctionalized: the continuation is an
+and code backend.  It is defunctionalized: the continuation is an
 explicit stack of frames, so a prompt is a frame and capturing up to it
 is a slice.  Let insertion (shift0) removes the segment above the
-delimiter and re-installs it in place, parking the backend's wrap-up as a
-post-processing frame; nothing leaves the stack, so a capture inside the
-resumed segment still reaches prompts below it.  Combinators that must
-apply object-level functions (lam, the scope builders, genletfun) run
-them on the main stack so captures may cross them.
+delimiter and re-installs it in place, over a frame that builds the
+inserted let; nothing leaves the stack, so a capture inside the resumed
+segment still reaches prompts below it.
 
 The control is a pair: `(term, env)` evaluates a term, and `(None,
-value)` returns a value to the frame on top of the stack.  The machine's
-loop runs an application or an addition itself, and any other term by
-the step function that `_STEP` maps the term's class to.  A frame is a
-tuple whose first item is the function that resumes it with a value.
-The loop, step functions and resumers push frames instead of recursing,
-so a deep program costs stack entries, not Python frames.  Only compound
-operands take that path: an atomic one (a variable, a literal or a
-persisted value) is evaluated in place by whatever runs the form it is
-the next operand of, with no frame and no control of its own (an integer
-literal addend is never boxed).  Closure entry and `let` bind by
-copy-and-store, `env.copy()` then one store: no held environment changes.
+value)` returns a value to the frame on top of the stack.  The loop runs
+an application or an addition itself, any other term by the step that
+`_STEP` maps its class to, and a combinator by the step that one table,
+`_COMB`, maps its name to.  A frame is a tuple whose first item is the
+function that resumes it with a value.  Frames replace recursion, so a
+deep program costs stack entries, not Python frames.  An atomic operand
+(a variable, a literal, a `fun` or a persisted value) takes no frame:
+whatever runs its form evaluates it in place, and an integer literal
+addend is never boxed.  Binding is copy-and-store: `env.copy()`, then
+one store.  Pair components evaluate right to left, mirroring the host
+language; every other position is left to right.
 
-Pair components evaluate right to left, mirroring the host language the
-generated traces come from; every other position is left to right.
+Code is built here too.  A node combinator (`add`, `app`, `pair`,
+`cons`, `rset_`, `ref_`, `rget`) builds its node from its operands'
+trees, and `int` of an integer literal, or `str` of a string literal,
+is that literal; the backend lifts any other value.  `lam`, the scope
+builders and `genletfun` apply their function on this stack, so
+captures may cross them.
 
 Values are records, immutable by convention, except `VRefCell.contents`
 (`rset`) and `VScope.memo` (written once, by `genletfun`): dataclass
@@ -241,6 +243,7 @@ _ATOM = {
     S.Unit: lambda t, env: VUnit(),
     S.Nil: lambda t, env: VList(()),
     S.CspValue: lambda t, env: t.value,
+    S.Fun: lambda t, env: VClosure(t.param, t.body, env),
 }
 
 
@@ -253,22 +256,15 @@ def _then(m, e, env, frame, stack):
     return frame[0](m, frame, atom(e, env), stack)
 
 
-def _step_comb(m, t, env, stack):
-    if not t.args:
-        return m._dispatch_comb(t.name, [], stack)
-    return _then(m, t.args[-1 if t.name == "pair" else 0], env, (_k_comb, t, env, ()), stack)
-
-
 _STEP = {
     **{cls: lambda m, t, env, stack, atom=atom: (None, atom(t, env)) for cls, atom in _ATOM.items()},
-    S.Fun: lambda m, t, env, stack: (None, VClosure(t.param, t.body, env)),
     S.Let: lambda m, t, env, stack: _then(m, t.rhs, env, (_k_let, t, env), stack),
     S.Cons: lambda m, t, env, stack: _then(m, t.head, env, (_k_second, t.tail, env, _k_cons), stack),
     S.Pair: lambda m, t, env, stack: _then(m, t.second, env, (_k_second, t.first, env, _k_pair), stack),
     S.RefNew: lambda m, t, env, stack: _then(m, t.init, env, (_k_ref_new,), stack),
     S.RefGet: lambda m, t, env, stack: _then(m, t.ref, env, (_k_ref_get,), stack),
     S.Rset: lambda m, t, env, stack: _then(m, t.ref, env, (_k_second, t.value, env, _k_rset), stack),
-    S.Comb: _step_comb,
+    S.Comb: lambda m, t, env, stack: _COMB[t.name](m, t, env, stack),
 }
 
 
@@ -325,36 +321,146 @@ def _k_rset(m, f, v, stack):
     return None, rset_runtime(f[1], v)
 
 
-def _k_comb(m, f, v, stack):
-    _, t, env, done = f
-    done += (v,)
-    n, reverse = len(done), t.name == "pair"
-    if n < len(t.args):
-        return _then(m, t.args[-1 - n if reverse else n], env, (_k_comb, t, env, done), stack)
-    return m._dispatch_comb(t.name, list(reversed(done) if reverse else done), stack)
-
-
 def _k_prompt(m, f, v, stack):
     return None, v
 
 
+def _k_let_code(m, f, v, stack):
+    return None, VCode(S.Let(f[1], f[2], _code_tree(m, v)))
+
+
+# --- combinators ---------------------------------------------------------------
+
+
+def _backend(m):
+    if m.backend is None:
+        raise type_error("code combinator encountered in plain evaluation")
+    return m.backend
+
+
+def _code_tree(m, v: RuntimeValue) -> S.Expr:
+    label = _backend(m).label
+    if type(v) is not VCode:
+        raise type_error(f"{label} backend got a non-code operand ({runtime_tag(v)})")
+    return v.code
+
+
+_NODE_OF = {name: cls for cls, name in S.COMB_OF.items()}
+_OWN_CODE = {"int": S.IntLit, "str": S.StrLit}  # a literal is its own code
+
+
+def _comb_node2(m, t, env, stack):
+    # `_then`, inlined here and in `_k_node_first`: most code is built this way.
+    node = _NODE_OF[t.name]
+    first, last = t.args[::-1] if node is S.Pair else t.args
+    atom = _ATOM.get(type(first))
+    if atom is None:
+        stack.append((_k_node_first, node, last, env))
+        return first, env
+    return _k_node_first(m, (None, node, last, env), atom(first, env), stack)
+
+
+def _k_node_first(m, f, v, stack):
+    _, node, e, env = f
+    atom = _ATOM.get(type(e))
+    if atom is None:
+        stack.append((_k_node_last, node, v))
+        return e, env
+    return _k_node_last(m, (None, node, v), atom(e, env), stack)
+
+
+def _k_node_last(m, f, v, stack):
+    _, node, u = f
+    a, b = (v, u) if node is S.Pair else (u, v)
+    if type(a) is VCode and type(b) is VCode and m.backend is not None:
+        return None, VCode(node(a.code, b.code))
+    return None, VCode(node(_code_tree(m, a), _code_tree(m, b)))
+
+
+def _comb_unary(m, t, env, stack):
+    e = t.args[0]
+    if type(e) is _OWN_CODE.get(t.name) and m.backend is not None:
+        return None, VCode(e)
+    return _then(m, e, env, (_k_unary, _NODE_OF.get(t.name)), stack)
+
+
+def _k_unary(m, f, v, stack):
+    node = f[1]  # None: a lift
+    return None, VCode(_backend(m).lift(v) if node is None else node(_code_tree(m, v)))
+
+
+def _k_open(m, f, v, stack):
+    """Apply v to what `lam`, `new_scope` or `new_funscope` (f[1]) opens, a
+    fresh binder's code or a new scope, over the frame that closes it."""
+    backend = _backend(m)
+    if f[1] == "lam":
+        binder = m.gensym(backend.binder_prefix)
+        stack.append((_k_lam, binder))
+        return _apply(v, VCode(S.Var(binder)))
+    scope = VScope(next(m._prompts), f[1] == "new_funscope")
+    stack.append((_k_prompt, scope.prompt))
+    return _apply(v, scope)
+
+
 def _k_lam(m, f, v, stack):
-    return None, m.backend.finish_lam(f[1], _as_code(v))
+    return None, VCode(S.Fun(f[1], _as_code(v).code))
 
 
-def _k_memo(m, f, v, stack):
+def _k_genlet(m, f, v, stack):
+    # shift0: remove up to and including the delimiter, let the backend
+    # decide what the resumption sees and what binding, if any, to insert
+    # around the delimited result, then re-install the segment in place.
+    # Keeping one stack lets a later capture reach prompts below this one.
     scope = f[1]
-    assert scope.memo is None, "funscope memo overwritten"
-    scope.memo = _as_code(v)
-    return None, v
+    _backend(m)
+    if not isinstance(scope, VScope):
+        raise type_error("genlet expects a scope")
+    code = _as_code(v)
+    if m.force_depth > 0:
+        raise Diagnostic(Kind.SCOPE_EXTRUSION, "let insertion attempted while running generated code")
+    for i in range(len(stack) - 1, -1, -1):
+        if stack[i][0] is _k_prompt and stack[i][1] == scope.prompt:
+            break
+    else:
+        raise Diagnostic(Kind.SCOPE_EXTRUSION, "prompt not active: scope already closed")
+    captured = stack[i + 1 :]
+    del stack[i:]
+    resume_value, binding = m.backend.genlet_parts(m, code)
+    if binding is not None:
+        stack.append((_k_let_code, *binding))
+    stack.append((_k_prompt, scope.prompt))
+    stack.extend(captured)
+    return None, resume_value
+
+
+def _k_genletfun(m, f, v, stack):
+    scope = f[1]
+    _backend(m)
+    if not (isinstance(scope, VScope) and scope.fun):
+        raise type_error("genletfun expects a funscope")
+    if scope.memo is not None:
+        return None, scope.memo
+    stack.append((_k_genlet_after, scope))
+    return _k_open(m, (_k_open, "lam"), v, stack)
 
 
 def _k_genlet_after(m, f, v, stack):
-    return m._genlet(f[1], _as_code(v), stack)
+    # genletfun's function code is v: insert it, and keep what its uses see.
+    assert f[1].memo is None, "funscope memo overwritten"
+    f[1].memo = (control := _k_genlet(m, f, v, stack))[1]
+    return control
 
 
-def _k_post(m, f, v, stack):
-    return None, f[1](v)
+_COMB = {
+    **{name: _comb_node2 for name in _NODE_OF if S.COMB_ARITY[name] == 2},
+    **dict.fromkeys(("int", "str", "csp", "ref_", "rget"), _comb_unary),
+    **dict.fromkeys(
+        ("lam", "new_scope", "new_funscope"), lambda m, t, env, stack: _then(m, t.args[0], env, (_k_open, t.name), stack)
+    ),
+    "nil": lambda m, t, env, stack: (None, VCode(_backend(m) and S.Nil())),
+    "genlet": lambda m, t, env, stack: _then(m, t.args[0], env, (_k_second, t.args[1], env, _k_genlet), stack),
+    "genletfun": lambda m, t, env, stack: _then(m, t.args[0], env, (_k_second, t.args[1], env, _k_genletfun), stack),
+}
 
 
 # The mark that generated code's environment carries, and so every function
@@ -364,8 +470,8 @@ _IN_CODE = object()
 
 class Machine:
     """One run.  `force_depth` counts the generated code running (eval
-    backend trees, by `run_code`); `_find_prompt` must refuse a capture
-    while generated code runs, before it searches for the prompt."""
+    backend trees, by `run_code`); `_k_genlet` must refuse a capture while
+    generated code runs, before it searches for the prompt."""
 
     def __init__(self, name_start: int = 1):
         self.backend = None  # installed by `backends.evaluate`
@@ -465,67 +571,6 @@ class Machine:
                 x[fn.param] = arg
             else:
                 t, x = _apply(fn, arg)
-
-    # -- combinator dispatch --
-
-    def _dispatch_comb(self, name: str, values: list[RuntimeValue], stack: list[tuple]):
-        backend = self.backend
-        if backend is None:
-            raise type_error("code combinator encountered in plain evaluation")
-        if name == "lam":
-            (fn,) = values
-            binder, var_code = backend.begin_lam()
-            stack.append((_k_lam, binder))
-            return _apply(fn, var_code)
-        if name in ("new_scope", "new_funscope"):
-            (fn,) = values
-            scope = VScope(next(self._prompts), name == "new_funscope")
-            stack.append((_k_prompt, scope.prompt))
-            return _apply(fn, scope)
-        if name == "genlet":
-            scope, code = values
-            if not isinstance(scope, VScope):
-                raise type_error("genlet expects a scope")
-            return self._genlet(scope, _as_code(code), stack)
-        if name == "genletfun":
-            scope, fn = values
-            if not (isinstance(scope, VScope) and scope.fun):
-                raise type_error("genletfun expects a funscope")
-            if scope.memo is not None:
-                return None, scope.memo
-            stack.append((_k_memo, scope))
-            stack.append((_k_genlet_after, scope))
-            binder, var_code = backend.begin_lam()
-            stack.append((_k_lam, binder))
-            return _apply(fn, var_code)
-        return None, backend.apply_simple(name, values)
-
-    def _find_prompt(self, prompt: int, stack: list[tuple]) -> int:
-        if self.force_depth > 0:
-            raise Diagnostic(
-                Kind.SCOPE_EXTRUSION,
-                "let insertion attempted while running generated code",
-            )
-        for i in range(len(stack) - 1, -1, -1):
-            frame = stack[i]
-            if frame[0] is _k_prompt and frame[1] == prompt:
-                return i
-        raise Diagnostic(Kind.SCOPE_EXTRUSION, "prompt not active: scope already closed")
-
-    def _genlet(self, scope: VScope, code: VCode, stack: list[tuple]):
-        # shift0: remove up to and including the delimiter, let the backend
-        # decide what the resumption sees and how to post-process the
-        # delimited result, then re-install the segment in place.  Keeping
-        # one stack lets a later capture reach prompts below this one.
-        i = self._find_prompt(scope.prompt, stack)
-        captured = stack[i + 1 :]
-        del stack[i:]
-        resume_value, post = self.backend.genlet_parts(code)
-        if post is not None:
-            stack.append((_k_post, post))
-        stack.append((_k_prompt, scope.prompt))
-        stack.extend(captured)
-        return None, resume_value
 
 
 @record(eq=False)

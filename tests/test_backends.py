@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from polylet import syntax as S
@@ -252,6 +254,42 @@ def test_insertion_time_forcing_limit_for_lam_dependent_lets():
     expected = parse_plain("fun x -> let y = (x :: []) in y")
     assert S.alpha_equal(quote_of(term), expected)
     assert S.alpha_equal(parse_plain(string_of(term)), expected)
+
+
+def _quote_calls_and_nodes(depth):
+    """Python calls made by quote codegen of a balanced `+` tree of the
+    given depth, and the `Comb` nodes of its translation."""
+    text = "1"
+    for _ in range(depth):
+        text = f"({text} + {text})"
+    term = translate(parse_source(f".<{text}>."))
+    nodes, stack = 0, [term]
+    while stack:
+        e = stack.pop()
+        nodes += type(e) is S.Comb
+        stack += [kid for kid in S.children(e) if isinstance(kid, S.Expr)]
+    calls = []
+
+    def count(frame, event, _):
+        if event == "call":
+            calls.append(frame)
+
+    sys.setprofile(count)
+    try:
+        evaluate(term, "quote")
+    finally:
+        sys.setprofile(None)
+    return len(calls), nodes
+
+
+def test_quote_codegen_builds_each_combinator_node_in_a_few_calls():
+    # The machine builds a node combinator's node itself, and `int 1` is the
+    # literal it is applied to: about 5 calls a node, and linear in the tree.
+    small, small_nodes = _quote_calls_and_nodes(5)
+    large, large_nodes = _quote_calls_and_nodes(7)
+    assert (small_nodes, large_nodes) == (63, 255)
+    assert small <= 6 * small_nodes and large <= 6 * large_nodes, (small, large)
+    assert large <= 4.2 * small, (small, large)
 
 
 def test_fresh_cells_per_force_for_generated_thunks():

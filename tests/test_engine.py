@@ -267,9 +267,27 @@ _MODES = {
 }
 
 
+# Guards that the quote and eval backends share; `{}` is the backend's name.
+# A node combinator checks its operands in field order, after evaluating
+# them all (a pair's right to left).
+_CODE_GUARDS = [
+    ('pair 1 "a"', "{} backend got a non-code operand (int)"),
+    ('pair (int 1) "a"', "{} backend got a non-code operand (string)"),
+    ("app (int 1) 2", "{} backend got a non-code operand (int)"),
+    ("cons 1 nil", "{} backend got a non-code operand (int)"),
+    ("rset_ (int 1) ()", "{} backend got a non-code operand (unit)"),
+    ("ref_ 1", "{} backend got a non-code operand (int)"),
+    ('rget "a"', "{} backend got a non-code operand (string)"),
+    ("new_scope 1", "cannot apply a int value"),
+    ("lam 1", "cannot apply a int value"),
+    ("new_scope (fun p -> genlet p 1)", "expected a code value, got int"),
+]
+
+
 @pytest.mark.parametrize(
     "mode, text, message",
     [
+        *[(mode, text, message.format(mode)) for mode in ("quote", "eval") for text, message in _CODE_GUARDS],
         ("plain", "1 2", "cannot apply a int value"),
         ("plain", "(fun x -> x) (ref 1) 2", "cannot apply a ref value"),
         ("plain", '1 + "a"', "addition of non-integers"),
@@ -283,6 +301,7 @@ _MODES = {
         ("plain", "(1 + 1) 2", "cannot apply a int value"),
         ("plain", "1 + (1 :: [])", "addition of non-integers"),
         ("term", "int 1", "code combinator encountered in plain evaluation"),
+        ("term", "add (1 2) (int 1)", "cannot apply a int value"),  # operands first
         ("quote", "genlet (int 1) (int 2)", "genlet expects a scope"),
         ("quote", "new_scope (fun p -> genletfun p (fun x -> x))", "genletfun expects a funscope"),
         ("quote", "add 1 (int 2)", "quote backend got a non-code operand (int)"),
