@@ -1,0 +1,148 @@
+"""A record of polylet's outputs: what each command prints for a fixed set of
+programs, so that "outputs unchanged" is a check.
+
+    python tests/outcomes.py           # compare with tests/outcomes.txt
+    python tests/outcomes.py --update  # rewrite tests/outcomes.txt
+
+The programs are the corpus sources, random bracket programs at seeds 0 and
+1, and the perfbench programs at seed 1 (read, never changed): every
+`letchain`, `wide` and `genfun` program, and seeded samples of the random
+and `small` ones.  Each runs, through `polylet.cli.main` in this process,
+`typecheck` under both systems and each policy, `translate`, `codegen`
+with each printing backend, `run`, and `run --arg` with a literal of the
+argument type when the staged type is a function's code.  The record also
+holds the `polylet difftest` TAP at the default count.
+
+One line per program and command: name, command, exit status and output
+(stdout, then stderr), tab-separated.  Corpus outputs are kept in full, as
+a JSON string; every other output as the first 12 hex digits of its
+sha256.  Generated names start at 1: POLYLET_SEED is ignored.  A
+`RecursionError` lands where the stack depth says, so record and compare
+by the same command.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import programs as perfbench_programs  # noqa: E402
+from polylet import cli, corpus, difftest, typesys  # noqa: E402
+from polylet import syntax as S  # noqa: E402
+from polylet.diagnostics import Diagnostic  # noqa: E402
+from polylet.parser import parse_source  # noqa: E402
+from polylet.typecheck import GenPolicy, infer_staged  # noqa: E402
+
+RECORD = ROOT / "tests" / "outcomes.txt"
+RANDOM_COUNT = 80  # random programs per seed
+SMALL_COUNT = 100  # of the perfbench `small` programs
+
+# A literal of each argument type that has one.
+_LITERALS = {typesys.TInt: "2", typesys.TStr: '"a"', typesys.TUnit: "()", typesys.TList: "[]", typesys.TVar: "0"}
+
+
+def sources() -> list[tuple[str, str, bool]]:
+    """(name, source text, whether the output is kept in full)."""
+    out = [(f"corpus/{e.name}", e.source, True) for e in corpus.ENTRIES if e.source is not None]
+    for seed in (0, 1):
+        rng = random.Random(seed)
+        for i in range(RANDOM_COUNT):
+            out.append((f"random/{seed}/{i}", S.pretty(difftest.random_bracket_program(rng)), False))
+    for workload in perfbench_programs.WORKLOADS:
+        programs = perfbench_programs.build(workload, 1)
+        if workload == "small":
+            picked = sorted(random.Random(0).sample(range(len(programs)), SMALL_COUNT))
+            programs = [programs[i] for i in picked]
+        out += [(p.name, p.source, False) for p in programs]
+    return out
+
+
+def commands(text: str) -> list[list[str]]:
+    out = [
+        ["typecheck", "--system", system, "--gen-policy", policy]
+        for system in ("staged", "host")
+        for policy in [p.value for p in GenPolicy]
+    ]
+    out += [["translate"], ["codegen", "--backend", "quote"], ["codegen", "--backend", "string"], ["run"]]
+    try:
+        body = typesys.resolve(infer_staged(typesys.TypeEnv(), parse_source(text)).body)
+    except (Diagnostic, RecursionError):
+        return out
+    if type(body) is typesys.TCode and type(arg := typesys.resolve(body.item)) is typesys.TArrow:
+        literal = _LITERALS.get(type(typesys.resolve(arg.arg)))
+        if literal is not None:
+            out.append(["run", "--arg", literal])
+    return out
+
+
+def _main(argv: list[str]) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = cli.main(argv)
+    return status, out.getvalue() + err.getvalue()
+
+
+def _line(name: str, command: list[str], status: int, output: str, full: bool) -> str:
+    shown = json.dumps(output) if full else hashlib.sha256(output.encode()).hexdigest()[:12]
+    return "\t".join((name, " ".join(command), str(status), shown))
+
+
+def outcomes() -> tuple[list[str], dict[int, str]]:
+    """The record's lines, and each line's output in full, by line index."""
+    lines: list[str] = []
+    outputs: dict[int, str] = {}
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # so that diagnostics name the file `program.pml`
+        try:
+            for name, text, full in sources():
+                Path("program.pml").write_text(text, encoding="utf-8")
+                for command in commands(text):
+                    status, output = _main([command[0], "program.pml", *command[1:]])
+                    outputs[len(lines)] = output
+                    lines.append(_line(name, command, status, output, full))
+        finally:
+            os.chdir(cwd)
+    status, output = _main(["difftest"])
+    outputs[len(lines)] = output
+    lines.append(_line("difftest", ["difftest"], status, output, False))
+    return lines, outputs
+
+
+def main(argv: list[str]) -> int:
+    os.environ.pop("POLYLET_SEED", None)
+    lines, outputs = outcomes()
+    if argv == ["--update"]:
+        RECORD.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        print(f"wrote {len(lines)} outcomes to {RECORD.name}")
+        return 0
+    if argv:
+        print(__doc__, file=sys.stderr)
+        return 2
+    old = RECORD.read_text(encoding="utf-8").splitlines()
+    differing = [i for i in range(max(len(old), len(lines))) if old[i : i + 1] != lines[i : i + 1]]
+    for i in differing[:5]:
+        print(f"line {i + 1}:")
+        print("  old: " + (old[i] if i < len(old) else "(none)"))
+        print("  new: " + (lines[i] if i < len(lines) else "(none)"))
+        if i in outputs:
+            print("  new output: " + json.dumps(outputs[i])[:2000])
+    if differing:
+        print(f"{len(differing)} of {len(lines)} outcomes differ from {RECORD.name}")
+        return 1
+    print(f"{len(lines)} outcomes match {RECORD.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -406,3 +406,12 @@ def test_integers_past_the_digit_limit_get_a_diagnostic(write, capsys, command, 
     path = write(text)
     assert main([*command, path]) == 1
     assert capsys.readouterr().err == path + message + "\n"
+
+
+def test_outputs_match_the_committed_record():
+    # tests/outcomes.py reruns every command of tests/outcomes.txt and
+    # names the first lines that differ; `--update` rewrites the record.
+    script = os.path.join(os.path.dirname(__file__), "outcomes.py")
+    env = {k: v for k, v in os.environ.items() if k != "POLYLET_SEED"}
+    proc = subprocess.run([sys.executable, script], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
