@@ -2,6 +2,10 @@
 
 A Diagnostic is both a value and an exception: stages raise it, the CLI
 catches it and renders `file:line:col: kind: message`.
+
+Printing lives here too, below `syntax` and `typesys`: `render_layout`
+is the one printer of code, types and values, and `check_print_size`
+the print limit that types and values pass first.
 """
 
 from __future__ import annotations
@@ -96,3 +100,32 @@ def check_print_size(what: str, root, parts) -> None:
             raise print_limit(what, f"more than {PRINT_LIMIT}")
     if sizes[id(root)] > PRINT_LIMIT:
         raise print_limit(what, sizes[id(root)])
+
+
+def render_layout(what: str, root, level: int, layouts: dict) -> str:
+    """The text of root, a node of a family that `layouts` maps each class
+    of to the node's layout: its text, or its precedence level and its
+    parts, strings and (child, least level the child may print at without
+    parentheses).  Prints from an explicit stack, so any depth is fine."""
+    out: list[str] = []
+    emit = out.append
+    stack: list = [(root, level)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            emit(item)
+            continue
+        node, least = item
+        try:
+            layout = layouts[type(node)](node)
+        except KeyError:
+            raise TypeError(f"unexpected {what} {node!r}") from None
+        if type(layout) is str:
+            emit(layout)
+            continue
+        level, parts = layout
+        if level < least:
+            emit("(")
+            stack.append(")")
+        stack += parts[::-1]
+    return "".join(out)

@@ -1,12 +1,12 @@
 """Call-by-value evaluator for translated terms, with delimited control.
 
-A `Machine` is one run of a term, with its name supply, prompt counter
-and code backend.  It is defunctionalized: the continuation is an
-explicit stack of frames, so a prompt is a frame and capturing up to it
-is a slice.  Let insertion (shift0) removes the segment above the
-delimiter and re-installs it in place, over a frame that builds the
-inserted let; nothing leaves the stack, so a capture inside the resumed
-segment still reaches prompts below it.
+A `Machine` is one run of a term, with its name supply and code
+backend.  It is defunctionalized: the continuation is an explicit stack
+of frames, so a prompt is a frame, marked by its scope object, and
+capturing up to it is a slice.  Let insertion (shift0) removes the
+segment above the delimiter and re-installs it in place, over a frame
+that builds the inserted let; nothing leaves the stack, so a capture
+inside the resumed segment still reaches prompts below it.
 
 The control is a pair: `(term, env)` evaluates a term, and `(None,
 value)` returns a value to the frame on top of the stack.  The loop runs
@@ -31,6 +31,8 @@ captures may cross them.
 Values are records, immutable by convention, except `VRefCell.contents`
 (`rset`) and `VScope.memo` (written once, by `genletfun`): dataclass
 generates only their `__init__`, and `__repr__`, `__eq__` and `__hash__` are shared.
+`render_value` prints them through the one layout printer,
+`diagnostics.render_layout`, so a value of any depth prints.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import re
 from typing import Optional
 
 from . import syntax as S
-from .diagnostics import Diagnostic, Kind, check_print_size, type_error, unbound_var
+from .diagnostics import Diagnostic, Kind, check_print_size, render_layout, type_error, unbound_var
 from .parser import _TOKEN, _int_limit, _kind
 from .records import record
 from .syntax import UNIT_BINDER, WILDCARD, binds, int_text, quote_string, unescape
@@ -103,10 +105,9 @@ class VCode(RuntimeValue):
 
 @record(eq=False)
 class VScope(RuntimeValue):
-    """A scope's prompt; a funscope (`fun`) also keeps, written once, the
-    function binding it has inserted."""
+    """A scope, whose identity is its prompt's; a funscope (`fun`) also
+    keeps, written once, the function binding it has inserted."""
 
-    prompt: int
     fun: bool = False
     memo: Optional[VCode] = None
 
@@ -167,7 +168,7 @@ def parse_value_literal(text: str) -> RuntimeValue:
 
 def render_value(v: RuntimeValue) -> str:
     check_print_size("value", v, _value_parts)
-    return _render_value(v)
+    return render_layout("value", v, 0, _VALUE_LAYOUT)
 
 
 def _value_parts(v: RuntimeValue) -> tuple:
@@ -177,26 +178,18 @@ def _value_parts(v: RuntimeValue) -> tuple:
     return v.items if cls is VList else (v.contents,) if cls is VRefCell else ()
 
 
-def _render_value(v: RuntimeValue) -> str:
-    if isinstance(v, VInt):
-        return int_text(v.value)
-    if isinstance(v, VStr):
-        return quote_string(v.value)
-    if isinstance(v, VUnit):
-        return "()"
-    if isinstance(v, VList):
-        return "[" + "; ".join(_render_value(x) for x in v.items) + "]"
-    if isinstance(v, VPair):
-        return f"({_render_value(v.first)}, {_render_value(v.second)})"
-    if isinstance(v, VRefCell):
-        return "{contents = " + _render_value(v.contents) + "}"
-    if isinstance(v, VClosure):
-        return "<fun>"
-    if isinstance(v, VCode):
-        return "<code>"
-    if isinstance(v, VScope):
-        return "<scope>"
-    return repr(v)
+# Each class's layout, in `render_layout`'s form; values need no parentheses.
+_VALUE_LAYOUT = {
+    VInt: lambda v: int_text(v.value),
+    VStr: lambda v: quote_string(v.value),
+    VUnit: lambda v: "()",
+    VList: lambda v: (0, ("[", *[p for item in v.items for p in ("; ", (item, 0))][1:], "]")),
+    VPair: lambda v: (0, ("(", (v.first, 0), ", ", (v.second, 0), ")")),
+    VRefCell: lambda v: (0, ("{contents = ", (v.contents, 0), "}")),
+    VClosure: lambda v: "<fun>",
+    VCode: lambda v: "<code>",
+    VScope: lambda v: "<scope>",
+}
 
 
 # --- the machine -------------------------------------------------------------
@@ -397,8 +390,8 @@ def _k_open(m, f, v, stack):
         binder = m.gensym(backend.binder_prefix)
         stack.append((_k_lam, binder))
         return _apply(v, VCode(S.Var(binder)))
-    scope = VScope(next(m._prompts), f[1] == "new_funscope")
-    stack.append((_k_prompt, scope.prompt))
+    scope = VScope(f[1] == "new_funscope")
+    stack.append((_k_prompt, scope))
     return _apply(v, scope)
 
 
@@ -419,7 +412,7 @@ def _k_genlet(m, f, v, stack):
     if m.force_depth > 0:
         raise Diagnostic(Kind.SCOPE_EXTRUSION, "let insertion attempted while running generated code")
     for i in range(len(stack) - 1, -1, -1):
-        if stack[i][0] is _k_prompt and stack[i][1] == scope.prompt:
+        if stack[i][0] is _k_prompt and stack[i][1] is scope:
             break
     else:
         raise Diagnostic(Kind.SCOPE_EXTRUSION, "prompt not active: scope already closed")
@@ -428,7 +421,7 @@ def _k_genlet(m, f, v, stack):
     resume_value, binding = m.backend.genlet_parts(m, code)
     if binding is not None:
         stack.append((_k_let_code, *binding))
-    stack.append((_k_prompt, scope.prompt))
+    stack.append((_k_prompt, scope))
     stack.extend(captured)
     return None, resume_value
 
@@ -477,7 +470,6 @@ class Machine:
         self.backend = None  # installed by `backends.evaluate`
         self._name_start = name_start
         self._names: dict[str, itertools.count] = {}
-        self._prompts = itertools.count(1)
         self.force_depth = 0
 
     def gensym(self, prefix: str) -> str:

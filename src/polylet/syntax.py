@@ -11,7 +11,9 @@ Traversals go through one generic pair: `children(e)` lists the
 subexpressions in field order, and `rebuild(e, kids)` makes the same
 node over new children.  Nodes, like types and values, are records, immutable
 by convention: dataclass generates only their `__init__`, and `__repr__`,
-`__eq__` and `__hash__` are the ones `records` shares.
+`__eq__` and `__hash__` are the ones `records` shares.  `pretty` prints,
+as types and values print, through the one layout printer,
+`diagnostics.render_layout`, from a table of each class's layout.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import sys
 from operator import attrgetter, is_
 from typing import Sequence
 
-from .diagnostics import Kind, Diagnostic
+from .diagnostics import Kind, Diagnostic, render_layout
 from .records import record
 
 # Binder names are ordinary identifiers, or one of two special forms that
@@ -378,9 +380,7 @@ def _comb_layout(e: Comb):
     return _APP, parts
 
 
-# Each class's layout: the text of an atom, or the node's own precedence
-# level and its text as a sequence of strings and (child, least level the
-# child may print at without parentheses).
+# Each class's layout, in `render_layout`'s form.
 _LAYOUT = {
     Var: lambda e: e.name,
     IntLit: lambda e: int_text(e.value),
@@ -407,29 +407,8 @@ _LAYOUT = {
 
 def pretty(e: Expr) -> str:
     """Concrete syntax, which `parse_source` (`parse_term` for a term) reads
-    back.  Prints from an explicit stack, so any depth of tree is fine."""
-    out: list[str] = []
-    emit = out.append
-    stack: list = [(e, _EXPR)]
-    while stack:
-        item = stack.pop()
-        if type(item) is str:
-            emit(item)
-            continue
-        e, min_level = item
-        try:
-            layout = _LAYOUT[type(e)](e)
-        except KeyError:
-            raise TypeError(f"unexpected expression {e!r}") from None
-        if type(layout) is str:
-            emit(layout)
-            continue
-        level, parts = layout
-        if level < min_level:
-            emit("(")
-            stack.append(")")
-        stack += parts[::-1]
-    return "".join(out)
+    back, laid out by `render_layout`, so any depth of tree is fine."""
+    return render_layout("expression", e, _EXPR, _LAYOUT)
 
 
 def is_plain(e: Expr) -> bool:

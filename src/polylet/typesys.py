@@ -31,6 +31,9 @@ environment at all.  Ranks are only ever lowered, in two places:
 A fresh variable starts at `UNBOUNDED_RANK`: nothing can reach it yet.
 The rank is a position in the environment; it is unrelated to the stage
 `level` a `TypeEnv` binding holds its variable at.
+
+Types print, as code and values do, through the one layout printer,
+`diagnostics.render_layout`.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import sys
 from collections import defaultdict
 from operator import attrgetter
 
-from .diagnostics import check_print_size, type_error
+from .diagnostics import check_print_size, render_layout, type_error
 from .records import record
 
 _var_ids = itertools.count(1)
@@ -349,12 +352,8 @@ class TypeEnv:
 # Rendering: arrow < pair < postfix constructor application.
 _ARROW, _PAIR, _POST = 0, 1, 2
 
-# The base types' names; the word that follows each one-parameter
-# constructor's argument, None standing for the code word; and each infix
-# constructor's precedence, operator, and its operands' precedences.
+# The base types' names.
 _BASE = {TInt: "int", TStr: "string", TUnit: "unit"}
-_POSTFIX = {TList: "list", TRef: "ref", TCode: None, TScope: "scope", TFunScope: "funscope"}
-_INFIX = {TPair: (_PAIR, _POST, " * ", _POST), TArrow: (_ARROW, _PAIR, " -> ", _ARROW)}
 
 
 def render_scheme(s: Scheme, code_word: str = "code") -> str:
@@ -376,31 +375,16 @@ def _var_name(i: int) -> str:
 
 
 def _render(t: Type, code_word: str, names: dict[TVar, str]) -> str:
-    """Prints from an explicit stack, so any depth of type is fine."""
-    check_print_size("type", resolve(t), lambda t: [resolve(p) for p in _PARTS[type(t)](t)])
-    out: list[str] = []
-    stack: list = [(t, _ARROW)]
-    while stack:
-        item = stack.pop()
-        if type(item) is str:
-            out.append(item)
-            continue
-        t, min_level = item
-        t = resolve(t)
-        cls = type(t)
-        if cls is TVar:
-            out.append(names[t])
-        elif cls in _BASE:
-            out.append(_BASE[cls])
-        elif cls in _POSTFIX:
-            stack += (" " + (_POSTFIX[cls] or code_word), (t.item, _POST))
-        elif cls in _INFIX:
-            level, left_level, operator, right_level = _INFIX[cls]
-            left, right = _PARTS[cls](t)
-            if level < min_level:
-                out.append("(")
-                stack.append(")")
-            stack += ((right, right_level), operator, (left, left_level))
-        else:
-            raise TypeError(f"unexpected type {t!r}")
-    return "".join(out)
+    """t laid out by `render_layout`, from a table that closes over names
+    and code_word; each layout holds its children resolved."""
+    t = resolve(t)
+    check_print_size("type", t, lambda t: [resolve(p) for p in _PARTS[type(t)](t)])
+    words = {TList: " list", TRef: " ref", TCode: " " + code_word, TScope: " scope", TFunScope: " funscope"}
+    layouts = {
+        **{cls: lambda t, word=word: (_POST, ((resolve(t.item), _POST), word)) for cls, word in words.items()},
+        **{cls: lambda t, name=name: name for cls, name in _BASE.items()},
+        TVar: names.__getitem__,
+        TPair: lambda t: (_PAIR, ((resolve(t.first), _POST), " * ", (resolve(t.second), _POST))),
+        TArrow: lambda t: (_ARROW, ((resolve(t.arg), _PAIR), " -> ", (resolve(t.result), _ARROW))),
+    }
+    return render_layout("type", t, _ARROW, layouts)

@@ -435,3 +435,17 @@ def test_parse_value_literal():
 def test_render_value():
     v = VPair(VList((VInt(2), VInt(1))), VStr("a"))
     assert render_value(v) == '([2; 1], "a")'
+
+
+def test_render_value_at_any_depth_at_the_default_recursion_limit():
+    v, n = VInt(0), 100_000
+    for i in range(n):
+        v = (VPair(v, VUnit()), VRefCell(v), VList((v,)))[i % 3]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        text = render_value(v)
+    finally:
+        sys.setrecursionlimit(limit)
+    opens = "([{contents = " * (n // 3) + "("
+    assert text == opens + "0, ())" + "}], ())" * (n // 3)
