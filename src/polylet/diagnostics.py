@@ -3,9 +3,8 @@
 A Diagnostic is both a value and an exception: stages raise it, the CLI
 catches it and renders `file:line:col: kind: message`.
 
-Printing lives here too, below `syntax` and `typesys`: `render_layout`
-is the one printer of code, types and values, and `check_print_size`
-the print limit that types and values pass first.
+Printing lives here too, below both `syntax` and `typesys`: `render_layout`
+prints code, types and values, and `check_print_size` limits the last two.
 """
 
 from __future__ import annotations
@@ -103,10 +102,12 @@ def check_print_size(what: str, root, parts) -> None:
 
 
 def render_layout(what: str, root, level: int, layouts: dict) -> str:
-    """The text of root, a node of a family that `layouts` maps each class
-    of to the node's layout: its text, or its precedence level and its
-    parts, strings and (child, least level the child may print at without
-    parentheses).  Prints from an explicit stack, so any depth is fine."""
+    """The text of root.  `layouts` maps each class of root's family to a
+    function giving a node's layout: its text, or its precedence level and
+    its parts, each a string or a (child, least level at which the child
+    prints without parentheses) pair.  Prints from an explicit stack, so
+    any depth is fine; `what` names the family in the error for a node of
+    no known class."""
     out: list[str] = []
     emit = out.append
     stack: list = [(root, level)]
