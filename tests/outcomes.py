@@ -10,8 +10,11 @@ The programs are the corpus sources, random bracket programs at seeds 0 and
 and `small` ones.  Each runs, through `polylet.cli.main` in this process,
 `typecheck` under both systems and each policy, `translate`, `codegen`
 with each printing backend, `run`, and `run --arg` with a literal of the
-argument type when the staged type is a function's code.  The record also
-holds the `polylet difftest` TAP at the default count.
+argument type when the staged type is a function's code.  Seeded one-token
+mutations of the corpus sources and the seed-0 random programs, each of
+which deletes, inserts or replaces one token, run `typecheck` alone, so
+that the parser's diagnostics are pinned too.  The record also holds the
+`polylet difftest` TAP at the default count.
 
 One line per program and command: name, command, exit status and output
 (stdout, then stderr), tab-separated.  Corpus outputs are kept in full, as
@@ -40,12 +43,21 @@ import programs as perfbench_programs  # noqa: E402
 from polylet import cli, corpus, difftest, typesys  # noqa: E402
 from polylet import syntax as S  # noqa: E402
 from polylet.diagnostics import Diagnostic  # noqa: E402
-from polylet.parser import parse_source  # noqa: E402
+from polylet.parser import parse_source, tokenize  # noqa: E402
 from polylet.typecheck import GenPolicy, infer_staged  # noqa: E402
 
 RECORD = ROOT / "tests" / "outcomes.txt"
 RANDOM_COUNT = 80  # random programs per seed
 SMALL_COUNT = 100  # of the perfbench `small` programs
+MUTATION_COUNT = 300
+
+# What a mutation inserts, or puts in a token's place: every punctuation
+# mark and keyword, an atom of each kind, and the starts of three lexical
+# errors (a comment and a string left open, and a bad character).
+_MUTANTS = (
+    "::", "->", ".<", ">.", ".~", "(", ")", "[", "]", "+", ",", "=", "!", "%",
+    "let", "in", "fun", "ref", "rset", "x", "0", '"s"', "(*", '"', "?",
+)  # fmt: skip
 
 # A literal of each argument type that has one.
 _LITERALS = {typesys.TInt: "2", typesys.TStr: '"a"', typesys.TUnit: "()", typesys.TList: "[]", typesys.TVar: "0"}
@@ -64,6 +76,23 @@ def sources() -> list[tuple[str, str, bool]]:
             picked = sorted(random.Random(0).sample(range(len(programs)), SMALL_COUNT))
             programs = [programs[i] for i in picked]
         out += [(p.name, p.source, False) for p in programs]
+    return out
+
+
+def mutations(bases: list[str]) -> list[tuple[str, str, bool]]:
+    """(name, source text, kept in full) of seeded one-token edits of
+    `bases`.  No base has a backslash, so a token's text is its source."""
+    rng = random.Random(0)
+    out = []
+    for i in range(MUTATION_COUNT):
+        text = rng.choice(bases)
+        spans = [(offset, offset + len(t)) for _, t, _, offset in tokenize(text)]
+        start, end = spans[rng.randrange(len(spans))]  # the last is the end of input
+        edit = rng.choice(("delete", "insert", "replace"))
+        if edit == "insert":
+            end = start
+        new = "" if edit == "delete" else f" {rng.choice(_MUTANTS)} "
+        out.append((f"mutation/{i}", text[:start] + new + text[end:], True))
     return out
 
 
@@ -104,10 +133,14 @@ def outcomes() -> tuple[list[str], dict[int, str]]:
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # so that diagnostics name the file `program.pml`
+        programs = sources()
+        bases = [text for name, text, _ in programs if name.startswith(("corpus/", "random/0/"))]
+        runs = [(program, commands(program[1])) for program in programs]
+        runs += [(program, [["typecheck"]]) for program in mutations(bases)]
         try:
-            for name, text, full in sources():
+            for (name, text, full), todo in runs:
                 Path("program.pml").write_text(text, encoding="utf-8")
-                for command in commands(text):
+                for command in todo:
                     status, output = _main([command[0], "program.pml", *command[1:]])
                     outputs[len(lines)] = output
                     lines.append(_line(name, command, status, output, full))
