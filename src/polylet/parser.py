@@ -7,12 +7,14 @@ only.  Comments are `(* ... *)` and nest.
 
 The parser reads the token texts that one `findall` returns and learns a
 token's kind from its first character where it needs the kind; it
-matches punctuation and keywords by their text.  Comments nest, which a
-regex cannot match, so a text that may hold one is read token by token.
-Only when a parse fails does `tokenize` read the text again, to raise
-any lexical error first and to give the failing token's offset.  Chains
-of `let ... in`, `fun ... ->` and `::` are read in loops, so their
-length costs no recursion depth.
+matches punctuation and keywords by their text.  `app` reads an integer
+or identifier at an application's head itself, at no `prefix` call; a
+level of nesting still takes three frames, `expr`, `app` and `prefix`.
+Comments nest, which a regex cannot match, so a text that may hold one
+is read token by token.  Only when a parse fails does `tokenize` read
+the text again, to raise any lexical error first and to give the failing
+token's offset.  Chains of `let ... in`, `fun ... ->` and `::` are
+read in loops, so their length costs no recursion depth.
 
 The parser alone enforces the two-level staging discipline, with located
 diagnostics: a bracket may not occur inside a bracket except within an
@@ -134,25 +136,22 @@ class _Parser:
     def expr(self) -> S.Expr:
         """Any `let x = e in` and `fun x ->` heads, then a sum: `+` folds
         to the left over `::` chains, which fold to the right."""
-        heads: list[tuple[str, S.Expr | None]] = []
-        while True:
-            word = self.tok
+        word = self.tok
+        heads: list | tuple = [] if word == "let" or word == "fun" else ()  # a list only if used
+        while word == "let" or word == "fun":
+            self.tok = self.next()
+            name = self.binder()
             if word == "let":
-                self.tok = self.next()
-                name = self.binder()
                 self.expect("=")
                 rhs = self.expr()
                 if self.tok != "in":
                     raise self.fail("expected 'in'")
                 self.tok = self.next()
-                heads.append((name, rhs))
-            elif word == "fun":
-                self.tok = self.next()
-                name = self.binder()
-                self.expect("->")
-                heads.append((name, None))
             else:
-                break
+                self.expect("->")
+                rhs = None
+            heads.append((name, rhs))
+            word = self.tok
         e = None
         while True:
             operand = self.app()
@@ -191,15 +190,27 @@ class _Parser:
         return e
 
     def app(self) -> S.Expr:
-        word = self.tok
-        if word == "ref":
+        """An application chain; an integer or identifier at its head is read in place."""
+        text = self.tok
+        c = text[:1]
+        if c.isdecimal():
+            try:
+                e = S.IntLit(int(text))
+            except ValueError:  # Python's integer-string limit, left in force
+                raise self.fail(_int_limit()) from None
+            self.tok = self.next()
+        elif (c.isalpha() or c == "_") and text not in KEYWORDS:
+            self.tok = self.next()
+            e = S.Var(text)
+        elif text == "ref":
             self.tok = self.next()
             return S.RefNew(self.prefix())
-        if word == "rset":
+        elif text == "rset":
             self.tok = self.next()
             ref = self.prefix()
             return S.Rset(ref, self.prefix())
-        e = self.prefix()
+        else:
+            e = self.prefix()
         while self.tok not in _STOP:
             e = S.App(e, self.prefix())
         return e
@@ -207,22 +218,6 @@ class _Parser:
     def prefix(self) -> S.Expr:
         """An atom, or a prefix operator (`!`, `%`, `.~`) before one."""
         text = self.tok
-        kind = _kind(text)
-        if kind == "int":
-            try:
-                value = int(text)
-            except ValueError:  # Python's integer-string limit, left in force
-                raise self.fail(_int_limit()) from None
-            self.tok = self.next()
-            return S.IntLit(value)
-        if kind == "ident":
-            if text in KEYWORDS:
-                raise self.fail(f"unexpected keyword {text!r}")
-            self.tok = self.next()
-            return S.Var(text)
-        if kind == "string":
-            self.tok = self.next()
-            return S.StrLit(S.unescape(text[1:-1]))
         if text == "(":
             self.tok = self.next()
             if self.tok == ")":
@@ -236,6 +231,22 @@ class _Parser:
                 return S.Pair(first, second)
             self.expect(")")
             return first
+        c = text[:1]  # the token's kind, as `_kind` reads it
+        if c.isdecimal():
+            try:
+                value = int(text)
+            except ValueError:  # Python's integer-string limit, left in force
+                raise self.fail(_int_limit()) from None
+            self.tok = self.next()
+            return S.IntLit(value)
+        if c.isalpha() or c == "_":
+            if text in KEYWORDS:
+                raise self.fail(f"unexpected keyword {text!r}")
+            self.tok = self.next()
+            return S.Var(text)
+        if c == '"' and len(text) > 1:
+            self.tok = self.next()
+            return S.StrLit(S.unescape(text[1:-1]))
         if text == "[":
             self.tok = self.next()
             self.expect("]")
@@ -275,7 +286,7 @@ class _TermParser(_Parser):
     def app(self) -> S.Expr:
         name = self.tok
         arity = S.COMB_ARITY.get(name)
-        if not arity:  # not a combinator, or a constant, which `prefix` reads
+        if arity is None:
             return super().app()
         self.tok = self.next()
         args = []

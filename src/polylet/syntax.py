@@ -9,10 +9,13 @@ quotation: brackets never nest, and escapes only occur inside a bracket.
 
 Traversals go through one generic pair: `children(e)` lists the
 subexpressions in field order, and `rebuild(e, kids)` makes the same
-node over new children.  Nodes, like types and values, are records, immutable
-by convention: dataclass generates only their `__init__`, and `__repr__`,
-`__eq__` and `__hash__` are the ones `records` shares.  `pretty` prints,
-as types and values print, through the one layout printer,
+node over new children.  The explicit-stack walkers `scan` and
+`is_plain` skip leaves through a per-class getter table, which gives
+`is_plain` the children of every plain node through C getters too.
+Nodes, like types and values, are records, immutable by convention:
+dataclass generates only their `__init__`, and `__repr__`, `__eq__` and
+`__hash__` are the ones `records` shares.  `pretty` prints, as types and
+values print, through the one layout printer,
 `diagnostics.render_layout`, from a table of each class's layout.
 """
 
@@ -184,6 +187,15 @@ def binds(name: str) -> bool:
 # --- generic traversal -------------------------------------------------------
 
 
+# Each class's children: none for a leaf, else their fields in field order.
+# The staging forms' one child is `body`, and `Comb`'s children are `args`.
+_LEAVES = frozenset((Var, IntLit, StrLit, Nil, Unit, CspValue))
+_STAGING = (Bracket, Escape, Csp)
+_ONE = {RefNew: "init", RefGet: "ref", Fun: "body"}
+_TWO = {Add: ("left", "right"), Pair: ("first", "second"), Cons: ("head", "tail"), Rset: ("ref", "value"),
+        App: ("fn", "arg"), Let: ("rhs", "body")}  # fmt: skip
+
+
 def _no_children(e: Expr) -> tuple[Expr, ...]:
     return ()
 
@@ -194,25 +206,20 @@ def _one_child(field: str):
 
 
 _CHILDREN = {
-    Var: _no_children,
-    IntLit: _no_children,
-    StrLit: _no_children,
-    Nil: _no_children,
-    Unit: _no_children,
-    CspValue: _no_children,
-    Add: attrgetter("left", "right"),
-    Pair: attrgetter("first", "second"),
-    Cons: attrgetter("head", "tail"),
-    RefNew: _one_child("init"),
-    RefGet: _one_child("ref"),
-    Rset: attrgetter("ref", "value"),
-    App: attrgetter("fn", "arg"),
-    Fun: _one_child("body"),
-    Let: attrgetter("rhs", "body"),
-    Bracket: _one_child("body"),
-    Escape: _one_child("body"),
-    Csp: _one_child("body"),
+    **dict.fromkeys(_LEAVES, _no_children),
+    **{cls: _one_child(field) for cls, field in _ONE.items()},
+    **dict.fromkeys(_STAGING, _one_child("body")),
+    **{cls: attrgetter(*fields) for cls, fields in _TWO.items()},
     Comb: attrgetter("args"),
+}
+
+# How an explicit-stack walker pushes a plain node's children, with no
+# Python call, so that they pop in field order: a leaf's `()` pushes none,
+# one child is appended, and two are extended in reverse field order.
+_PUSH = {
+    **dict.fromkeys(_LEAVES, ()),
+    **{cls: (list.append, attrgetter(field)) for cls, field in _ONE.items()},
+    **{cls: (list.extend, attrgetter(*fields[::-1])) for cls, fields in _TWO.items()},
 }
 
 
@@ -271,7 +278,7 @@ def scan(e: Expr) -> tuple[set[str], list[object]]:
                 stack += ((name, -1), e.body, (name, 1))
             else:
                 stack.append(e.body)
-        else:
+        elif cls not in _LEAVES:
             stack += _CHILDREN[cls](e)
     return free, persisted
 
@@ -419,7 +426,12 @@ def is_plain(e: Expr) -> bool:
     while stack:
         e = stack.pop()
         cls = type(e)
-        if cls is Bracket or cls is Escape or cls is Csp:
-            return False
-        stack += (_CHILDREN.get(cls) or children)(e)[::-1]
+        step = _PUSH.get(cls)
+        if step:
+            push, get = step
+            push(stack, get(e))
+        elif step is None:  # a staging form, a `Comb`, or no known class
+            if cls is Bracket or cls is Escape or cls is Csp:
+                return False
+            stack += children(e)[::-1]
     return True

@@ -256,30 +256,40 @@ def test_insertion_time_forcing_limit_for_lam_dependent_lets():
     assert S.alpha_equal(parse_plain(string_of(term)), expected)
 
 
-def _quote_calls_and_nodes(depth):
-    """Python calls made by quote codegen of a balanced `+` tree of the
-    given depth, and the `Comb` nodes of its translation."""
+def _python_calls(f, *args):
+    """How many Python function calls `f(*args)` makes, itself included."""
+    calls = 0
+
+    def count(frame, event, _):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        f(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def _balanced_sum(depth):
+    """The translation of a quoted balanced `+` tree of the given depth."""
     text = "1"
     for _ in range(depth):
         text = f"({text} + {text})"
-    term = translate(parse_source(f".<{text}>."))
+    return translate(parse_source(f".<{text}>."))
+
+
+def _quote_calls_and_nodes(depth):
+    """Python calls made by quote codegen of a balanced `+` tree of the
+    given depth, and the `Comb` nodes of its translation."""
+    term = _balanced_sum(depth)
     nodes, stack = 0, [term]
     while stack:
         e = stack.pop()
         nodes += type(e) is S.Comb
         stack += [kid for kid in S.children(e) if isinstance(kid, S.Expr)]
-    calls = []
-
-    def count(frame, event, _):
-        if event == "call":
-            calls.append(frame)
-
-    sys.setprofile(count)
-    try:
-        evaluate(term, "quote")
-    finally:
-        sys.setprofile(None)
-    return len(calls), nodes
+    return _python_calls(evaluate, term, "quote"), nodes
 
 
 def test_quote_codegen_builds_each_combinator_node_in_a_few_calls():
@@ -290,6 +300,18 @@ def test_quote_codegen_builds_each_combinator_node_in_a_few_calls():
     assert (small_nodes, large_nodes) == (63, 255)
     assert small <= 6 * small_nodes and large <= 6 * large_nodes, (small, large)
     assert large <= 4.2 * small, (small, large)
+
+
+def test_translate_reads_emitted_code_back_with_no_call_per_node():
+    # `translate` proves an emitted tree plain through C getters, and
+    # skips its 32 or 128 literal leaves without a call.
+    small, large = (_python_calls(translate, quote_of(_balanced_sum(d))) for d in (5, 7))
+    assert small == large <= 3, (small, large)
+
+
+def test_scope_check_of_emitted_code_makes_no_call_per_node():
+    small, large = (_python_calls(check_scope, QuoteCode(quote_of(_balanced_sum(d)))) for d in (5, 7))
+    assert small == large <= 3, (small, large)
 
 
 def test_fresh_cells_per_force_for_generated_thunks():
