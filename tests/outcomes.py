@@ -5,9 +5,11 @@ programs, so that "outputs unchanged" is a check.
     python tests/outcomes.py --update  # rewrite tests/outcomes.txt
 
 The programs are the corpus sources, random bracket programs at seeds 0 and
-1, and the perfbench programs at seed 1 (read, never changed): every
+1, the perfbench programs at seed 1 (read, never changed): every
 `letchain`, `wide` and `genfun` program, and seeded samples of the random
-and `small` ones.  Each runs, through `polylet.cli.main` in this process,
+and `small` ones, and two programs whose code shares what a tree copies: a
+chain of spliced pairs and a lifted chain of pairs, each a tree of
+2^12 - 1 nodes.  Each runs, through `polylet.cli.main` in this process,
 `typecheck` under both systems and each policy, `translate`, `codegen`
 with each printing backend, `run`, and `run --arg` with a literal of the
 argument type when the staged type is a function's code.  Seeded one-token
@@ -50,6 +52,7 @@ RECORD = ROOT / "tests" / "outcomes.txt"
 RANDOM_COUNT = 80  # random programs per seed
 SMALL_COUNT = 100  # of the perfbench `small` programs
 MUTATION_COUNT = 300
+SHARED_DEPTH = 12  # lets in each shared program
 
 # What a mutation inserts, or puts in a token's place: every punctuation
 # mark and keyword, an atom of each kind, and the starts of three lexical
@@ -76,7 +79,19 @@ def sources() -> list[tuple[str, str, bool]]:
             picked = sorted(random.Random(0).sample(range(len(programs)), SMALL_COUNT))
             programs = [programs[i] for i in picked]
         out += [(p.name, p.source, False) for p in programs]
-    return out
+    return out + shared(SHARED_DEPTH)
+
+
+def shared(n: int) -> list[tuple[str, str, bool]]:
+    """The splice chain `let c0 = .<1>. in let c1 = .<(.~c0, .~c0)>. in ...`
+    and the lift of `let x0 = 1 in let x1 = (x0, x0) in ...`: n lets, and
+    code of 2^n - 1 nodes as a tree."""
+    splices = "".join(f"let c{i} = .<(.~c{i - 1}, .~c{i - 1})>. in " for i in range(1, n))
+    pairs = "".join(f"let x{i} = (x{i - 1}, x{i - 1}) in " for i in range(1, n))
+    return [
+        (f"shared/splice/{n}", f"let c0 = .<1>. in {splices}c{n - 1}", False),
+        (f"shared/lift/{n}", f"let x0 = 1 in {pairs}.<%x{n - 1}>.", False),
+    ]
 
 
 def mutations(bases: list[str]) -> list[tuple[str, str, bool]]:

@@ -241,6 +241,17 @@ def test_generated_function_called_after_the_run_is_still_generated_code():
     assert isinstance(ev.call(ev.force(), VInt(0)), VCode)
 
 
+def test_inserted_right_hand_side_runs_as_generated_code():
+    # The eval backend runs an inserted let's right-hand side at insertion
+    # time, as generated code: the persisted code generator it calls may
+    # not insert a let either.
+    term = translate(parse_source(".<let y = %(fun u -> .<let z = 1 in z>.) 0 in y>."))
+    with pytest.raises(Diagnostic) as exc:
+        evaluate(term, "eval")
+    assert exc.value.kind is Kind.SCOPE_EXTRUSION
+    assert exc.value.message == "let insertion attempted while running generated code"
+
+
 def test_insertion_time_forcing_limit_for_lam_dependent_lets():
     # A quoted let whose RHS mentions the enclosing quoted binder: the
     # inserted binding is forced at insertion time, when the binder's
