@@ -8,7 +8,7 @@
              at insertion time, and its value is what the scope sees.
 
 The machine builds every node itself (`engine._COMB`).  A backend,
-installed as the run's `Machine.backend`, gives only what differs:
+given to the run's `Machine`, gives only what differs:
 `lift` rebuilds or embeds a persisted value; `genlet_parts` gives what
 the continuation resumed by a let insertion sees, and the binding, if
 any, to insert around the scope's code; `label` names the backend in
@@ -23,7 +23,6 @@ from typing import Optional
 from . import syntax as S
 from .diagnostics import Diagnostic, Kind
 from .engine import (
-    Evaluation,
     Machine,
     VCode,
     VInt,
@@ -123,16 +122,15 @@ class EvalBackend(QuoteBackend):
 _BACKENDS = {"string": QuoteBackend, "quote": QuoteBackend, "eval": EvalBackend}
 
 
-def evaluate(term, backend: str | None = "quote", name_start: int = 1) -> Evaluation:
-    """Evaluate a closed translated term on a fresh machine.
+def evaluate(term, backend: str | None = "quote", name_start: int = 1) -> Machine:
+    """Evaluate a closed translated term on a fresh machine, and return the
+    machine, which holds the final value.
 
     Under both printing backends the final code value is checked for
     scope extrusion; the string backend then prints the tree, and rejects
     one that persists a run-time value, which has no concrete syntax.
     """
-    machine = Machine(name_start)
-    if backend is not None:
-        machine.backend = _BACKENDS[backend]()
+    machine = Machine(_BACKENDS[backend]() if backend else None, name_start)
     value = machine.execute(term)
     if backend in ("quote", "string") and isinstance(value, VCode):
         code = QuoteCode(value.code)
@@ -143,4 +141,5 @@ def evaluate(term, backend: str | None = "quote", name_start: int = 1) -> Evalua
                 raise Diagnostic(Kind.CSP_SERIALIZATION, f"cannot serialize a {tag} value into emitted code")
             code = StringCode(S.pretty(code.tree))
         value = VCode(code)
-    return Evaluation(value=value, machine=machine)
+    machine.value = value
+    return machine

@@ -33,7 +33,7 @@ from . import typesys as ts
 from .backends import QuoteCode, StringCode, evaluate
 from .corpus import ENTRIES, KNOWN_DIVERGENCES, CorpusEntry
 from .diagnostics import Diagnostic, Kind
-from .engine import Evaluation, RuntimeValue, VCode, parse_value_literal, render_value
+from .engine import Machine, RuntimeValue, VCode, parse_value_literal, render_value
 from .parser import parse_plain, parse_source, parse_term
 from .typecheck import infer_staged
 from .typesys import TypeEnv, render_scheme
@@ -82,7 +82,7 @@ def _outcome(fn, *args):
         return d
 
 
-def _round_trip(name: str, quoted: Evaluation | Diagnostic, expected: S.Expr) -> CheckResult:
+def _round_trip(name: str, quoted: Machine | Diagnostic, expected: S.Expr) -> CheckResult:
     """The quote backend rebuilds `expected` up to alpha-renaming."""
     if isinstance(quoted, Diagnostic):
         return CheckResult(name, "fail", quoted.render())
@@ -108,7 +108,7 @@ def _term_text(name: str, term: S.Expr) -> CheckResult:
     return CheckResult(name, "fail", f"translation does not read back: {text!r}")
 
 
-def _run(code: Evaluation | Diagnostic | S.Expr, backend: str | None, arg) -> RuntimeValue:
+def _run(code: Machine | Diagnostic | S.Expr, backend: str | None, arg) -> RuntimeValue:
     """Run a backend's evaluation, applied to `arg` if given: eval forces
     and calls its code; the quote tree, and the string text re-parsed, run
     as plain programs, as does a staging-free tree (`backend` None).  A

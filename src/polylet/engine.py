@@ -1,12 +1,13 @@
 """Call-by-value evaluator for translated terms, with delimited control.
 
-A `Machine` is one run of a term, with its name supply and code
-backend.  It is defunctionalized: the continuation is an explicit stack
-of frames, so a prompt is a frame, marked by its scope object, and
-capturing up to it is a slice.  Let insertion (shift0) removes the
-segment above the delimiter and re-installs it in place, over a frame
-that builds the inserted let; nothing leaves the stack, so a capture
-inside the resumed segment still reaches prompts below it.
+A `Machine` is one run of a term, with its name supply, code backend
+and final value.  It is defunctionalized: the continuation is an
+explicit stack of frames, so a prompt is a frame, marked by its scope
+object, and capturing up to it is a slice.  Let insertion (shift0)
+removes the segment above the delimiter and re-installs it in place,
+over a frame that builds the inserted let; nothing leaves the stack, so
+a capture inside the resumed segment still reaches prompts below it.
+Generated code runs on a stack of its own, over `_IN_CODE_FRAME`.
 
 The control is a pair: `(term, env)` evaluates a term, and `(None,
 value)` returns a value to the frame on top of the stack.  The loop runs
@@ -409,7 +410,7 @@ def _k_genlet(m, f, v, stack):
     if not isinstance(scope, VScope):
         raise type_error("genlet expects a scope")
     code = _as_code(v)
-    if m.force_depth > 0:
+    if stack and stack[0] is _IN_CODE_FRAME:
         raise Diagnostic(Kind.SCOPE_EXTRUSION, "let insertion attempted while running generated code")
     for i in range(len(stack) - 1, -1, -1):
         if stack[i][0] is _k_prompt and stack[i][1] is scope:
@@ -460,17 +461,21 @@ _COMB = {
 # it makes captures: no name can be this key.
 _IN_CODE = object()
 
+# The bottom frame of generated code's stack: a prompt of no scope, which no
+# capture finds; `_k_genlet` refuses any capture above it.
+_IN_CODE_FRAME = (_k_prompt, None)
+
 
 class Machine:
-    """One run.  `force_depth` counts the generated code running (eval
-    backend trees, by `run_code`); `_k_genlet` must refuse a capture while
-    generated code runs, before it searches for the prompt."""
+    """One run, and its result: `backends.evaluate` returns the machine,
+    with the final `value`, so that an eval-backend tree can be run
+    (`force`), and the functions it makes applied (`call`), afterwards."""
 
-    def __init__(self, name_start: int = 1):
-        self.backend = None  # installed by `backends.evaluate`
+    def __init__(self, backend=None, name_start: int = 1):
+        self.backend = backend
+        self.value = None  # the final value, set by `backends.evaluate`
         self._name_start = name_start
         self._names: dict[str, itertools.count] = {}
-        self.force_depth = 0
 
     def gensym(self, prefix: str) -> str:
         counter = self._names.setdefault(prefix, itertools.count(self._name_start))
@@ -479,23 +484,23 @@ class Machine:
     def execute(self, term: S.Expr, env: dict[str, RuntimeValue] | None = None) -> RuntimeValue:
         return self._loop((term, env or {}), [])
 
+    def force(self) -> RuntimeValue:
+        """The final value; an eval-backend tree (a bare one) is run to a
+        result, again on each call."""
+        if isinstance(self.value, VCode) and isinstance(self.value.code, S.Expr):
+            return self.run_code(self.value.code)
+        return self.value
+
     def call(self, fn: RuntimeValue, arg: RuntimeValue) -> RuntimeValue:
         """Apply a function value to an argument on a fresh stack: a call of
         a run's result after the run.  A function that generated code made
         runs as generated code."""
         term, env = _apply(fn, arg)
-        if _IN_CODE in env:
-            return self.run_code(term, env)
-        return self._loop((term, env), [])
+        return self._loop((term, env), [_IN_CODE_FRAME] if _IN_CODE in env else [])
 
-    def run_code(self, tree: S.Expr, env: dict | None = None) -> RuntimeValue:
-        """Run a generated tree, from a fresh marked environment if none is
-        given, with `force_depth` raised."""
-        self.force_depth += 1
-        try:
-            return self._loop((tree, {_IN_CODE: VUnit()} if env is None else env), [])
-        finally:
-            self.force_depth -= 1
+    def run_code(self, tree: S.Expr) -> RuntimeValue:
+        """Run a generated tree from a fresh marked environment."""
+        return self._loop((tree, {_IN_CODE: VUnit()}), [_IN_CODE_FRAME])
 
     def _loop(self, control, stack: list[tuple]) -> RuntimeValue:
         # App and Add, the hot path, run here: an atomic operand is read in
@@ -563,23 +568,3 @@ class Machine:
                 x[fn.param] = arg
             else:
                 t, x = _apply(fn, arg)
-
-
-@record(eq=False)
-class Evaluation:
-    """The result of one run, with its machine kept alive so that an
-    eval-backend tree can be run, and the functions it makes applied,
-    afterwards."""
-
-    value: RuntimeValue
-    machine: Machine
-
-    def force(self) -> RuntimeValue:
-        """The final value; an eval-backend tree (a bare one) is run to a
-        result, again on each call."""
-        if isinstance(self.value, VCode) and isinstance(self.value.code, S.Expr):
-            return self.machine.run_code(self.value.code)
-        return self.value
-
-    def call(self, fn: RuntimeValue, arg: RuntimeValue) -> RuntimeValue:
-        return self.machine.call(fn, arg)

@@ -182,7 +182,7 @@ class _CountingStack(list):
 def _frames_per_call(depth):
     run = evaluate(_genfun_chain(depth), None)
     stack = _CountingStack()
-    assert run.machine._loop(engine._apply(run.value, VInt(1)), stack) == VInt(1 + 7 * 2**depth)
+    assert run._loop(engine._apply(run.value, VInt(1)), stack) == VInt(1 + 7 * 2**depth)
     return stack.pushed
 
 

@@ -100,7 +100,6 @@ BY_IDENTITY = [
     VCode(S.Unit()),
     VScope(),
     Scheme((), INT),
-    evaluate(S.Unit(), None),
 ]
 CELLS = [TVar(), TypeEnv()]
 IDENTITY_CLASSES = {type(obj) for obj in BY_IDENTITY}
@@ -149,7 +148,7 @@ def test_every_class_has_a_sample():
 
 def test_records_share_every_method_but_init():
     classes = _record_classes()
-    assert len(classes) == 43
+    assert len(classes) == 42
     for cls in classes:
         assert cls.__repr__ is records.record_repr, cls
         if cls in IDENTITY_CLASSES:
