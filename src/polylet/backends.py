@@ -55,28 +55,37 @@ class QuoteCode:
     tree: S.Expr
 
 
-def value_to_literal(v: RuntimeValue) -> Optional[S.Expr]:
-    """Rebuild a ground value as a literal tree; None if not ground."""
+def value_to_literal(v: RuntimeValue, built: dict | None = None) -> Optional[S.Expr]:
+    """Rebuild a ground value as a literal tree; None if not ground.  Each
+    distinct value is rebuilt once (`built` keeps its tree by id), so the
+    tree shares what the value shares."""
+    if built is None:
+        built = {}
+    tree = built.get(id(v))
+    if tree is not None:
+        return tree
     if isinstance(v, VInt):
-        return S.IntLit(v.value)
-    if isinstance(v, VStr):
-        return S.StrLit(v.value)
-    if isinstance(v, VUnit):
-        return S.Unit()
-    if isinstance(v, VList):
-        tree: S.Expr = S.Nil()
+        tree = S.IntLit(v.value)
+    elif isinstance(v, VStr):
+        tree = S.StrLit(v.value)
+    elif isinstance(v, VUnit):
+        tree = S.Unit()
+    elif isinstance(v, VList):
+        tree = S.Nil()
         for item in reversed(v.items):
-            part = value_to_literal(item)
+            part = value_to_literal(item, built)
             if part is None:
                 return None
             tree = S.Cons(part, tree)
-        return tree
-    if isinstance(v, VPair):
-        a, b = value_to_literal(v.first), value_to_literal(v.second)
+    elif isinstance(v, VPair):
+        a, b = value_to_literal(v.first, built), value_to_literal(v.second, built)
         if a is None or b is None:
             return None
-        return S.Pair(a, b)
-    return None
+        tree = S.Pair(a, b)
+    else:
+        return None
+    built[id(v)] = tree
+    return tree
 
 
 def check_scope(code: QuoteCode) -> list[RuntimeValue]:

@@ -26,7 +26,7 @@ import sys
 from operator import attrgetter, is_
 from typing import Sequence
 
-from .diagnostics import Kind, Diagnostic, render_layout
+from .diagnostics import PRINT_LIMIT, Kind, Diagnostic, check_print_size, render_layout
 from .records import record
 
 # Binder names are ordinary identifiers, or one of two special forms that
@@ -250,13 +250,19 @@ def rebuild(e: Expr, kids: Sequence[Expr]) -> Expr:
 def scan(e: Expr) -> tuple[set[str], list[object]]:
     """The variables not bound by any enclosing Fun or Let, and the values
     the tree's `CspValue` nodes persist: one walk, on an explicit stack,
-    so any depth of tree is fine."""
+    so any depth of tree is fine.  The walk goes over shared code as a
+    tree, so it is bounded: at its `PRINT_LIMIT`th step it counts the
+    tree once, by `check_print_size`, which raises if it is larger."""
     free: set[str] = set()
     persisted: list[object] = []
     bound: dict[str, int] = {}
     stack: list = [e]
+    root, steps = e, 0
     while stack:
         e = stack.pop()
+        steps += 1
+        if steps == PRINT_LIMIT:
+            check_print_size("code value", root, children)
         cls = type(e)
         if cls is Var:
             if e.name not in bound:

@@ -139,6 +139,15 @@ def test_quote_csp_ground_becomes_literal():
     assert quote_of(term) == S.IntLit(3)
 
 
+def test_lifting_shares_what_the_value_shares():
+    # A value used twice is rebuilt once, so a lifted tree is no larger
+    # than the value; a tree that copied it would double per nesting.
+    v = VPair(VInt(1), VStr("s"))
+    tree = value_to_literal(VPair(v, v))
+    assert tree == S.Pair(S.Pair(S.IntLit(1), S.StrLit("s")), S.Pair(S.IntLit(1), S.StrLit("s")))
+    assert tree.first is tree.second
+
+
 @pytest.mark.parametrize("source", [".<%((fun x -> x) :: [])>.", ".<%((fun x -> x), 1)>."])
 def test_persisted_list_or_pair_holding_a_function(source):
     # A function has no literal, so neither has a list or pair holding one:

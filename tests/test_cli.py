@@ -107,6 +107,12 @@ def _pairs(n, tail=None):
     return f"let x0 = 1 in {lets}{tail or f'x{n - 1}'}"
 
 
+def _splices(n):
+    # let c0 = .<1>. in let c1 = .<(.~c0, .~c0)>. in ...: code of 2^n - 1 nodes as a tree.
+    lets = "".join(f"let c{i} = .<(.~c{i - 1}, .~c{i - 1})>. in " for i in range(1, n))
+    return f"let c0 = .<1>. in {lets}c{n - 1}"
+
+
 @pytest.mark.parametrize(
     "args, text, message",
     [
@@ -117,8 +123,15 @@ def _pairs(n, tail=None):
         # A persisted cell, behind a thunk the value restriction lets
         # through, is made to hold itself: its tree has no end.
         (["run"], ".<let f = fun () -> %(ref []) in rset (f ()) (f ())>.", "a value of more than 1000000 nodes"),
+        # Spliced and lifted code shares as the program does, and the scope
+        # check, which walks it as a tree, stops at the same limit.
+        *[
+            (["codegen", "--backend", backend], text, "a code value of 4194303 nodes")
+            for backend in ("quote", "string")
+            for text in (_splices(22), _pairs(22, ".<%x21>."))
+        ],
     ],
-    ids=["staged", "host", "run", "mismatch", "cyclic-run"],
+    ids=["staged", "host", "run", "mismatch", "cyclic-run", "quote-splice", "quote-lift", "string-splice", "string-lift"],
 )
 def test_printing_too_large_a_type_or_value_is_a_resource_limit(write, args, text, message):
     # Inference and evaluation share what the program shares; printing
