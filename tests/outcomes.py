@@ -14,8 +14,9 @@ chain of spliced pairs and a lifted chain of pairs, each a tree of
 with each printing backend, `run`, and `run --arg` with a literal of the
 argument type when the staged type is a function's code.  Seeded one-token
 mutations of the corpus sources and the seed-0 random programs, each of
-which deletes, inserts or replaces one token, run `typecheck` alone, so
-that the parser's diagnostics are pinned too.  The record also holds the
+which deletes, inserts or replaces one token, run `typecheck` under both
+systems, so that the parser's diagnostics and the host system's on
+ill-typed sources are pinned too.  The record also holds the
 `polylet difftest` TAP at the default count.
 
 One line per program and command: name, command, exit status and output
@@ -151,7 +152,7 @@ def outcomes() -> tuple[list[str], dict[int, str]]:
         programs = sources()
         bases = [text for name, text, _ in programs if name.startswith(("corpus/", "random/0/"))]
         runs = [(program, commands(program[1])) for program in programs]
-        runs += [(program, [["typecheck"]]) for program in mutations(bases)]
+        runs += [(program, [["typecheck"], ["typecheck", "--system", "host"]]) for program in mutations(bases)]
         try:
             for (name, text, full), todo in runs:
                 Path("program.pml").write_text(text, encoding="utf-8")

@@ -101,6 +101,16 @@ def test_typecheck_long_plain_literal_let_chain(write):
     assert proc.stdout == "int\n"
 
 
+def test_host_typecheck_of_a_long_quoted_let_chain(write):
+    # Host inference spends three Python frames on each quoted let: the
+    # combinator's rule, the one of the scope's `fun`, and the let's.
+    n = 300
+    lets = "".join(f"let x{i} = x{i - 1} + 1 in " for i in range(1, n))
+    proc = _cli("typecheck", "--system", "host", write(f".<let x0 = 1 in {lets}x{n - 1}>."))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "int cod\n"
+
+
 def _pairs(n, tail=None):
     # let x0 = 1 in let x1 = (x0, x0) in ...: n nodes as a DAG, 2^n - 1 as a tree.
     lets = "".join(f"let x{i} = (x{i - 1}, x{i - 1}) in " for i in range(1, n))

@@ -342,6 +342,50 @@ def test_host_rejects_over_applied_combinator():
     assert exc.value.kind is Kind.TYPE_ERROR
 
 
+# An ill-typed host term for each argument position that can be one (a
+# `csp` takes any argument), and for each binder's result, with the message
+# unifying the argument with its parameter type gives.
+HOST_DIAGNOSTICS = [
+    ('int "a"', "cannot unify int with string"),
+    ("str 1", "cannot unify string with int"),
+    ('add (str "a") (int 1)', "cannot unify int with string"),
+    ('add (int 1) (str "a")', "cannot unify int with string"),
+    ("lam (int 1)", "cannot unify '_1 code -> '_2 code with int code"),
+    ("lam (fun x -> 1)", "cannot unify '_1 code with int"),
+    ("app (int 1) (int 2)", "cannot unify '_1 -> '_2 with int"),
+    ("app (lam (fun x -> x)) 1", "cannot unify '_1 code with int"),
+    ("pair 1 (int 2)", "cannot unify '_1 code with int"),
+    ("pair (int 1) 2", "cannot unify '_1 code with int"),
+    ("cons 1 nil", "cannot unify '_1 code with int"),
+    ("cons (int 1) (int 2)", "cannot unify int list with int"),
+    ('cons (int 1) (cons (str "a") nil)', "cannot unify int with string"),
+    ("ref_ 1", "cannot unify '_1 code with int"),
+    ("rget (int 1)", "cannot unify '_1 ref with int"),
+    ("rget 1", "cannot unify '_1 ref code with int"),
+    ("rset_ (int 1) (int 2)", "cannot unify '_1 list ref with int"),
+    ("rset_ (ref_ (int 1)) (int 2)", "cannot unify '_1 list with int"),
+    ("rset_ (ref_ nil) 1", "cannot unify '_1 code with int"),
+    ('rset_ (ref_ (cons (int 1) nil)) (str "a")', "cannot unify int with string"),
+    ("new_scope (int 1)", "cannot unify '_1 scope -> '_1 code with int code"),
+    ("new_scope (fun p -> 1)", "cannot unify '_1 code with int"),
+    ("genlet (int 1) (int 2)", "cannot unify '_1 scope with int code"),
+    ("new_scope (fun p -> genlet p 1)", "cannot unify '_1 code with int"),
+    ("genlet (new_funscope (fun p -> p)) (int 2)", "cannot unify '_1 code with '_1 funscope"),
+    ("new_funscope (int 1)", "cannot unify '_1 funscope -> '_1 code with int code"),
+    ("new_funscope (fun p -> 1)", "cannot unify '_1 code with int"),
+    ("genletfun (int 1) (fun x -> x)", "cannot unify '_1 funscope with int code"),
+    ("new_funscope (fun p -> genletfun p (int 1))", "cannot unify '_1 code -> '_2 code with int code"),
+    ("new_funscope (fun p -> genletfun p (fun x -> 1))", "cannot unify '_1 code with int"),
+]
+
+
+@pytest.mark.parametrize("text, message", HOST_DIAGNOSTICS, ids=[text for text, _ in HOST_DIAGNOSTICS])
+def test_host_diagnostic_of_an_ill_typed_combinator_argument(text, message):
+    with pytest.raises(Diagnostic) as exc:
+        host_scheme(parse_term(text))
+    assert (exc.value.kind, exc.value.message) == (Kind.TYPE_ERROR, message)
+
+
 # Each combinator's arity and library type, as the host scheme of
 # `fun x1 -> ... -> comb x1 ... xn`.
 COMB_TYPES = {
