@@ -3,14 +3,15 @@
 `infer_staged` implements the level-indexed system over staged source
 programs, from level 0.  `infer_host` is the same function, named for
 its use on the translation's image, where each combinator constant
-carries its library scheme; host terms bind and use every variable at
-level 0, so the level check never fires there.  A combinator
-application is typed along its type's arrow spine: each argument is
-unified with the next parameter, and no variable is made for a result.
-Both share the generalization policies: the strict value restriction,
-the non-expansive extension, and the relaxed rule that also generalizes
-the type variables of an expansive right-hand side that occur only
-covariantly.
+has its library type; host terms bind and use every variable at level 0,
+so the level check never fires there.  A combinator's rule, in
+`_COMB_RULES`, types its application as that type's instance would: it
+reads an argument whose type has the parameter's constructor already,
+unifies any other with the parameter type, so that diagnostics read the
+same, and builds only what the result uses.  Both share the
+generalization policies: the strict value restriction, the non-expansive
+extension, and the relaxed rule that also generalizes the type variables
+of an expansive right-hand side that occur only covariantly.
 
 Inference is one table, `_INFER`, from node class to rule(env, e, level,
 policy), like the machine's `_STEP`.  A rule types each child through the
@@ -137,16 +138,9 @@ def _infer_var(env, e, level, policy):
 
 
 def _infer_comb(env, e, level, policy):
-    ty = _COMB_TYPES[e.name]
-    if callable(ty):
-        ty = ty(TVar(), TVar(), TVar())
-    for arg in e.args:
-        arg_ty = _INFER[type(arg)](env, arg, level, policy)
-        if type(ty) is not TArrow:  # over-applied: raises a type error
-            unify(ty, TArrow(arg_ty, TVar()))
-        unify(ty.arg, arg_ty)
-        ty = ty.result
-    return ty
+    if len(e.args) != S.COMB_ARITY[e.name]:
+        raise type_error(f"combinator {e.name} takes {S.COMB_ARITY[e.name]} arguments, given {len(e.args)}")
+    return _COMB_RULES[e.name](env, e.args, level, policy)
 
 
 def _infer_add(env, e, level, policy):
@@ -162,23 +156,19 @@ def _infer_cons(env, e, level, policy):
 
 
 def _infer_ref_get(env, e, level, policy):
-    item = TVar()
-    unify(_INFER[type(e.ref)](env, e.ref, level, policy), TRef(item))
+    unify(_INFER[type(e.ref)](env, e.ref, level, policy), TRef(item := TVar()))
     return item
 
 
 def _infer_rset(env, e, level, policy):
-    item = TVar()
-    unify(_INFER[type(e.ref)](env, e.ref, level, policy), TRef(TList(item)))
+    unify(_INFER[type(e.ref)](env, e.ref, level, policy), TRef(TList(item := TVar())))
     unify(_INFER[type(e.value)](env, e.value, level, policy), item)
     return TList(item)
 
 
 def _infer_app(env, e, level, policy):
     fn = _INFER[type(e.fn)](env, e.fn, level, policy)
-    arg = _INFER[type(e.arg)](env, e.arg, level, policy)
-    result = TVar()
-    unify(fn, TArrow(arg, result))
+    unify(fn, TArrow(_INFER[type(e.arg)](env, e.arg, level, policy), result := TVar()))
     return result
 
 
@@ -215,9 +205,7 @@ def _infer_bracket(env, e, level, policy):
 def _infer_escape(env, e, level, policy):
     if level != 1:
         raise type_error("escape at level 0")
-    code = _INFER[type(e.body)](env, e.body, 0, policy)
-    item = TVar()
-    unify(code, TCode(item))
+    unify(_INFER[type(e.body)](env, e.body, 0, policy), TCode(item := TVar()))
     return item
 
 
@@ -253,27 +241,99 @@ _INFER = {
 }
 
 
-# Each combinator constant's library type.  A ground type is one shared
-# object, as only variable cells are ever mutated; a polymorphic one is
-# built per use over fresh variables: a and b for code types, w for a
-# scope's answer type.
-_COMB_TYPES = {
-    "int": TArrow(INT, TCode(INT)),
-    "str": TArrow(STR, TCode(STR)),
-    "add": TArrow(TCode(INT), TArrow(TCode(INT), TCode(INT))),
-    "lam": lambda a, b, w: TArrow(TArrow(TCode(a), TCode(b)), TCode(TArrow(a, b))),
-    "app": lambda a, b, w: TArrow(TCode(TArrow(a, b)), TArrow(TCode(a), TCode(b))),
-    "pair": lambda a, b, w: TArrow(TCode(a), TArrow(TCode(b), TCode(TPair(a, b)))),
-    "nil": lambda a, b, w: TCode(TList(a)),
-    "cons": lambda a, b, w: TArrow(TCode(a), TArrow(TCode(TList(a)), TCode(TList(a)))),
-    "ref_": lambda a, b, w: TArrow(TCode(a), TCode(TRef(a))),
-    "rget": lambda a, b, w: TArrow(TCode(TRef(a)), TCode(a)),
-    "rset_": lambda a, b, w: TArrow(TCode(TRef(TList(a))), TArrow(TCode(a), TCode(TList(a)))),
-    "csp": lambda a, b, w: TArrow(a, TCode(a)),
-    "new_scope": lambda a, b, w: TArrow(TArrow(TScope(w), TCode(w)), TCode(w)),
-    "genlet": lambda a, b, w: TArrow(TScope(w), TArrow(TCode(a), TCode(a))),
-    "new_funscope": lambda a, b, w: TArrow(TArrow(TFunScope(w), TCode(w)), TCode(w)),
-    "genletfun": lambda a, b, w: TArrow(
-        TFunScope(w), TArrow(TArrow(TCode(a), TCode(b)), TCode(TArrow(a, b)))
+def _code_item(t):
+    """The item of t, a code type, or else a fresh variable unified with it."""
+    if type(t) is TCode:
+        return t.item
+    unify(TCode(item := TVar()), t)
+    return item
+
+
+def _ground(params, result):
+    """The rule of int, str and add, whose types are ground and shared."""
+    def rule(env, args, level, policy):
+        for param, arg in zip(params, args):
+            if (t := _INFER[type(arg)](env, arg, level, policy)) is not param:
+                unify(param, t)
+        return result
+    return rule
+
+
+def _comb_pair(env, args, level, policy):
+    first = _code_item(_INFER[type(args[0])](env, args[0], level, policy))
+    return TCode(TPair(first, _code_item(_INFER[type(args[1])](env, args[1], level, policy))))
+
+
+def _comb_app(env, args, level, policy):
+    t = _INFER[type(args[0])](env, args[0], level, policy)
+    if type(t) is not TCode or type(arrow := t.item) is not TArrow:
+        unify(TCode(arrow := TArrow(TVar(), TVar())), t)
+    unify(TCode(arrow.arg), _INFER[type(args[1])](env, args[1], level, policy))
+    return TCode(arrow.result)
+
+
+def _comb_cons(env, args, level, policy):
+    code = TCode(TList(_code_item(_INFER[type(args[0])](env, args[0], level, policy))))
+    unify(code, _INFER[type(args[1])](env, args[1], level, policy))
+    return code
+
+
+def _comb_rget(env, args, level, policy):
+    unify(TCode(TRef(item := TVar())), _INFER[type(args[0])](env, args[0], level, policy))
+    return TCode(item)
+
+
+def _comb_rset(env, args, level, policy):
+    unify(TCode(TRef(cell := TList(TVar()))), _INFER[type(args[0])](env, args[0], level, policy))
+    unify(TCode(cell.item), _INFER[type(args[1])](env, args[1], level, policy))
+    return TCode(cell)
+
+
+def _comb_genlet(env, args, level, policy):
+    if type(t := _INFER[type(args[0])](env, args[0], level, policy)) is not TScope:
+        unify(TScope(TVar()), t)
+    t = _INFER[type(args[1])](env, args[1], level, policy)
+    return t if type(t) is TCode else TCode(_code_item(t))
+
+
+def _binder(scope):
+    """The rule of new_scope and new_funscope (scope is their scope's class)
+    or else of lam and genletfun: it types a `fun` argument's body in its own
+    frame, its parameter bound at the parameter type, as `_infer_fun` binds a
+    quoted one, and unifies any other argument with the whole type."""
+    def rule(env, args, level, policy):
+        if len(args) == 2 and type(t := _INFER[type(args[0])](env, args[0], level, policy)) is not TFunScope:
+            unify(TFunScope(TVar()), t)
+        fn, a = args[-1], TVar()
+        param, body = (scope or TCode)(a), TCode(a if scope else TVar())
+        if type(fn) is S.Fun and S.binds(fn.param):
+            env.bind(fn.param, level, monotype(param))
+            unify(body, _INFER[type(fn.body)](env, fn.body, level, policy))
+            env.unbind(fn.param)
+        else:
+            unify(TArrow(param, body), _INFER[type(fn)](env, fn, level, policy))
+        return body if scope else TCode(TArrow(a, body.item))
+    return rule
+
+
+_CODE_INT = TCode(INT)
+_COMB_RULES = {
+    "int": _ground((INT,), _CODE_INT),
+    "str": _ground((STR,), TCode(STR)),
+    "add": _ground((_CODE_INT, _CODE_INT), _CODE_INT),
+    "lam": _binder(None),
+    "app": _comb_app,
+    "pair": _comb_pair,
+    "nil": lambda env, args, level, policy: TCode(TList(TVar())),
+    "cons": _comb_cons,
+    "ref_": lambda env, args, level, policy: TCode(
+        TRef(_code_item(_INFER[type(args[0])](env, args[0], level, policy)))
     ),
+    "rget": _comb_rget,
+    "rset_": _comb_rset,
+    "csp": lambda env, args, level, policy: TCode(_INFER[type(args[0])](env, args[0], level, policy)),
+    "new_scope": _binder(TScope),
+    "genlet": _comb_genlet,
+    "new_funscope": _binder(TFunScope),
+    "genletfun": _binder(None),
 }

@@ -103,7 +103,8 @@ def test_typecheck_long_plain_literal_let_chain(write):
 
 def test_host_typecheck_of_a_long_quoted_let_chain(write):
     # Host inference spends three Python frames on each quoted let: the
-    # combinator's rule, the one of the scope's `fun`, and the let's.
+    # combinator dispatch, `new_scope`'s rule, which types its `fun`'s body
+    # itself, and the let's.
     n = 300
     lets = "".join(f"let x{i} = x{i - 1} + 1 in " for i in range(1, n))
     proc = _cli("typecheck", "--system", "host", write(f".<let x0 = 1 in {lets}x{n - 1}>."))

@@ -1,5 +1,6 @@
 import gc
 import os
+import random
 import subprocess
 import sys
 
@@ -7,7 +8,8 @@ import pytest
 
 from polylet import syntax as S
 from polylet import typecheck, typesys
-from polylet.corpus import by_name
+from polylet.corpus import ENTRIES, by_name
+from polylet.difftest import random_bracket_program
 from polylet.diagnostics import Diagnostic, Kind
 from polylet.parser import parse_source, parse_term
 from polylet.typecheck import (
@@ -25,7 +27,9 @@ from polylet.typesys import (
     TArrow,
     TCode,
     TList,
+    TFunScope,
     TRef,
+    TScope,
     TVar,
     TypeEnv,
     free_type_vars,
@@ -33,6 +37,7 @@ from polylet.typesys import (
     render_scheme,
 )
 from polylet.unstage import translate
+from test_backends import _balanced_sum, _python_calls
 
 
 def staged_scheme(text, policy=GenPolicy.RELAXED):
@@ -376,6 +381,9 @@ HOST_DIAGNOSTICS = [
     ("genletfun (int 1) (fun x -> x)", "cannot unify '_1 funscope with int code"),
     ("new_funscope (fun p -> genletfun p (int 1))", "cannot unify '_1 code -> '_2 code with int code"),
     ("new_funscope (fun p -> genletfun p (fun x -> 1))", "cannot unify '_1 code with int"),
+    # A scope's answer type is its body's: neither can hold the scope.
+    ("new_scope (fun p -> csp (fun u -> p))", "occurs check: cannot construct infinite type '_1 = '_2 -> '_1 scope"),
+    ("new_funscope (fun p -> csp (fun u -> p))", "occurs check: cannot construct infinite type '_1 = '_2 -> '_1 funscope"),
 ]
 
 
@@ -408,14 +416,50 @@ COMB_TYPES = {
 }
 
 
+# The library types, built per use over fresh variables: a and b for code
+# types, w for a scope's answer type.  Typed along its arrow spine, each is
+# the reference that the checker's combinator rules are held to.
+LIBRARY_TYPES = {
+    "int": lambda a, b, w: TArrow(INT, TCode(INT)),
+    "str": lambda a, b, w: TArrow(STR, TCode(STR)),
+    "add": lambda a, b, w: TArrow(TCode(INT), TArrow(TCode(INT), TCode(INT))),
+    "lam": lambda a, b, w: TArrow(TArrow(TCode(a), TCode(b)), TCode(TArrow(a, b))),
+    "app": lambda a, b, w: TArrow(TCode(TArrow(a, b)), TArrow(TCode(a), TCode(b))),
+    "pair": lambda a, b, w: TArrow(TCode(a), TArrow(TCode(b), TCode(TPair(a, b)))),
+    "nil": lambda a, b, w: TCode(TList(a)),
+    "cons": lambda a, b, w: TArrow(TCode(a), TArrow(TCode(TList(a)), TCode(TList(a)))),
+    "ref_": lambda a, b, w: TArrow(TCode(a), TCode(TRef(a))),
+    "rget": lambda a, b, w: TArrow(TCode(TRef(a)), TCode(a)),
+    "rset_": lambda a, b, w: TArrow(TCode(TRef(TList(a))), TArrow(TCode(a), TCode(TList(a)))),
+    "csp": lambda a, b, w: TArrow(a, TCode(a)),
+    "new_scope": lambda a, b, w: TArrow(TArrow(TScope(w), TCode(w)), TCode(w)),
+    "genlet": lambda a, b, w: TArrow(TScope(w), TArrow(TCode(a), TCode(a))),
+    "new_funscope": lambda a, b, w: TArrow(TArrow(TFunScope(w), TCode(w)), TCode(w)),
+    "genletfun": lambda a, b, w: TArrow(TFunScope(w), TArrow(TArrow(TCode(a), TCode(b)), TCode(TArrow(a, b)))),
+}
+
+
+def _reference_comb(env, e, level, policy):
+    """A combinator application typed along its library type's arrow spine:
+    each argument is unified with the next parameter of a fresh instance."""
+    ty = LIBRARY_TYPES[e.name](TVar(), TVar(), TVar())
+    for arg in e.args:
+        arg_ty = typecheck._INFER[type(arg)](env, arg, level, policy)
+        if type(ty) is not TArrow:  # over-applied: raises a type error
+            typesys.unify(ty, TArrow(arg_ty, TVar()))
+        typesys.unify(ty.arg, arg_ty)
+        ty = ty.result
+    return ty
+
+
 def test_combinator_table_covers_every_combinator():
-    # The parser's arity table, this table and the checker's library types
-    # agree: the same names, and one arrow on a type's spine per argument.
+    # The parser's arity table, this table, the reference's library types
+    # and the checker's rules agree: the same names, and one arrow on a
+    # library type's spine per argument.
     assert {name: arity for name, (arity, _) in COMB_TYPES.items()} == S.COMB_ARITY
+    assert typecheck._COMB_RULES.keys() == LIBRARY_TYPES.keys() == S.COMB_ARITY.keys()
     for name, arity in S.COMB_ARITY.items():
-        ty = typecheck._COMB_TYPES[name]
-        if callable(ty):
-            ty = ty(TVar(), TVar(), TVar())
+        ty = LIBRARY_TYPES[name](TVar(), TVar(), TVar())
         arrows = 0
         while isinstance(ty, TArrow):
             arrows, ty = arrows + 1, ty.result
@@ -430,6 +474,69 @@ def test_combinator_library_type(name):
     for p in reversed(params):
         term = S.Fun(p, term)
     assert render_scheme(host_scheme(term), "cod") == expected
+
+
+def _subterms(e):
+    out, stack = [], [e]
+    while stack:
+        out.append(x := stack.pop())
+        stack += S.children(x)
+    return out
+
+
+def _replace(e, old, new):
+    """e with the subterm `old` (by identity) replaced by `new`."""
+    if e is old:
+        return new
+    kids = S.children(e)
+    return S.rebuild(e, [_replace(kid, old, new) for kid in kids]) if kids else e
+
+
+def _host_outcomes(terms):
+    """For each term and policy, the rendered host scheme, or the kind of
+    the diagnostic that rejects it."""
+    out = []
+    for term in terms:
+        for policy in GenPolicy:
+            try:
+                out.append(render_scheme(infer_host(TypeEnv(), term, policy), "cod"))
+            except Diagnostic as d:
+                out.append(d.kind)
+    return out
+
+
+def test_combinator_rules_type_as_the_library_types_do(monkeypatch):
+    # The translations of the corpus and of random programs, and each with
+    # one subterm put in another's place, which makes most of them
+    # ill-typed: the rules give the spine walk's verdict, scheme and kind.
+    rng = random.Random(0)
+    terms = [translate(parse_source(e.source)) for e in ENTRIES if e.source is not None]
+    terms += [parse_term(e.target) for e in ENTRIES if e.target is not None]
+    terms += [translate(random_bracket_program(rng)) for _ in range(1000)]
+    for term in terms[:]:
+        subterms = _subterms(term)
+        terms.append(_replace(term, rng.choice(subterms), rng.choice(subterms)))
+    assert len(terms) >= 2000
+    rules = _host_outcomes(terms)
+    monkeypatch.setitem(typecheck._INFER, S.Comb, _reference_comb)
+    assert rules == _host_outcomes(terms)
+    kinds = {o: rules.count(o) for o in (Kind.TYPE_ERROR, Kind.UNBOUND_VAR)}
+    assert min(kinds.values()) >= 100 and sum(kinds.values()) >= len(rules) // 8, kinds
+
+
+def test_host_rejects_under_applied_combinator():
+    with pytest.raises(Diagnostic) as exc:
+        host_scheme(S.Comb("add", (S.comb("int", S.IntLit(1)),)))
+    assert (exc.value.kind, exc.value.message) == (Kind.TYPE_ERROR, "combinator add takes 2 arguments, given 1")
+
+
+def test_host_inference_makes_a_few_calls_per_quoted_let_and_per_node():
+    # Each combinator is typed by its own rule, and an argument whose type
+    # has the parameter's constructor is read without unifying: 65 calls a
+    # let and 200 and 776 calls for the sums under the spine walk.
+    assert _python_calls(host_scheme, translate(parse_source(_let_chain(100)))) <= 45 * 100
+    assert _python_calls(host_scheme, _balanced_sum(5)) <= 200
+    assert _python_calls(host_scheme, _balanced_sum(7)) <= 776
 
 
 # --- policy ordering and stability ---------------------------------------------
@@ -825,8 +932,8 @@ def _vars_made(thunk):
 
 
 def test_host_ground_combinators_make_no_variables(monkeypatch):
-    # A combinator application is typed along its arrow spine, and ground
-    # combinator types are shared: no variable and no occurs check.
+    # A combinator's rule reads an argument that has its parameter's type,
+    # and ground code types are shared: no variable and no occurs check.
     calls = [0]
     original = typesys.occurs
 
