@@ -507,8 +507,9 @@ def _host_outcomes(terms):
 
 def test_combinator_rules_type_as_the_library_types_do(monkeypatch):
     # The translations of the corpus and of random programs, and each with
-    # one subterm put in another's place, which makes most of them
-    # ill-typed: the rules give the spine walk's verdict, scheme and kind.
+    # one subterm put in another's place, which makes about a quarter of
+    # them ill-typed: the rules give the spine walk's verdict, scheme and
+    # kind.
     rng = random.Random(0)
     terms = [translate(parse_source(e.source)) for e in ENTRIES if e.source is not None]
     terms += [parse_term(e.target) for e in ENTRIES if e.target is not None]
