@@ -7,9 +7,10 @@ programs, so that "outputs unchanged" is a check.
 The programs are the corpus sources, random bracket programs at seeds 0 and
 1, the perfbench programs at seed 1 (read, never changed): every
 `letchain`, `wide` and `genfun` program, and seeded samples of the random
-and `small` ones, and two programs whose code shares what a tree copies: a
+and `small` ones, two programs whose code shares what a tree copies: a
 chain of spliced pairs and a lifted chain of pairs, each a tree of
-2^12 - 1 nodes.  Each runs, through `polylet.cli.main` in this process,
+2^12 - 1 nodes, and three programs whose generated code calls a persisted
+code generator.  Each runs, through `polylet.cli.main` in this process,
 `typecheck` under both systems and each policy, `translate`, `codegen`
 with each printing backend, `run`, and `run --arg` with a literal of the
 argument type when the staged type is a function's code.  Seeded one-token
@@ -17,12 +18,13 @@ mutations of the corpus sources and the seed-0 random programs, each of
 which deletes, inserts or replaces one token, run `typecheck` under both
 systems, so that the parser's diagnostics and the host system's on
 ill-typed sources are pinned too.  The record also holds the
-`polylet difftest` TAP at the default count.
+`polylet difftest` TAPs at the default count, at `--count 1000` and at
+`--seed 1 --count 1000`.
 
 One line per program and command: name, command, exit status and output
-(stdout, then stderr), tab-separated.  Corpus outputs are kept in full, as
-a JSON string; every other output as the first 12 hex digits of its
-sha256.  Generated names start at 1: POLYLET_SEED is ignored.  A
+(stdout, then stderr), tab-separated.  Corpus, generator and mutation
+outputs are kept in full, as a JSON string; every other output as the
+first 12 hex digits of its sha256.  Generated names start at 1: POLYLET_SEED is ignored.  A
 `RecursionError` lands where the stack depth says, so record and compare
 by the same command.
 """
@@ -54,6 +56,16 @@ RANDOM_COUNT = 80  # random programs per seed
 SMALL_COUNT = 100  # of the perfbench `small` programs
 MUTATION_COUNT = 300
 SHARED_DEPTH = 12  # lets in each shared program
+DIFFTESTS = (["difftest"], ["difftest", "--count", "1000"], ["difftest", "--seed", "1", "--count", "1000"])
+
+# Generated code that calls a persisted code generator: the generator's let
+# reads nothing, reads the generated function's parameter, or is inserted
+# into the caller's scope, so that it runs when the right-hand side does.
+GENERATORS = (
+    ("generator/closed", ".<fun y -> %(fun u -> .<let z = 1 in z>.) y>."),
+    ("generator/parameter", ".<fun y -> %(fun u -> .<fun w -> let z = w + 1 in z + z>.) y>."),
+    ("generator/inserted", ".<let y = %(fun u -> .<let z = 1 in z>.) 0 in y>."),
+)
 
 # What a mutation inserts, or puts in a token's place: every punctuation
 # mark and keyword, an atom of each kind, and the starts of three lexical
@@ -80,7 +92,7 @@ def sources() -> list[tuple[str, str, bool]]:
             picked = sorted(random.Random(0).sample(range(len(programs)), SMALL_COUNT))
             programs = [programs[i] for i in picked]
         out += [(p.name, p.source, False) for p in programs]
-    return out + shared(SHARED_DEPTH)
+    return out + shared(SHARED_DEPTH) + [(name, text, True) for name, text in GENERATORS]
 
 
 def shared(n: int) -> list[tuple[str, str, bool]]:
@@ -162,9 +174,10 @@ def outcomes() -> tuple[list[str], dict[int, str]]:
                     lines.append(_line(name, command, status, output, full))
         finally:
             os.chdir(cwd)
-    status, output = _main(["difftest"])
-    outputs[len(lines)] = output
-    lines.append(_line("difftest", ["difftest"], status, output, False))
+    for command in DIFFTESTS:
+        status, output = _main(command)
+        outputs[len(lines)] = output
+        lines.append(_line("difftest", command, status, output, False))
     return lines, outputs
 
 
