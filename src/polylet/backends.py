@@ -125,7 +125,7 @@ class EvalBackend(QuoteBackend):
 
     def genlet_parts(self, m: Machine, code: VCode):
         # The continuation sees the bound value, and nothing is inserted.
-        return VCode(S.CspValue(m.run_code(code.code))), None
+        return VCode(S.CspValue(m.execute(code.code))), None
 
 
 _BACKENDS = {"string": QuoteBackend, "quote": QuoteBackend, "eval": EvalBackend}

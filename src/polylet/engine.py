@@ -7,7 +7,9 @@ object, and capturing up to it is a slice.  Let insertion (shift0)
 removes the segment above the delimiter and re-installs it in place,
 over a frame that builds the inserted let; nothing leaves the stack, so
 a capture inside the resumed segment still reaches prompts below it.
-Generated code runs on a stack of its own, over `_IN_CODE_FRAME`.
+Generated code runs like any other entry, on a fresh stack from an empty
+environment: a let insertion there reaches only a prompt that the running
+code installed itself.
 
 The control is a pair: `(term, env)` evaluates a term, and `(None,
 value)` returns a value to the frame on top of the stack.  The loop runs
@@ -410,8 +412,6 @@ def _k_genlet(m, f, v, stack):
     if not isinstance(scope, VScope):
         raise type_error("genlet expects a scope")
     code = _as_code(v)
-    if stack and stack[0] is _IN_CODE_FRAME:
-        raise Diagnostic(Kind.SCOPE_EXTRUSION, "let insertion attempted while running generated code")
     for i in range(len(stack) - 1, -1, -1):
         if stack[i][0] is _k_prompt and stack[i][1] is scope:
             break
@@ -457,15 +457,6 @@ _COMB = {
 }
 
 
-# The mark that generated code's environment carries, and so every function
-# it makes captures: no name can be this key.
-_IN_CODE = object()
-
-# The bottom frame of generated code's stack: a prompt of no scope, which no
-# capture finds; `_k_genlet` refuses any capture above it.
-_IN_CODE_FRAME = (_k_prompt, None)
-
-
 class Machine:
     """One run, and its result: `backends.evaluate` returns the machine,
     with the final `value`, so that an eval-backend tree can be run
@@ -488,19 +479,13 @@ class Machine:
         """The final value; an eval-backend tree (a bare one) is run to a
         result, again on each call."""
         if isinstance(self.value, VCode) and isinstance(self.value.code, S.Expr):
-            return self.run_code(self.value.code)
+            return self.execute(self.value.code)
         return self.value
 
     def call(self, fn: RuntimeValue, arg: RuntimeValue) -> RuntimeValue:
         """Apply a function value to an argument on a fresh stack: a call of
-        a run's result after the run.  A function that generated code made
-        runs as generated code."""
-        term, env = _apply(fn, arg)
-        return self._loop((term, env), [_IN_CODE_FRAME] if _IN_CODE in env else [])
-
-    def run_code(self, tree: S.Expr) -> RuntimeValue:
-        """Run a generated tree from a fresh marked environment."""
-        return self._loop((tree, {_IN_CODE: VUnit()}), [_IN_CODE_FRAME])
+        a run's result after the run."""
+        return self._loop(_apply(fn, arg), [])
 
     def _loop(self, control, stack: list[tuple]) -> RuntimeValue:
         # App and Add, the hot path, run here: an atomic operand is read in

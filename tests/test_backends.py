@@ -215,8 +215,8 @@ def test_all_corpus_string_outputs_reparse():
 
 
 def test_no_let_insertion_while_running_generated_code():
-    # A persisted closure whose body reaches for a scope at force time:
-    # the capture would cross the running code's dynamic extent.
+    # A persisted closure whose body reaches for a scope at force time: that
+    # scope's prompt closed with the run that built the code.
     term = c(
         "new_scope",
         S.Fun(
@@ -232,33 +232,31 @@ def test_no_let_insertion_while_running_generated_code():
     with pytest.raises(Diagnostic) as exc:
         ev.force()
     assert exc.value.kind is Kind.SCOPE_EXTRUSION
-    assert "running generated code" in exc.value.message
+    assert exc.value.message == "prompt not active: scope already closed"
 
 
-def test_generated_function_called_after_the_run_is_still_generated_code():
-    # A generated function applied after the run runs as generated code:
-    # the persisted code generator it calls may not insert a let.  The
-    # same generator, itself the run's result, is an ordinary function
-    # and may.
+def test_generated_function_called_after_the_run_may_build_code():
+    # A generated function applied after the run calls a persisted code
+    # generator, which inserts a let under a prompt of its own; the code it
+    # returns runs.  The same generator, itself the run's result, builds
+    # code too.
     gen = "%(fun u -> .<let z = 1 in z>.)"
     ev = evaluate(translate(parse_source(f".<fun y -> {gen} y>.")), "eval")
-    with pytest.raises(Diagnostic) as exc:
-        ev.call(ev.force(), VInt(0))
-    assert exc.value.kind is Kind.SCOPE_EXTRUSION
-    assert "running generated code" in exc.value.message
+    code = ev.call(ev.force(), VInt(0))
+    assert isinstance(code, VCode)
+    assert ev.execute(code.code) == VInt(1)
     ev = evaluate(translate(parse_source(f".<{gen}>.")), "eval")
     assert isinstance(ev.call(ev.force(), VInt(0)), VCode)
 
 
 def test_inserted_right_hand_side_runs_as_generated_code():
     # The eval backend runs an inserted let's right-hand side at insertion
-    # time, as generated code: the persisted code generator it calls may
-    # not insert a let either.
+    # time; the persisted code generator it calls inserts a let of its own.
     term = translate(parse_source(".<let y = %(fun u -> .<let z = 1 in z>.) 0 in y>."))
-    with pytest.raises(Diagnostic) as exc:
-        evaluate(term, "eval")
-    assert exc.value.kind is Kind.SCOPE_EXTRUSION
-    assert exc.value.message == "let insertion attempted while running generated code"
+    ev = evaluate(term, "eval")
+    code = ev.force()
+    assert isinstance(code, VCode)
+    assert ev.execute(code.code) == VInt(1)
 
 
 def test_insertion_time_forcing_limit_for_lam_dependent_lets():
@@ -274,6 +272,18 @@ def test_insertion_time_forcing_limit_for_lam_dependent_lets():
     expected = parse_plain("fun x -> let y = (x :: []) in y")
     assert S.alpha_equal(quote_of(term), expected)
     assert S.alpha_equal(parse_plain(string_of(term)), expected)
+
+
+def test_insertion_time_forcing_limit_for_a_called_generator():
+    # The same limit inside a code generator that generated code calls: its
+    # let reads the function's parameter, which is not yet bound when the
+    # inserted binding is forced.
+    gen = "%(fun u -> .<fun w -> let z = w + 1 in z + z>.)"
+    ev = evaluate(translate(parse_source(f".<fun y -> {gen} y>.")), "eval")
+    with pytest.raises(Diagnostic) as exc:
+        ev.call(ev.force(), VInt(0))
+    assert exc.value.kind is Kind.UNBOUND_VAR
+    assert "dynamic" in exc.value.message
 
 
 def _python_calls(f, *args):
