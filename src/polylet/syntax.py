@@ -159,8 +159,11 @@ class Comb(Expr):
     args: tuple[Expr, ...]
 
     def __post_init__(self) -> None:
-        if self.name not in COMB_ARITY:
+        arity = COMB_ARITY.get(self.name)
+        if arity is None:
             raise ValueError(f"unknown combinator {self.name}")
+        if len(self.args) != arity:
+            raise ValueError(f"combinator {self.name} takes {arity} arguments, given {len(self.args)}")
 
 
 # The combinator that builds each compound plain form, its arguments being

@@ -137,12 +137,6 @@ def _infer_var(env, e, level, policy):
     return bound[1].instantiate()
 
 
-def _infer_comb(env, e, level, policy):
-    if len(e.args) != S.COMB_ARITY[e.name]:
-        raise type_error(f"combinator {e.name} takes {S.COMB_ARITY[e.name]} arguments, given {len(e.args)}")
-    return _COMB_RULES[e.name](env, e.args, level, policy)
-
-
 def _infer_add(env, e, level, policy):
     unify(_INFER[type(e.left)](env, e.left, level, policy), INT)
     unify(_INFER[type(e.right)](env, e.right, level, policy), INT)
@@ -218,7 +212,7 @@ def _infer_csp(env, e, level, policy):
 
 _INFER = {
     S.Var: _infer_var,
-    S.Comb: _infer_comb,
+    S.Comb: lambda env, e, level, policy: _COMB_RULES[e.name](env, e.args, level, policy),
     S.IntLit: lambda env, e, level, policy: INT,
     S.StrLit: lambda env, e, level, policy: STR,
     S.Unit: lambda env, e, level, policy: UNIT,
