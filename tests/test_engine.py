@@ -1,4 +1,3 @@
-import gc
 import sys
 
 import pytest
@@ -22,6 +21,7 @@ from polylet.engine import (
 )
 from polylet.parser import parse_plain, parse_source, parse_term, tokenize
 from polylet.unstage import translate
+from test_syntax import _node_classes
 
 
 def run_plain(text):
@@ -97,16 +97,6 @@ _STAGING_FORMS = (S.Bracket, S.Escape, S.Csp)
 _LOOP_FORMS = (S.App, S.Add)  # run by the machine's loop itself
 
 
-def _node_classes():
-    gc.collect()  # a slotted dataclass's replaced class lingers until collected
-    out, todo = set(), [S.Expr]
-    while todo:
-        cls = todo.pop()
-        todo.extend(cls.__subclasses__())
-        out.add(cls)
-    return out - {S.Expr}
-
-
 @pytest.mark.parametrize("cls", list(_NODE_CASES), ids=lambda cls: cls.__name__)
 def test_every_evaluable_node_kind_steps_to_its_value(cls):
     term, expected = _NODE_CASES[cls]
@@ -121,7 +111,7 @@ def test_step_table_covers_every_node_kind_but_staging_forms():
     # Each kind is run by the loop or by a step function, never by both.
     assert not set(engine._STEP) & set(_LOOP_FORMS)
     assert set(engine._STEP) | set(_LOOP_FORMS) == set(_NODE_CASES)
-    assert set(_NODE_CASES) == _node_classes() - set(_STAGING_FORMS)
+    assert set(_NODE_CASES) == set(_node_classes()) - set(_STAGING_FORMS)
     for cls in _STAGING_FORMS:
         with pytest.raises(TypeError, match="unexpected term"):
             Machine().execute(cls(S.IntLit(1)))

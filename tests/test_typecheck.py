@@ -1,4 +1,3 @@
-import gc
 import os
 import random
 import subprocess
@@ -38,6 +37,7 @@ from polylet.typesys import (
 )
 from polylet.unstage import translate
 from test_backends import _balanced_sum, _python_calls
+from test_syntax import _node_classes
 
 
 def staged_scheme(text, policy=GenPolicy.RELAXED):
@@ -198,18 +198,8 @@ def test_inference_leaves_the_callers_environment_as_it_was(text):
         assert _scope(env) == before
 
 
-def _node_classes():
-    gc.collect()  # `dataclass(slots=True)` leaves the class it replaced
-    out, todo = set(), [S.Expr]
-    while todo:
-        cls = todo.pop()
-        todo.extend(cls.__subclasses__())
-        out.add(cls)
-    return out - {S.Expr}
-
-
 def test_rule_table_covers_every_node_kind():
-    assert set(typecheck._INFER) == _node_classes()
+    assert set(typecheck._INFER) == set(_node_classes())
 
 
 # --- staged inference ---------------------------------------------------------
