@@ -24,9 +24,9 @@ ill-typed sources are pinned too.  The record also holds the
 One line per program and command: name, command, exit status and output
 (stdout, then stderr), tab-separated.  Corpus, generator and mutation
 outputs are kept in full, as a JSON string; every other output as the
-first 12 hex digits of its sha256.  Generated names start at 1: POLYLET_SEED is ignored.  A
-`RecursionError` lands where the stack depth says, so record and compare
-by the same command.
+first 12 hex digits of its sha256.  Generated names start at 1:
+POLYLET_SEED is ignored.  A `RecursionError` lands where the stack depth
+says, so record and compare by the same command.
 """
 
 from __future__ import annotations
