@@ -194,9 +194,9 @@ def binds(name: str) -> bool:
 # The staging forms' one child is `body`, and `Comb`'s children are `args`.
 _LEAVES = frozenset((Var, IntLit, StrLit, Nil, Unit, CspValue))
 _STAGING = (Bracket, Escape, Csp)
-_ONE = {RefNew: "init", RefGet: "ref", Fun: "body"}
-_TWO = {Add: ("left", "right"), Pair: ("first", "second"), Cons: ("head", "tail"), Rset: ("ref", "value"),
-        App: ("fn", "arg"), Let: ("rhs", "body")}  # fmt: skip
+ONE_CHILD = {RefNew: "init", RefGet: "ref", Fun: "body"}
+TWO_CHILDREN = {Add: ("left", "right"), Pair: ("first", "second"), Cons: ("head", "tail"),
+                Rset: ("ref", "value"), App: ("fn", "arg"), Let: ("rhs", "body")}  # fmt: skip
 
 
 def _no_children(e: Expr) -> tuple[Expr, ...]:
@@ -210,9 +210,9 @@ def _one_child(field: str):
 
 _CHILDREN = {
     **dict.fromkeys(_LEAVES, _no_children),
-    **{cls: _one_child(field) for cls, field in _ONE.items()},
+    **{cls: _one_child(field) for cls, field in ONE_CHILD.items()},
     **dict.fromkeys(_STAGING, _one_child("body")),
-    **{cls: attrgetter(*fields) for cls, fields in _TWO.items()},
+    **{cls: attrgetter(*fields) for cls, fields in TWO_CHILDREN.items()},
     Comb: attrgetter("args"),
 }
 
@@ -221,8 +221,8 @@ _CHILDREN = {
 # one child is appended, and two are extended in reverse field order.
 _PUSH = {
     **dict.fromkeys(_LEAVES, ()),
-    **{cls: (list.append, attrgetter(field)) for cls, field in _ONE.items()},
-    **{cls: (list.extend, attrgetter(*fields[::-1])) for cls, fields in _TWO.items()},
+    **{cls: (list.append, attrgetter(field)) for cls, field in ONE_CHILD.items()},
+    **{cls: (list.extend, attrgetter(*fields[::-1])) for cls, fields in TWO_CHILDREN.items()},
 }
 
 

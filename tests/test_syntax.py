@@ -194,7 +194,9 @@ def _node_classes():
     while todo:
         cls = todo.pop()
         todo.extend(cls.__subclasses__())
-        if cls is not S.Expr:
+        # On Python 3.10 the replaced class outlives `gc.collect`: the slotted
+        # class keeps its `__weakref__` descriptor.
+        if cls is not S.Expr and getattr(S, cls.__name__, None) is cls:
             out.append(cls)
     return out
 

@@ -16,6 +16,8 @@ from polylet.parser import parse_plain, parse_source, parse_term
 from polylet.typecheck import infer_host, infer_staged
 from polylet.typesys import TypeEnv, render_scheme
 from polylet.unstage import translate
+from test_backends import _python_calls
+from test_syntax import _node_classes
 
 
 def c(name, *args):
@@ -229,28 +231,37 @@ def test_thunkify_respects_shadowing():
     )
 
 
-def test_thunking_is_linear_in_genletfun_chain_length(monkeypatch):
+def _opcodes(f, *args):
+    """How many bytecode instructions `f(*args)` executes, in all the Python
+    frames it runs: a count that is the same on every run."""
+    count = 0
+
+    def trace(frame, event, _):
+        nonlocal count
+        frame.f_trace_opcodes = True
+        count += event == "opcode"
+        return trace
+
+    # Python 3.12.1 sends no opcode event in a process's first trace unless
+    # a frame has asked for them before the trace starts.
+    sys._getframe().f_trace_opcodes = True
+    sys.settrace(trace)
+    try:
+        f(*args)
+    finally:
+        sys.settrace(None)
+    return count
+
+
+def test_thunking_is_linear_in_genletfun_chain_length():
     """Uses are thunked as the body is translated, not by re-walking the
     translated body of every quoted `let f = fun ...`."""
-    calls = 0
-    children = S.children
-
-    def counting_children(e):
-        nonlocal calls
-        calls += 1
-        return children(e)
-
-    monkeypatch.setattr(S, "children", counting_children)
 
     def work(n):
-        nonlocal calls
         lets = "let f0 = fun x -> x in " + "".join(
             f"let f{k} = fun x -> f{k - 1} x in " for k in range(1, n)
         )
-        source = parse_source(f".<{lets}f{n - 1} 1>.")
-        calls = 0
-        translate(source)
-        return calls
+        return _opcodes(translate, parse_source(f".<{lets}f{n - 1} 1>."))
 
     assert work(100) <= 5 * work(25)
 
@@ -302,23 +313,45 @@ def test_scope_binders_avoid_names_used_at_level_0():
     assert S.alpha_equal(tree, parse_source("let y = 2 in 1 + y"))
 
 
-def test_translate_visits_each_node_once(monkeypatch):
+def test_translate_visits_each_node_once():
     # Scope binders are named from the names the translation itself
-    # visits, with no second walk over the tree.
+    # visits, with no second walk over the tree: about 75 to 90 opcodes a
+    # node on Python 3.10-3.13, where a second walk by `scan` adds 70 more.
     lets = "".join(f"let x{k} = x{k - 1} + 1 in " for k in range(1, 100))
     e = parse_source(f".<let x0 = 1 in {lets}x99>.")
-    calls = 0
-    children = S.children
+    assert _opcodes(translate, e) <= 100 * difftest.size(e)
 
-    def counting(node):
-        nonlocal calls
-        calls += 1
-        return children(node)
 
-    nodes = difftest.size(e)
-    monkeypatch.setattr(S, "children", counting)
-    translate(e)
-    assert calls <= nodes
+def test_translate_makes_three_calls_a_quoted_node():
+    # The rule of each node builds its `Comb` itself, and each child is
+    # translated by its rule, found in the table with no call.
+    def calls_and_nodes(depth):
+        e = S.IntLit(1)
+        for _ in range(depth):
+            e = S.Add(e, e)
+        return _python_calls(translate, S.Bracket(e)), difftest.size(S.Bracket(e))
+
+    (small, small_nodes), (large, large_nodes) = calls_and_nodes(5), calls_and_nodes(7)
+    assert (small_nodes, large_nodes) == (64, 256)
+    assert small <= 3.1 * small_nodes and large <= 3.1 * large_nodes, (small, large)
+    assert large <= 4.2 * small, (small, large)
+
+
+def test_quoted_sum_chain_translates_at_the_default_recursion_limit():
+    # One Python frame per tree level: a left-nested quoted `+` chain of 900.
+    e = S.IntLit(0)
+    for k in range(1, 901):
+        e = S.Add(e, S.IntLit(k))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        out = translate(S.Bracket(e))
+    finally:
+        sys.setrecursionlimit(limit)
+    for k in range(900, 0, -1):
+        assert out.name == "add" and out.args[1] == c("int", S.IntLit(k))
+        out = out.args[0]
+    assert out == c("int", S.IntLit(0))
 
 
 def _count_level0(monkeypatch):
@@ -370,12 +403,22 @@ def test_plain_chains_translate_at_the_default_recursion_limit(monkeypatch, kind
     [
         (S.Add(S.IntLit(1), 5), "unexpected expression 5"),
         (S.Fun("x", S.Pair(S.Var("x"), "junk")), "unexpected expression 'junk'"),
+        (S.Bracket(S.Add(S.IntLit(1), 5)), "unexpected expression 5"),
+        (S.Bracket(S.Escape(S.Bracket(S.Add(S.IntLit(1), 5)))), "unexpected expression 5"),
     ],
 )
 def test_malformed_tree_names_the_stray_value(tree, message):
+    # Inside a bracket, the rule table's miss raises; it adds no rule.
+    assert set(unstage._LEVEL1) == set(_node_classes()) - {S.Bracket, S.Comb}
     with pytest.raises(TypeError) as exc:
         translate(tree)
     assert str(exc.value) == message
+    assert set(unstage._LEVEL1) == set(_node_classes()) - {S.Bracket, S.Comb}
+
+
+def test_nested_bracket_is_refused():
+    with pytest.raises(ValueError, match="nested bracket survived parsing"):
+        translate(S.Bracket(S.Pair(S.IntLit(1), S.Bracket(S.IntLit(2)))))
 
 
 def _nodes(e):
