@@ -19,10 +19,11 @@ an application or an addition itself, any other term by the step that
 function that resumes it with a value.  Frames replace recursion, so a
 deep program costs stack entries, not Python frames.  An atomic operand
 (a variable, a literal, a `fun` or a persisted value) takes no frame:
-whatever runs its form evaluates it in place, and an integer literal
-addend is never boxed.  Binding is copy-and-store: `env.copy()`, then
-one store.  Pair components evaluate right to left, mirroring the host
-language; every other position is left to right.
+it is evaluated in place through `_ATOM`, or, in the loop, by a class
+test (a variable, a persisted function, or an int's literal addend,
+never boxed).  Binding is copy-and-store: `env.copy()`, then one store.
+Pair components evaluate right to left, mirroring the host language;
+every other position is left to right.
 
 Code is built here too.  A node combinator (`add`, `app`, `pair`,
 `cons`, `rset_`, `ref_`, `rget`) builds its node from its operands'
@@ -226,15 +227,11 @@ def _var(t, env):
         raise unbound_var(t.name) from None
 
 
-def _int_lit(t, env):
-    return VInt(t.value)
-
-
 # Atomic operands: evaluated in place, by (term, env) -> value, by the step
 # or resumer whose next operand they are.
 _ATOM = {
     S.Var: _var,
-    S.IntLit: _int_lit,
+    S.IntLit: lambda t, env: VInt(t.value),
     S.StrLit: lambda t, env: VStr(t.value),
     S.Unit: lambda t, env: VUnit(),
     S.Nil: lambda t, env: VList(()),
@@ -488,11 +485,12 @@ class Machine:
         return self._loop(_apply(fn, arg), [])
 
     def _loop(self, control, stack: list[tuple]) -> RuntimeValue:
-        # App and Add, the hot path, run here: an atomic operand is read in
-        # place (a variable from env, an integer literal addend unboxed, any
-        # other through `_ATOM`), a compound one pushes its frame.  A popped
-        # `_k_call` frame ends like an App, below: a closure by copy-and-store.
-        step, get, App, Add, k_call, int_lit = _STEP, _ATOM.get, S.App, S.Add, _k_call, _int_lit
+        # App and Add, the hot path, run here.  An atomic operand is read in
+        # place: a variable, a persisted function and an int's literal addend
+        # (unboxed) by a class test, any other through `_ATOM`.  A compound one
+        # pushes its frame.  A popped `_k_call` frame ends like an App, below.
+        step, get, k_call = _STEP, _ATOM.get, _k_call
+        App, Add, Var, IntLit, CspValue = S.App, S.Add, S.Var, S.IntLit, S.CspValue
         t, x = control
         while True:
             if t is None:
@@ -505,37 +503,59 @@ class Machine:
                 fn, arg = frame[1], x
             elif (cls := type(t)) is App:
                 e = t.fn
-                atom = get(type(e))
-                if atom is None:
+                if (c := type(e)) is Var:
+                    try:
+                        fn = x[e.name]
+                    except KeyError:
+                        raise unbound_var(e.name) from None
+                elif c is CspValue:
+                    fn = e.value
+                elif (atom := get(c)) is not None:
+                    fn = atom(e, x)
+                else:
                     stack.append((_k_second, t.arg, x, k_call))
                     t = e
                     continue
-                fn = x[e.name] if atom is _var and e.name in x else atom(e, x)
                 e = t.arg
-                atom = get(type(e))
-                if atom is None:
+                if type(e) is Var:
+                    try:
+                        arg = x[e.name]
+                    except KeyError:
+                        raise unbound_var(e.name) from None
+                elif (atom := get(type(e))) is not None:
+                    arg = atom(e, x)
+                else:
                     stack.append((k_call, fn))
                     t = e
                     continue
-                arg = x[e.name] if atom is _var and e.name in x else atom(e, x)
             elif cls is Add:
                 e = t.left
-                atom = get(type(e))
-                if atom is None:
+                if type(e) is Var:
+                    try:
+                        left = x[e.name]
+                    except KeyError:
+                        raise unbound_var(e.name) from None
+                elif (atom := get(type(e))) is not None:
+                    left = atom(e, x)
+                else:
                     stack.append((_k_second, t.right, x, _k_add))
                     t = e
                     continue
-                left = x[e.name] if atom is _var and e.name in x else atom(e, x)
                 e = t.right
-                atom = get(type(e))
-                if atom is None:
+                if (c := type(e)) is IntLit and type(left) is VInt:
+                    t, x = None, VInt(left.value + e.value)
+                    continue
+                if c is Var:
+                    try:
+                        right = x[e.name]
+                    except KeyError:
+                        raise unbound_var(e.name) from None
+                elif (atom := get(c)) is not None:
+                    right = atom(e, x)
+                else:
                     stack.append((_k_add, left))
                     t = e
                     continue
-                if atom is int_lit and type(left) is VInt:
-                    t, x = None, VInt(left.value + e.value)
-                    continue
-                right = x[e.name] if atom is _var and e.name in x else atom(e, x)
                 if type(left) is VInt and type(right) is VInt:
                     t, x = None, VInt(left.value + right.value)
                 else:
@@ -548,8 +568,8 @@ class Machine:
                     raise TypeError(f"unexpected term {t!r}") from None
                 t, x = fn(self, t, x, stack)
                 continue
-            if type(fn) is VClosure and fn.param != UNIT_BINDER and fn.param != WILDCARD:
+            if type(fn) is VClosure and (p := fn.param) != UNIT_BINDER and p != WILDCARD:
                 t, x = fn.body, fn.env.copy()
-                x[fn.param] = arg
+                x[p] = arg
             else:
                 t, x = _apply(fn, arg)

@@ -155,8 +155,19 @@ def _genfun_lets(depth):
     return lets + [f"let f{k} = fun z -> f{k - 1} (f{k - 1} z) in " for k in range(1, depth + 1)]
 
 
-def _genfun_chain(depth):
-    return translate(parse_plain("".join(_genfun_lets(depth)) + f"fun x -> f{depth} x"))
+def _genfun_chain(depth, quoted=False):
+    source = "".join(_genfun_lets(depth)) + f"fun x -> f{depth} x"
+    return translate(parse_source(f".<{source}>.") if quoted else parse_plain(source))
+
+
+def _generated_function(depth, backend):
+    """The quoted depth-n chain's generated function, and the machine to call
+    it on: the quote tree run plainly, or the eval backend's forced value."""
+    run = evaluate(_genfun_chain(depth, quoted=True), backend)
+    if backend == "eval":
+        return run, run.force()
+    run = evaluate(run.value.code.tree, None)
+    return run, run.value
 
 
 class _CountingStack(list):
@@ -189,9 +200,7 @@ def test_atomic_operands_take_no_steps():
 def test_a_literal_addend_is_not_boxed():
     # Generated code of a depth-6 genfun chain: one call runs 2**6 additions
     # `z + 7`, and each allocates only its sum, not a box for the 7.
-    source = "".join(_genfun_lets(6)) + "fun x -> f6 x"
-    tree = evaluate(translate(parse_source(f".<{source}>.")), "quote").value.code.tree
-    run = evaluate(tree, None)
+    run, fn = _generated_function(6, "quote")
     arg, calls = VInt(1), []
 
     def count(frame, event, _):
@@ -200,11 +209,43 @@ def test_a_literal_addend_is_not_boxed():
 
     sys.setprofile(count)
     try:
-        result = run.call(run.value, arg)
+        result = run.call(fn, arg)
     finally:
         sys.setprofile(None)
     assert result == VInt(1 + 7 * 2**6)
     assert len(calls) == 2**6
+
+
+def _calls_of_one_call(run, fn):
+    """The Python calls and the C calls that `run.call(fn, 1)` makes."""
+    calls = {"call": 0, "c_call": 0}
+
+    def count(frame, event, _):
+        if event in calls:
+            calls[event] += 1
+
+    sys.setprofile(count)
+    try:
+        run.call(fn, VInt(1))
+    finally:
+        sys.setprofile(None)
+    return calls["call"], calls["c_call"]
+
+
+@pytest.mark.parametrize("depth", [6, 8])
+def test_atomic_operands_are_read_by_a_class_test(depth):
+    # One call of the depth-n chain's generated code enters 2**(n + 1)
+    # closures.  Its variables are read by one env lookup each, with no
+    # table lookup, so a closure call costs the env copy, the push and pop
+    # of the call waiting for its argument and that argument's table
+    # lookup: 2.5 C calls, where a lookup per atomic operand made 5.
+    run, fn = _generated_function(depth, "quote")
+    python_calls, c_calls = _calls_of_one_call(run, fn)
+    assert c_calls <= 2.6 * 2 ** (depth + 1)
+    # Eval's code calls each inserted function through its persisted value
+    # (`CspValue`), which the loop reads in place, as the quote tree reads
+    # the variable bound to the function: no Python call per closure call.
+    assert _calls_of_one_call(*_generated_function(depth, "eval"))[0] == python_calls
 
 
 _NOPE = S.Var("nope")
@@ -219,6 +260,8 @@ _BAD_ADD = S.Add(S.IntLit(1), S.StrLit("a"))
         (None, S.App(_NOPE, _BAD_ADD), Kind.UNBOUND_VAR, "unbound variable nope"),
         (None, S.Add(_BAD_ADD, _NOPE), Kind.TYPE_ERROR, "addition of non-integers"),
         (None, S.Add(_NOPE, _BAD_ADD), Kind.UNBOUND_VAR, "unbound variable nope"),
+        (None, S.Add(S.IntLit(1), _NOPE), Kind.UNBOUND_VAR, "unbound variable nope"),
+        (None, S.App(S.CspValue(VInt(1)), _BAD_ADD), Kind.TYPE_ERROR, "addition of non-integers"),
         (None, S.Cons(_BAD_ADD, _NOPE), Kind.TYPE_ERROR, "addition of non-integers"),
         (None, S.Rset(_NOPE, _BAD_ADD), Kind.UNBOUND_VAR, "unbound variable nope"),
         (None, S.Rset(S.RefNew(_BAD_ADD), _NOPE), Kind.TYPE_ERROR, "addition of non-integers"),
@@ -243,6 +286,20 @@ def test_operand_order_decides_which_diagnostic_wins(backend, term, kind, messag
         evaluate(term, backend)
     assert exc.value.kind is kind
     assert exc.value.message == message
+
+
+@pytest.mark.parametrize(
+    "body",
+    [S.App(_NOPE, S.Var("z")), S.App(S.Var("z"), _NOPE), S.Add(_NOPE, S.Var("z")), S.Add(S.Var("z"), _NOPE)],
+)
+def test_an_unbound_name_in_a_called_closure_is_named(body):
+    # The loop reads each operand of an App or an Add by one env lookup; a
+    # miss names the variable before the operation can fail on the other.
+    run = evaluate(S.Fun("z", body), None)
+    with pytest.raises(Diagnostic) as exc:
+        run.call(run.value, VStr("a"))
+    assert exc.value.kind is Kind.UNBOUND_VAR
+    assert exc.value.message == "unbound variable nope"
 
 
 # --- run-time guards -----------------------------------------------------------
