@@ -260,8 +260,6 @@ _BAD_ADD = S.Add(S.IntLit(1), S.StrLit("a"))
         (None, S.App(_NOPE, _BAD_ADD), Kind.UNBOUND_VAR, "unbound variable nope"),
         (None, S.Add(_BAD_ADD, _NOPE), Kind.TYPE_ERROR, "addition of non-integers"),
         (None, S.Add(_NOPE, _BAD_ADD), Kind.UNBOUND_VAR, "unbound variable nope"),
-        (None, S.Add(S.IntLit(1), _NOPE), Kind.UNBOUND_VAR, "unbound variable nope"),
-        (None, S.App(S.CspValue(VInt(1)), _BAD_ADD), Kind.TYPE_ERROR, "addition of non-integers"),
         (None, S.Cons(_BAD_ADD, _NOPE), Kind.TYPE_ERROR, "addition of non-integers"),
         (None, S.Rset(_NOPE, _BAD_ADD), Kind.UNBOUND_VAR, "unbound variable nope"),
         (None, S.Rset(S.RefNew(_BAD_ADD), _NOPE), Kind.TYPE_ERROR, "addition of non-integers"),
@@ -279,6 +277,8 @@ _BAD_ADD = S.Add(S.IntLit(1), S.StrLit("a"))
             Kind.UNBOUND_VAR,
             "unbound variable nope",
         ),
+        (None, S.Add(S.IntLit(1), _NOPE), Kind.UNBOUND_VAR, "unbound variable nope"),
+        (None, S.App(S.CspValue(VInt(1)), _BAD_ADD), Kind.TYPE_ERROR, "addition of non-integers"),
     ],
 )
 def test_operand_order_decides_which_diagnostic_wins(backend, term, kind, message):
