@@ -9,8 +9,9 @@ The programs are the corpus sources, random bracket programs at seeds 0 and
 `letchain`, `wide` and `genfun` program, and seeded samples of the random
 and `small` ones, two programs whose code shares what a tree copies: a
 chain of spliced pairs and a lifted chain of pairs, each a tree of
-2^12 - 1 nodes, and three programs whose generated code calls a persisted
-code generator.  Each runs, through `polylet.cli.main` in this process,
+2^12 - 1 nodes, three programs whose generated code calls a persisted
+code generator, and one whose function lets are inserted into an outer
+scope.  Each runs, through `polylet.cli.main` in this process,
 `typecheck` under both systems and each policy, `translate`, `codegen`
 with each printing backend, `run`, and `run --arg` with a literal of the
 argument type when the staged type is a function's code.  Seeded one-token
@@ -22,9 +23,9 @@ ill-typed sources are pinned too.  The record also holds the
 `--seed 1 --count 1000`.
 
 One line per program and command: name, command, exit status and output
-(stdout, then stderr), tab-separated.  Corpus, generator and mutation
-outputs are kept in full, as a JSON string; every other output as the
-first 12 hex digits of its sha256.  Generated names start at 1:
+(stdout, then stderr), tab-separated.  Corpus, generator, insertion and
+mutation outputs are kept in full, as a JSON string; every other output as
+the first 12 hex digits of its sha256.  Generated names start at 1:
 POLYLET_SEED is ignored.  A `RecursionError` lands where the stack depth
 says, so record and compare by the same command.
 """
@@ -67,6 +68,16 @@ GENERATORS = (
     ("generator/inserted", ".<let y = %(fun u -> .<let z = 1 in z>.) 0 in y>."),
 )
 
+# Quoted function lets inserted into the outer funscope from under `lam` and
+# an inner scope, which pins where each let lands and in what order.
+INSERTIONS = (
+    (
+        "insertion/funscope",
+        ".< let f = fun z -> z + 1 in let g = fun z -> f (f z) in"
+        " fun x -> let a = x + 2 in let b = g a in f (g b) >.",
+    ),
+)
+
 # What a mutation inserts, or puts in a token's place: every punctuation
 # mark and keyword, an atom of each kind, and the starts of three lexical
 # errors (a comment and a string left open, and a bad character).
@@ -92,7 +103,7 @@ def sources() -> list[tuple[str, str, bool]]:
             picked = sorted(random.Random(0).sample(range(len(programs)), SMALL_COUNT))
             programs = [programs[i] for i in picked]
         out += [(p.name, p.source, False) for p in programs]
-    return out + shared(SHARED_DEPTH) + [(name, text, True) for name, text in GENERATORS]
+    return out + shared(SHARED_DEPTH) + [(name, text, True) for name, text in GENERATORS + INSERTIONS]
 
 
 def shared(n: int) -> list[tuple[str, str, bool]]:

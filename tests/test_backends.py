@@ -235,6 +235,18 @@ def test_no_let_insertion_while_running_generated_code():
     assert exc.value.message == "prompt not active: scope already closed"
 
 
+def test_no_let_insertion_from_a_right_hand_side_run_at_insertion_time():
+    # Eval runs an inserted right-hand side on a fresh stack, where the
+    # scope's prompt is not: the persisted closure's genlet is refused,
+    # though the scope is still open.  Quote runs nothing at insertion.
+    term = parse_term("new_scope (fun p -> let y = genlet p (app (csp (fun u -> genlet p (int 1))) (int 0)) in y)")
+    with pytest.raises(Diagnostic) as exc:
+        evaluate(term, "eval")
+    assert exc.value.kind is Kind.SCOPE_EXTRUSION
+    assert exc.value.message == "prompt not active: scope already closed"
+    assert S.pretty(quote_of(term)) == "let t_1 = %<<fun>> 0 in t_1"
+
+
 def test_generated_function_called_after_the_run_may_build_code():
     # A generated function applied after the run calls a persisted code
     # generator, which inserts a let under a prompt of its own; the code it
