@@ -10,10 +10,10 @@
 The machine builds every node itself (`engine._COMB`).  A backend,
 given to the run's `Machine`, gives only what differs:
 `lift` rebuilds or embeds a persisted value; `genlet_parts` gives what
-the continuation resumed by a let insertion sees, and the binding, if
-any, to insert around the scope's code; `label` names the backend in
-messages; `binder_prefix` starts the names that `lam` and `genletfun`
-make.
+the code after a let insertion sees, and the binding, if any, that joins
+the scope's lets (the scope's prompt wraps them around its code); `label`
+names the backend in messages; `binder_prefix` starts the names that
+`lam` and `genletfun` make.
 """
 
 from __future__ import annotations

@@ -1,21 +1,23 @@
-"""Call-by-value evaluator for translated terms, with delimited control.
+"""Call-by-value evaluator for translated terms, with let insertion by state.
 
 A `Machine` is one run of a term, with its name supply, code backend
 and final value.  It is defunctionalized: the continuation is an
-explicit stack of frames, so a prompt is a frame, marked by its scope
-object, and capturing up to it is a slice.  Let insertion (shift0)
-removes the segment above the delimiter and re-installs it in place,
-over a frame that builds the inserted let; nothing leaves the stack, so
-a capture inside the resumed segment still reaches prompts below it.
-Generated code runs like any other entry, on a fresh stack from an empty
-environment: a let insertion there reaches only a prompt that the running
-code installed itself.
+explicit stack of frames, and a scope's prompt is a frame.  Let
+insertion is by state (Sumii & Kobayashi, HOSC 2001): `genlet` adds its
+binding to the scope's list of lets and goes on, and the prompt, as it
+pops, wraps the scope's code in them, the first outermost.  The paper's
+`genlet` is shift0 to the prompt, but the segment it captures is resumed
+once, at once, in place: shift0 would put it back over a frame that
+builds the same let, above the frames of the lets inserted before, so
+the two give the same code.  Generated code runs like any other entry,
+on a fresh stack from an empty environment: a let insertion there
+reaches only a prompt that the running code installed itself.
 
 The control is a pair: `(term, env)` evaluates a term, and `(None,
 value)` returns a value to the frame on top of the stack.  The loop runs
-an application or an addition itself, any other term by the step that
-`_STEP` maps its class to, and a combinator by the step that one table,
-`_COMB`, maps its name to.  A frame is a tuple whose first item is the
+an application or an addition itself, a combinator by the step that
+`_COMB` maps its name to, and any other term by the step that `_STEP`
+maps its class to.  A frame is a tuple whose first item is the
 function that resumes it with a value.  Frames replace recursion, so a
 deep program costs stack entries, not Python frames.  An atomic operand
 (a variable, a literal, a `fun` or a persisted value) takes no frame:
@@ -28,21 +30,23 @@ every other position is left to right.
 Code is built here too.  A node combinator (`add`, `app`, `pair`,
 `cons`, `rset_`, `ref_`, `rget`) builds its node from its operands'
 trees, and `int` of an integer literal, or `str` of a string literal,
-is that literal; the backend lifts any other value.  `lam`, the scope
-builders and `genletfun` apply their function on this stack, so
-captures may cross them.
+is that literal, read with no frame; the backend lifts any other value.
+`lam`, the scope builders and `genletfun` apply their function on this
+stack, a literal `fun` with no closure, so insertions may cross them.
 
 Values are records, immutable by convention, except `VRefCell.contents`
-(`rset`) and `VScope.memo` (written once, by `genletfun`): dataclass
-generates only their `__init__`, and `__repr__`, `__eq__` and `__hash__` are shared.
-`render_value` prints them through the one layout printer,
-`diagnostics.render_layout`, so a value of any depth prints.
+(`rset`), `VScope.lets` (`genlet`) and `VScope.memo` (written once, by
+`genletfun`): dataclass generates only their `__init__`, and `__repr__`,
+`__eq__` and `__hash__` are shared.  `render_value` prints them through
+the one layout printer, `diagnostics.render_layout`, so a value of any
+depth prints.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from dataclasses import field
 from typing import Optional
 
 from . import syntax as S
@@ -109,17 +113,21 @@ class VCode(RuntimeValue):
 
 @record(eq=False)
 class VScope(RuntimeValue):
-    """A scope, whose identity is its prompt's; a funscope (`fun`) also
-    keeps, written once, the function binding it has inserted."""
+    """A scope: its prompt frame is at index `depth` of the stack that
+    opened it, and wraps the scope's code in `lets`, the bindings inserted
+    into it, in order.  A funscope (`fun`) also keeps, written once, the
+    function binding it has inserted."""
 
     fun: bool = False
     memo: Optional[VCode] = None
+    depth: int = 0
+    lets: list[tuple[str, S.Expr]] = field(default_factory=list)
 
 
 # The tag each value class shows in run-time errors.
 _TAGS = {
     **{VInt: "int", VStr: "string", VUnit: "unit", VList: "list", VPair: "pair"},
-    **{VRefCell: "ref", VClosure: "function", VCode: "code"},
+    **{VRefCell: "ref", VClosure: "function", VCode: "code", VScope: "scope"},
 }
 
 
@@ -257,7 +265,6 @@ _STEP = {
     S.RefNew: lambda m, t, env, stack: _then(m, t.init, env, (_k_ref_new,), stack),
     S.RefGet: lambda m, t, env, stack: _then(m, t.ref, env, (_k_ref_get,), stack),
     S.Rset: lambda m, t, env, stack: _then(m, t.ref, env, (_k_second, t.value, env, _k_rset), stack),
-    S.Comb: lambda m, t, env, stack: _COMB[t.name](m, t, env, stack),
 }
 
 
@@ -315,11 +322,13 @@ def _k_rset(m, f, v, stack):
 
 
 def _k_prompt(m, f, v, stack):
+    # Close the scope f[1]: wrap its code v in its lets, the first outermost.
+    if f[1].lets:
+        tree = _code_tree(m, v)
+        for name, rhs in reversed(f[1].lets):
+            tree = S.Let(name, rhs, tree)
+        v = VCode(tree)
     return None, v
-
-
-def _k_let_code(m, f, v, stack):
-    return None, VCode(S.Let(f[1], f[2], _code_tree(m, v)))
 
 
 # --- combinators ---------------------------------------------------------------
@@ -342,24 +351,31 @@ _NODE_OF = {name: cls for cls, name in S.COMB_OF.items()}
 _OWN_CODE = {"int": S.IntLit, "str": S.StrLit}  # a literal is its own code
 
 
+def _own_code(m, e) -> Optional[VCode]:
+    """The literal that e is as code, read with no frame, if e is `int 1` or `str "s"`."""
+    if type(e) is S.Comb and e.name in _OWN_CODE and type(e.args[0]) is _OWN_CODE[e.name] and m.backend is not None:
+        return VCode(e.args[0])
+    return None
+
+
 def _comb_node2(m, t, env, stack):
     # `_then`, inlined here and in `_k_node_first`: most code is built this way.
     node = _NODE_OF[t.name]
     first, last = t.args[::-1] if node is S.Pair else t.args
-    atom = _ATOM.get(type(first))
-    if atom is None:
+    v = atom(first, env) if (atom := _ATOM.get(type(first))) else _own_code(m, first)
+    if v is None:
         stack.append((_k_node_first, node, last, env))
         return first, env
-    return _k_node_first(m, (None, node, last, env), atom(first, env), stack)
+    return _k_node_first(m, (None, node, last, env), v, stack)
 
 
 def _k_node_first(m, f, v, stack):
     _, node, e, env = f
-    atom = _ATOM.get(type(e))
-    if atom is None:
+    u = atom(e, env) if (atom := _ATOM.get(type(e))) else _own_code(m, e)
+    if u is None:
         stack.append((_k_node_last, node, v))
         return e, env
-    return _k_node_last(m, (None, node, v), atom(e, env), stack)
+    return _k_node_last(m, (None, node, v), u, stack)
 
 
 def _k_node_last(m, f, v, stack):
@@ -371,10 +387,10 @@ def _k_node_last(m, f, v, stack):
 
 
 def _comb_unary(m, t, env, stack):
-    e = t.args[0]
-    if type(e) is _OWN_CODE.get(t.name) and m.backend is not None:
-        return None, VCode(e)
-    return _then(m, e, env, (_k_unary, _NODE_OF.get(t.name)), stack)
+    code = _own_code(m, t)
+    if code is not None:
+        return None, code
+    return _then(m, t.args[0], env, (_k_unary, _NODE_OF.get(t.name)), stack)
 
 
 def _k_unary(m, f, v, stack):
@@ -382,17 +398,29 @@ def _k_unary(m, f, v, stack):
     return None, VCode(_backend(m).lift(v) if node is None else node(_code_tree(m, v)))
 
 
+def _comb_open(m, t, env, stack):
+    e, frame = t.args[0], (_k_open, t.name, env)
+    return _k_open(m, frame, e, stack) if type(e) is S.Fun else _then(m, e, env, frame, stack)
+
+
 def _k_open(m, f, v, stack):
     """Apply v to what `lam`, `new_scope` or `new_funscope` (f[1]) opens, a
-    fresh binder's code or a new scope, over the frame that closes it."""
+    fresh binder's code or a new scope, over the frame that closes it.  v is
+    a closure, or a literal `fun`, whose parameter is bound in f[2] in place."""
+    _, what, env = f
     backend = _backend(m)
-    if f[1] == "lam":
+    if what == "lam":
         binder = m.gensym(backend.binder_prefix)
         stack.append((_k_lam, binder))
-        return _apply(v, VCode(S.Var(binder)))
-    scope = VScope(f[1] == "new_funscope")
-    stack.append((_k_prompt, scope))
-    return _apply(v, scope)
+        arg = VCode(S.Var(binder))
+    else:
+        arg = VScope(what == "new_funscope", None, len(stack))
+        stack.append((_k_prompt, arg))
+    if type(v) is S.Fun and (p := v.param) != UNIT_BINDER and p != WILDCARD:
+        env = env.copy()
+        env[p] = arg
+        return v.body, env
+    return _apply(VClosure(v.param, v.body, env) if type(v) is S.Fun else v, arg)
 
 
 def _k_lam(m, f, v, stack):
@@ -400,27 +428,21 @@ def _k_lam(m, f, v, stack):
 
 
 def _k_genlet(m, f, v, stack):
-    # shift0: remove up to and including the delimiter, let the backend
-    # decide what the resumption sees and what binding, if any, to insert
-    # around the delimited result, then re-install the segment in place.
-    # Keeping one stack lets a later capture reach prompts below this one.
+    # Let insertion by state: the binding that the backend gives, if any,
+    # joins the scope's lets, and the continuation goes on in place (see the
+    # module docstring).  The prompt must be on this stack, an O(1) test by
+    # its index: eval runs a right-hand side on a fresh stack.
     scope = f[1]
     _backend(m)
     if not isinstance(scope, VScope):
         raise type_error("genlet expects a scope")
     code = _as_code(v)
-    for i in range(len(stack) - 1, -1, -1):
-        if stack[i][0] is _k_prompt and stack[i][1] is scope:
-            break
-    else:
+    i = scope.depth
+    if not (i < len(stack) and stack[i][0] is _k_prompt and stack[i][1] is scope):
         raise Diagnostic(Kind.SCOPE_EXTRUSION, "prompt not active: scope already closed")
-    captured = stack[i + 1 :]
-    del stack[i:]
     resume_value, binding = m.backend.genlet_parts(m, code)
     if binding is not None:
-        stack.append((_k_let_code, *binding))
-    stack.append((_k_prompt, scope))
-    stack.extend(captured)
+        scope.lets.append(binding)
     return None, resume_value
 
 
@@ -432,7 +454,7 @@ def _k_genletfun(m, f, v, stack):
     if scope.memo is not None:
         return None, scope.memo
     stack.append((_k_genlet_after, scope))
-    return _k_open(m, (_k_open, "lam"), v, stack)
+    return _k_open(m, (_k_open, "lam", None), v, stack)
 
 
 def _k_genlet_after(m, f, v, stack):
@@ -445,9 +467,7 @@ def _k_genlet_after(m, f, v, stack):
 _COMB = {
     **{name: _comb_node2 for name in _NODE_OF if S.COMB_ARITY[name] == 2},
     **dict.fromkeys(("int", "str", "csp", "ref_", "rget"), _comb_unary),
-    **dict.fromkeys(
-        ("lam", "new_scope", "new_funscope"), lambda m, t, env, stack: _then(m, t.args[0], env, (_k_open, t.name), stack)
-    ),
+    **dict.fromkeys(("lam", "new_scope", "new_funscope"), _comb_open),
     "nil": lambda m, t, env, stack: (None, VCode(_backend(m) and S.Nil())),
     "genlet": lambda m, t, env, stack: _then(m, t.args[0], env, (_k_second, t.args[1], env, _k_genlet), stack),
     "genletfun": lambda m, t, env, stack: _then(m, t.args[0], env, (_k_second, t.args[1], env, _k_genletfun), stack),
@@ -489,8 +509,8 @@ class Machine:
         # place: a variable, a persisted function and an int's literal addend
         # (unboxed) by a class test, any other through `_ATOM`.  A compound one
         # pushes its frame.  A popped `_k_call` frame ends like an App, below.
-        step, get, k_call = _STEP, _ATOM.get, _k_call
-        App, Add, Var, IntLit, CspValue = S.App, S.Add, S.Var, S.IntLit, S.CspValue
+        step, comb, get, k_call = _STEP, _COMB, _ATOM.get, _k_call
+        App, Add, Comb, Var, IntLit, CspValue = S.App, S.Add, S.Comb, S.Var, S.IntLit, S.CspValue
         t, x = control
         while True:
             if t is None:
@@ -562,10 +582,9 @@ class Machine:
                     t, x = None, add_ints(left, right)  # raises
                 continue
             else:
-                try:
-                    fn = step[cls]
-                except KeyError:
-                    raise TypeError(f"unexpected term {t!r}") from None
+                fn = comb[t.name] if cls is Comb else step.get(cls)
+                if fn is None:
+                    raise TypeError(f"unexpected term {t!r}")
                 t, x = fn(self, t, x, stack)
                 continue
             if type(fn) is VClosure and (p := fn.param) != UNIT_BINDER and p != WILDCARD:

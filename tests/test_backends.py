@@ -52,6 +52,12 @@ def test_quote_lam_builds_fresh_binder():
     assert S.alpha_equal(tree, parse_plain("fun q -> q"))
 
 
+def test_quote_lam_and_scope_of_a_wildcard_bind_nothing():
+    assert S.pretty(quote_of(parse_term("lam (fun _ -> int 1)"))) == "fun x_1 -> 1"
+    assert S.pretty(quote_of(parse_term("lam ((fun f -> f) (fun _ -> int 1))"))) == "fun x_1 -> 1"
+    assert S.pretty(quote_of(parse_term("new_scope (fun _ -> int 1)"))) == "1"
+
+
 def test_eval_beta():
     term = c(
         "app",
@@ -335,13 +341,24 @@ def _quote_calls_and_nodes(depth):
 
 
 def test_quote_codegen_builds_each_combinator_node_in_a_few_calls():
-    # The machine builds a node combinator's node itself, and `int 1` is the
-    # literal it is applied to: about 5 calls a node, and linear in the tree.
+    # The machine builds a node combinator's node itself, and an `int 1`
+    # operand is the literal it is applied to, read with no frame: about 4
+    # calls a node, and linear in the tree.
     small, small_nodes = _quote_calls_and_nodes(5)
     large, large_nodes = _quote_calls_and_nodes(7)
     assert (small_nodes, large_nodes) == (63, 255)
-    assert small <= 6 * small_nodes and large <= 6 * large_nodes, (small, large)
+    assert small <= 4.3 * small_nodes and large <= 4.3 * large_nodes, (small, large)
     assert large <= 4.2 * small, (small, large)
+
+
+@pytest.mark.parametrize("n", [25, 100])
+def test_quote_codegen_inserts_each_quoted_let_in_a_few_calls(n):
+    # Each quoted let opens a scope on a literal `fun` and inserts one let,
+    # which joins the scope's list: no capture, and about 34 calls a let.
+    lets = "".join(f"let x{i} = x{i - 1} + 1 in " for i in range(1, n))
+    term = translate(parse_source(f".<let x0 = 1 in {lets}x{n - 1}>."))
+    calls = _python_calls(evaluate, term, "quote")
+    assert calls <= 36 * n, calls
 
 
 def test_translate_reads_emitted_code_back_with_no_call_per_node():

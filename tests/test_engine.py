@@ -94,7 +94,7 @@ _NODE_CASES = {
     S.Comb: (S.comb("pair", S.comb("int", S.IntLit(1)), S.comb("str", S.StrLit("s"))), '(1, "s")'),
 }
 _STAGING_FORMS = (S.Bracket, S.Escape, S.Csp)
-_LOOP_FORMS = (S.App, S.Add)  # run by the machine's loop itself
+_LOOP_FORMS = (S.App, S.Add, S.Comb)  # run by the machine's loop itself
 
 
 @pytest.mark.parametrize("cls", list(_NODE_CASES), ids=lambda cls: cls.__name__)
@@ -328,6 +328,12 @@ _CODE_GUARDS = [
     ("new_scope 1", "cannot apply a int value"),
     ("lam 1", "cannot apply a int value"),
     ("new_scope (fun p -> genlet p 1)", "expected a code value, got int"),
+    # A literal `fun` is bound in place, a closure through `_apply`: both
+    # keep the unit pattern's rule, and both name a scope `scope`.
+    ("new_scope (fun () -> nil)", "unit-pattern function applied to a non-unit value"),
+    ("new_scope ((fun f -> f) (fun () -> nil))", "unit-pattern function applied to a non-unit value"),
+    ("lam (fun x -> new_scope (fun p -> p))", "expected a code value, got scope"),
+    ("new_scope (fun p -> p 1)", "cannot apply a scope value"),
 ]
 
 

@@ -181,7 +181,7 @@ def test_repr_text():
     assert repr(let) == "Let(name='x', rhs=IntLit(value=1), body=Var(name='x'))"
     assert repr(S.Comb("nil", ())) == "Comb(name='nil', args=())"
     assert repr(TArrow(INT, TList(STR))) == "TArrow(arg=TInt(), result=TList(item=TStr()))"
-    assert repr(VScope(True)) == "VScope(fun=True, memo=None)"
+    assert repr(VScope(True)) == "VScope(fun=True, memo=None, depth=0, lets=[])"
     assert repr(Location(3, 1, 4)) == "Location(offset=3, line=1, column=4)"
 
 
