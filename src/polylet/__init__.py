@@ -4,7 +4,7 @@ The package parses staged programs, type-checks them with the level-
 indexed Hindley-Milner system, translates quotations away into plain
 terms over code combinators, and interprets those terms under three
 backends (text emission, quotation rebuilding, and running the rebuilt
-tree) with let insertion via delimited control.
+tree) with let insertion by state.
 """
 
 from .diagnostics import Diagnostic, Kind, Location

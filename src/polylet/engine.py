@@ -352,7 +352,7 @@ _OWN_CODE = {"int": S.IntLit, "str": S.StrLit}  # a literal is its own code
 
 
 def _own_code(m, e) -> Optional[VCode]:
-    """The literal that e is as code, read with no frame, if e is `int 1` or `str "s"`."""
+    """e's code, read with no frame, if e is `int` or `str` of its literal: that literal."""
     if type(e) is S.Comb and e.name in _OWN_CODE and type(e.args[0]) is _OWN_CODE[e.name] and m.backend is not None:
         return VCode(e.args[0])
     return None
@@ -406,7 +406,7 @@ def _comb_open(m, t, env, stack):
 def _k_open(m, f, v, stack):
     """Apply v to what `lam`, `new_scope` or `new_funscope` (f[1]) opens, a
     fresh binder's code or a new scope, over the frame that closes it.  v is
-    a closure, or a literal `fun`, whose parameter is bound in f[2] in place."""
+    a closure, or a literal `fun` in the environment f[2], run with none."""
     _, what, env = f
     backend = _backend(m)
     if what == "lam":
@@ -582,9 +582,10 @@ class Machine:
                     t, x = None, add_ints(left, right)  # raises
                 continue
             else:
-                fn = comb[t.name] if cls is Comb else step.get(cls)
-                if fn is None:
-                    raise TypeError(f"unexpected term {t!r}")
+                try:
+                    fn = comb[t.name] if cls is Comb else step[cls]
+                except KeyError:
+                    raise TypeError(f"unexpected term {t!r}") from None
                 t, x = fn(self, t, x, stack)
                 continue
             if type(fn) is VClosure and (p := fn.param) != UNIT_BINDER and p != WILDCARD:
