@@ -412,7 +412,7 @@ def test_eval_backend_nested_generated_functions_keep_their_own_bindings():
     assert ev.call(g1, VInt(30)) == VPair(VInt(1), VInt(30))
 
 
-# --- delimited control ---------------------------------------------------------
+# --- let insertion -------------------------------------------------------------
 
 
 def test_genlet_on_a_closed_scope_is_diagnosed():
@@ -429,8 +429,8 @@ def test_genlet_on_a_closed_scope_is_diagnosed():
 
 
 def test_insertion_reinstalls_delimiter():
-    # Two insertions under one scope: the second capture must find the
-    # prompt re-installed by the first one's splice.
+    # Two insertions under one scope: the prompt stays in place after the
+    # first, and wraps the code in both lets, the first made outermost.
     term = S.comb(
         "new_scope",
         S.Fun(
