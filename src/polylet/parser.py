@@ -7,9 +7,11 @@ only.  Comments are `(* ... *)` and nest.
 
 The parser reads the token texts that one `findall` returns and learns a
 token's kind from its first character where it needs the kind; it
-matches punctuation and keywords by their text.  `app` reads an integer
-or identifier at an application's head itself, at no `prefix` call; a
-level of nesting still takes three frames, `expr`, `app` and `prefix`.
+matches punctuation and keywords by their text.  `expr` reads an
+integer, a name or a `(` at an operand's head itself, at no `app` or
+`prefix` call, so a level of parenthesised nesting takes one frame,
+`expr`; a prefix form or a parenthesised argument takes two, `prefix`
+and `expr`.
 Comments nest, which a regex cannot match, so a text that may hold one
 is read token by token.  Only when a parse fails does `tokenize` read
 the text again, to raise any lexical error first and to give the failing
@@ -110,6 +112,8 @@ def tokenize(text: str) -> list[tuple]:
 class _Parser:
     """Recursive descent over the token texts, the last `""`; `tok` is the next."""
 
+    reserved = KEYWORDS  # the names that `expr` does not read as a variable
+
     def __init__(self, text: str, allow_staging: bool):
         self.text = text
         self.tokens = [t for t, _ in _scan(text)] if "(*" in text else _TOKEN.findall(text)
@@ -135,82 +139,100 @@ class _Parser:
 
     def expr(self) -> S.Expr:
         """Any `let x = e in` and `fun x ->` heads, then a sum: `+` folds
-        to the left over `::` chains, which fold to the right."""
+        to the left over `::` chains, which fold to the right.  An
+        operand's head that is an integer, a name outside `reserved` or a
+        `(` is read in place, so a level of nesting takes this one frame."""
         word = self.tok
+        next = self.next  # an instance attribute, looked up once a call
         heads: list | tuple = [] if word == "let" or word == "fun" else ()  # a list only if used
         while word == "let" or word == "fun":
-            self.tok = self.next()
-            name = self.binder()
+            self.tok = name = next()
+            c = name[:1]
+            if (c.isalpha() or c == "_") and name not in KEYWORDS:
+                self.tok = next()
+            else:
+                name = self.binder()
             if word == "let":
                 self.expect("=")
                 rhs = self.expr()
                 if self.tok != "in":
                     raise self.fail("expected 'in'")
-                self.tok = self.next()
+                self.tok = next()
             else:
                 self.expect("->")
                 rhs = None
             heads.append((name, rhs))
             word = self.tok
         e = None
+        items = []  # the operands of a `::` chain before `operand`
         while True:
-            operand = self.app()
+            text = self.tok
+            c = text[:1]
+            if text == "(":  # `()`, a pair or a parenthesised expression
+                self.tok = next()
+                if self.tok == ")":
+                    operand = S.Unit()
+                else:
+                    operand = self.expr()
+                    if self.tok == ",":
+                        self.tok = next()
+                        operand = S.Pair(operand, self.expr())
+                    if self.tok != ")":
+                        self.expect(")")  # raises
+                self.tok = next()
+            elif c.isdecimal():
+                try:
+                    operand = S.IntLit(int(text))
+                except ValueError:  # Python's integer-string limit, left in force
+                    raise self.fail(_int_limit()) from None
+                self.tok = next()
+            elif (c.isalpha() or c == "_") and text not in self.reserved:
+                self.tok = next()
+                operand = S.Var(text)
+            else:
+                operand = None
+            if operand is None:
+                operand = self.app()
+            else:
+                while self.tok not in _STOP:
+                    operand = S.App(operand, self.prefix())
             if self.tok == "::":
-                operand = self.cons(operand)
+                self.tok = next()
+                items.append(operand)
+                continue
+            while items:
+                operand = S.Cons(items.pop(), operand)
             e = operand if e is None else S.Add(e, operand)
             if self.tok != "+":
                 break
-            self.tok = self.next()
+            self.tok = next()
         for name, rhs in reversed(heads):
             e = S.Fun(name, e) if rhs is None else S.Let(name, rhs, e)
         return e
 
     def binder(self) -> str:
+        """A binder that is not a name: `()`, or an error."""
         text = self.tok
-        if _kind(text) == "ident":
-            if text in KEYWORDS:
-                raise self.fail(f"keyword {text!r} cannot be a binder")
-            self.tok = self.next()
-            return text
+        if text in KEYWORDS:
+            raise self.fail(f"keyword {text!r} cannot be a binder")
         if text == "(":
             self.tok = self.next()
             self.expect(")")
             return S.UNIT_BINDER
         raise self.fail("expected a binder")
 
-    def cons(self, head: S.Expr) -> S.Expr:
-        """The rest of a `::` chain that starts with `head`."""
-        items = [head]
-        while self.tok == "::":
-            self.tok = self.next()
-            items.append(self.app())
-        e = items.pop()
-        for head in reversed(items):
-            e = S.Cons(head, e)
-        return e
-
     def app(self) -> S.Expr:
-        """An application chain; an integer or identifier at its head is read in place."""
+        """An application chain whose head `expr` does not read in place:
+        `ref`, `rset`, or a `prefix` form."""
         text = self.tok
-        c = text[:1]
-        if c.isdecimal():
-            try:
-                e = S.IntLit(int(text))
-            except ValueError:  # Python's integer-string limit, left in force
-                raise self.fail(_int_limit()) from None
-            self.tok = self.next()
-        elif (c.isalpha() or c == "_") and text not in KEYWORDS:
-            self.tok = self.next()
-            e = S.Var(text)
-        elif text == "ref":
+        if text == "ref":
             self.tok = self.next()
             return S.RefNew(self.prefix())
-        elif text == "rset":
+        if text == "rset":
             self.tok = self.next()
             ref = self.prefix()
             return S.Rset(ref, self.prefix())
-        else:
-            e = self.prefix()
+        e = self.prefix()
         while self.tok not in _STOP:
             e = S.App(e, self.prefix())
         return e
@@ -218,19 +240,19 @@ class _Parser:
     def prefix(self) -> S.Expr:
         """An atom, or a prefix operator (`!`, `%`, `.~`) before one."""
         text = self.tok
-        if text == "(":
+        if text == "(":  # as `expr` reads it
             self.tok = self.next()
             if self.tok == ")":
-                self.tok = self.next()
-                return S.Unit()
-            first = self.expr()
-            if self.tok == ",":
-                self.tok = self.next()
-                second = self.expr()
-                self.expect(")")
-                return S.Pair(first, second)
-            self.expect(")")
-            return first
+                e = S.Unit()
+            else:
+                e = self.expr()
+                if self.tok == ",":
+                    self.tok = self.next()
+                    e = S.Pair(e, self.expr())
+                if self.tok != ")":
+                    self.expect(")")  # raises
+            self.tok = self.next()
+            return e
         c = text[:1]  # the token's kind, as `_kind` reads it
         if c.isdecimal():
             try:
@@ -282,6 +304,8 @@ class _TermParser(_Parser):
     """A combinator name applied to at least its number of arguments makes
     a `Comb` over that many, which any further arguments apply to; with
     fewer, the name is a plain variable."""
+
+    reserved = KEYWORDS.union(S.COMB_ARITY)
 
     def app(self) -> S.Expr:
         name = self.tok

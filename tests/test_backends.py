@@ -320,12 +320,17 @@ def _python_calls(f, *args):
     return calls
 
 
-def _balanced_sum(depth):
-    """The translation of a quoted balanced `+` tree of the given depth."""
+def _balanced_text(depth):
+    """A balanced `+` tree of the given depth, `2 ** depth - 1` nodes."""
     text = "1"
     for _ in range(depth):
         text = f"({text} + {text})"
-    return translate(parse_source(f".<{text}>."))
+    return text
+
+
+def _balanced_sum(depth):
+    """The translation of a quoted balanced `+` tree of the given depth."""
+    return translate(parse_source(f".<{_balanced_text(depth)}>."))
 
 
 def _quote_calls_and_nodes(depth):

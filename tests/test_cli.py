@@ -386,7 +386,7 @@ def test_bad_seed_env_is_a_usage_error(write, capsys, monkeypatch, seed):
 
 
 def test_deep_nesting_reports_resource_limit(write):
-    path = write("(1 + " * 400 + "1" + ")" * 400)
+    path = write("(1 + " * 1_000 + "1" + ")" * 1_000)
     src = os.path.dirname(os.path.dirname(polylet.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "polylet.cli", "typecheck", path],

@@ -7,6 +7,7 @@ from polylet import syntax as S
 from polylet.diagnostics import Diagnostic, Kind, location
 from polylet.parser import parse_plain, parse_source, parse_term, tokenize
 from polylet.unstage import translate
+from test_backends import _balanced_text, _python_calls
 
 
 def test_bracketed_addition():
@@ -250,10 +251,39 @@ def test_long_chains_parse_at_the_default_recursion_limit():
     assert _chain_length(conses, S.Cons, "tail") == (n, S.Nil())
 
 
+@pytest.mark.parametrize("parse", [parse_source, parse_plain])
+def test_deep_nesting_parses_at_the_default_recursion_limit(parse):
+    # A level of parenthesised nesting takes one frame, `expr`.
+    n = 900
+    texts = ["(1 + " * n + "1" + ")" * n, "(" * n + "1" + ")" * n, "(1, " * n + "1" + ")" * n]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        sums, parens, pairs = map(parse, texts)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert _chain_length(sums, S.Add, "right") == (n, S.IntLit(1))
+    assert parens == S.IntLit(1)
+    assert _chain_length(pairs, S.Pair, "second") == (n, S.IntLit(1))
+
+
+def test_parser_makes_a_few_calls_per_node():
+    # A parenthesised `+` node costs the inner `expr` and the `Add` and
+    # `IntLit` records; a quoted let, its right-hand side's `expr` and
+    # `expect('=')`, and its four records.
+    for depth in (5, 7):
+        calls = _python_calls(parse_plain, _balanced_text(depth))
+        assert calls <= 3.2 * (2**depth - 1), (depth, calls)
+    for n in (25, 100):
+        lets = "".join(f"let x{i} = x{i - 1} + 1 in " for i in range(1, n))
+        calls = _python_calls(parse_source, f".<let x0 = 1 in {lets}x{n - 1}>.")
+        assert calls <= 7 * n, (n, calls)
+
+
 def test_too_deep_nesting_is_a_resource_limit_at_the_default_recursion_limit():
     lets = "".join(f"let x{i} = {f'x{i - 1} + 1' if i else '1'} in " for i in range(300))
     term_text = S.pretty(translate(parse_source(f".<{lets}x299>.")))
-    cases = [(parse_term, term_text), (parse_source, "(1 + " * 400 + "1" + ")" * 400)]
+    cases = [(parse_term, term_text), (parse_source, "(1 + " * 1_000 + "1" + ")" * 1_000)]
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
