@@ -36,8 +36,8 @@ stack, a literal `fun` with no closure, so insertions may cross them.
 
 Values are records, immutable by convention, except `VRefCell.contents`
 (`rset`), `VScope.lets` (`genlet`) and `VScope.memo` (written once, by
-`genletfun`): dataclass generates only their `__init__`, and `__repr__`,
-`__eq__` and `__hash__` are shared.  `render_value` prints them through
+`genletfun`): `records` makes their `__init__` and shares `__repr__`,
+`__eq__` and `__hash__`.  `render_value` prints them through
 the one layout printer, `diagnostics.render_layout`, so a value of any
 depth prints.
 """

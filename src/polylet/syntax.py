@@ -13,8 +13,8 @@ node over new children.  The explicit-stack walkers `scan` and
 `is_plain` skip leaves through a per-class getter table, which gives
 `is_plain` the children of every plain node through C getters too.
 Nodes, like types and values, are records, immutable by convention:
-dataclass generates only their `__init__`, and `__repr__`, `__eq__` and
-`__hash__` are the ones `records` shares.  `pretty` prints, as types and
+`records` makes their `__init__`, and `__repr__`, `__eq__` and `__hash__`
+are the ones it shares.  `pretty` prints, as types and
 values print, through the one layout printer,
 `diagnostics.render_layout`, from a table of each class's layout.
 """

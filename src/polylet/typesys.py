@@ -2,8 +2,8 @@
 
 Unification works on mutable type-variable cells with an occurs check and
 path compression, so each inference run owns its substitution implicitly.
-Every other type is a record, immutable by convention: dataclass generates
-only its `__init__`, and `__repr__`, `__eq__` and `__hash__` are shared.
+Every other type is a record, immutable by convention: `records` makes its
+`__init__` and shares `__repr__`, `__eq__` and `__hash__`.
 
 Let-bound sharing makes a type a DAG whose tree can be exponential.  The
 walkers (`resolve`, `occurs`, `unify`, `free_type_vars`, `_subst`) are

@@ -5,13 +5,17 @@ has a `__dict__`, and neither has a type scheme or a type environment;
 ground values, nodes, types and locations compare and hash by value, and
 only within their own class; cells, closures, schemes and persisted values
 compare by identity; and running the pipeline assigns no field of a tree.
-Dataclass generates each record's `__init__` only: the other methods are
-the ones `records` shares, and give what dataclass's own would.
+Dataclass gives each record its fields, slots and `__match_args__` only:
+the methods, `__init__` among them, are the ones `records` makes or shares,
+and give what dataclass's own would.
 """
 
 import dataclasses
 import gc
 import inspect
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -162,6 +166,74 @@ def test_records_share_every_method_but_init():
         ]
         assert generated == ["__init__"], cls
     assert len(classes - IDENTITY_CLASSES) == 36
+
+
+def test_init_takes_the_fields_in_order_with_their_defaults():
+    empty = inspect.Parameter.empty
+    for cls in _record_classes():
+        params = list(inspect.signature(cls.__init__).parameters.values())
+        assert params[0].name == "self", cls
+        fields = dataclasses.fields(cls)
+        assert [p.name for p in params[1:]] == [f.name for f in fields], cls
+        for p, f in zip(params[1:], fields):
+            if f.default_factory is not dataclasses.MISSING:
+                assert p.default is not empty and getattr(cls(), f.name) == f.default_factory()
+            else:
+                assert p.default is (empty if f.default is dataclasses.MISSING else f.default)
+
+
+def test_each_scope_gets_its_own_list_of_lets():
+    first, second = VScope(), VScope()
+    assert first.lets == second.lets == []
+    assert first.lets is not second.lets
+    lets = [("t_1", S.IntLit(1))]
+    assert VScope(lets=lets).lets is lets
+
+
+def test_a_node_is_built_by_keyword_and_by_replace():
+    let = S.Let(body=Y, rhs=S.IntLit(1), name="x")
+    assert let == S.Let("x", S.IntLit(1), Y)
+    again = dataclasses.replace(let, rhs=S.IntLit(2))
+    assert again == S.Let("x", S.IntLit(2), Y) and let.rhs == S.IntLit(1)
+    scope = dataclasses.replace(VScope(True), depth=3)
+    assert (scope.fun, scope.memo, scope.depth, scope.lets) == (True, None, 3, [])
+    with pytest.raises(TypeError):
+        S.Let("x", S.IntLit(1))
+    with pytest.raises(ValueError, match="given 1"):
+        dataclasses.replace(S.Comb("pair", (X, Y)), args=(X,))
+
+
+_IMPORT_WITHOUT_DATACLASS_INIT = """
+import dataclasses, inspect
+
+def no_signature(*args, **kwargs):
+    raise RuntimeError("inspect.signature called")
+
+calls, dataclass = [], dataclasses.dataclass
+
+def recording(cls=None, /, **kwargs):
+    calls.append(kwargs)
+    return dataclass(cls, **kwargs)
+
+inspect.signature, dataclasses.dataclass = no_signature, recording
+import polylet, polylet.cli
+print(len(calls), all(kwargs.get("init") is False for kwargs in calls))
+"""
+
+
+def test_importing_polylet_makes_no_init_through_dataclass():
+    # Dataclass would `exec` each record's `__init__`, and build the
+    # docstring of each record without one through `inspect.signature`.
+    src = os.path.dirname(os.path.dirname(records.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_WITHOUT_DATACLASS_INIT],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "42 True\n"
 
 
 def test_type_variables_keep_the_c_level_identity_hash():
