@@ -9,15 +9,15 @@ expected value or diagnostic when the generated code runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import syntax as S
 from .diagnostics import Kind
 from .engine import VList, VRefCell
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class Observe:
     """Expected first-order behaviour across backends."""
 
@@ -26,7 +26,7 @@ class Observe:
     mutable_csp: bool = False  # the string leg must be skipped
 
 
-@dataclass(frozen=True)
+@record
 class CorpusEntry:
     name: str
     note: str

@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
 
 from . import syntax as S
 from . import target as T
@@ -35,12 +34,13 @@ from .corpus import ENTRIES, KNOWN_DIVERGENCES, CorpusEntry
 from .diagnostics import Diagnostic, Kind
 from .engine import Machine, RuntimeValue, VCode, parse_value_literal, render_value
 from .parser import parse_plain, parse_source, parse_term
+from .records import record
 from .typecheck import infer_staged
 from .typesys import TypeEnv, render_scheme
 from .unstage import translate
 
 
-@dataclass(frozen=True)
+@record
 class CheckResult:
     name: str
     status: str  # "pass" | "fail" | "skip" | "known-divergence"

@@ -1,17 +1,18 @@
 """Call-by-value evaluator for translated terms, with let insertion by state.
 
-A `Machine` is one run of a term, with its name supply, code backend
-and final value.  It is defunctionalized: the continuation is an
-explicit stack of frames, and a scope's prompt is a frame.  Let
-insertion is by state (Sumii & Kobayashi, HOSC 2001): `genlet` adds its
-binding to the scope's list of lets and goes on, and the prompt, as it
-pops, wraps the scope's code in them, the first outermost.  The paper's
-`genlet` is shift0 to the prompt, but the segment it captures is resumed
-once, at once, in place: shift0 would put it back over a frame that
-builds the same let, above the frames of the lets inserted before, so
-the two give the same code.  Generated code runs like any other entry,
-on a fresh stack from an empty environment: a let insertion there
-reaches only a prompt that the running code installed itself.
+A `Machine` is one run of a term, with its name supply, the name of its
+code backend and its final value.  It is defunctionalized: the
+continuation is an explicit stack of frames, and a scope's prompt is a
+frame.  Let insertion is by state (Sumii & Kobayashi, HOSC 2001):
+`genlet` adds its binding to the scope's list of lets and goes on, and
+the prompt, as it pops, wraps the scope's code in them, the first
+outermost.  The paper's `genlet` is shift0 to the prompt, but the
+segment it captures is resumed once, at once, in place: shift0 would put
+it back over a frame that builds the same let, above the frames of the
+lets inserted before, so the two give the same code.  Generated code
+runs like any other entry, on a fresh stack from an empty environment: a
+let insertion there reaches only a prompt that the running code
+installed itself.
 
 The control is a pair: `(term, env)` evaluates a term, and `(None,
 value)` returns a value to the frame on top of the stack.  The loop runs
@@ -27,12 +28,16 @@ never boxed).  Binding is copy-and-store: `env.copy()`, then one store.
 Pair components evaluate right to left, mirroring the host language;
 every other position is left to right.
 
-Code is built here too.  A node combinator (`add`, `app`, `pair`,
-`cons`, `rset_`, `ref_`, `rget`) builds its node from its operands'
-trees, and `int` of an integer literal, or `str` of a string literal,
-is that literal, read with no frame; the backend lifts any other value.
-`lam`, the scope builders and `genletfun` apply their function on this
-stack, a literal `fun` with no closure, so insertions may cross them.
+Code is built here too, under every backend.  A node combinator (`add`,
+`app`, `pair`, `cons`, `rset_`, `ref_`, `rget`) builds its node from its
+operands' trees, and `int` of an integer literal, or `str` of a string
+literal, is that literal, read with no frame.  `lam`, the scope builders
+and `genletfun` apply their function on this stack, a literal `fun` with
+no closure, so insertions may cross them.  Three steps read the backend's
+name, and only eval differs: it lifts a value as itself, never rebuilt;
+`lam`'s binders start `dynamic`, not `x`; and `genlet` runs its
+right-hand side at once and inserts nothing.  The string backend builds
+what quote builds; `backends.evaluate` prints it.
 
 Values are records, immutable by convention, except `VRefCell.contents`
 (`rset`), `VScope.lets` (`genlet`) and `VScope.memo` (written once, by
@@ -341,10 +346,43 @@ def _backend(m):
 
 
 def _code_tree(m, v: RuntimeValue) -> S.Expr:
-    label = _backend(m).label
+    backend = _backend(m)
     if type(v) is not VCode:
-        raise type_error(f"{label} backend got a non-code operand ({runtime_tag(v)})")
+        raise type_error(f"{backend} backend got a non-code operand ({runtime_tag(v)})")
     return v.code
+
+
+def value_to_literal(v: RuntimeValue, built: dict | None = None) -> Optional[S.Expr]:
+    """Rebuild a ground value as a literal tree; None if not ground.  Each
+    distinct value is rebuilt once (`built` keeps its tree by id), so the
+    tree shares what the value shares."""
+    if built is None:
+        built = {}
+    tree = built.get(id(v))
+    if tree is not None:
+        return tree
+    if isinstance(v, VInt):
+        tree = S.IntLit(v.value)
+    elif isinstance(v, VStr):
+        tree = S.StrLit(v.value)
+    elif isinstance(v, VUnit):
+        tree = S.Unit()
+    elif isinstance(v, VList):
+        tree = S.Nil()
+        for item in reversed(v.items):
+            part = value_to_literal(item, built)
+            if part is None:
+                return None
+            tree = S.Cons(part, tree)
+    elif isinstance(v, VPair):
+        a, b = value_to_literal(v.first, built), value_to_literal(v.second, built)
+        if a is None or b is None:
+            return None
+        tree = S.Pair(a, b)
+    else:
+        return None
+    built[id(v)] = tree
+    return tree
 
 
 _NODE_OF = {name: cls for cls, name in S.COMB_OF.items()}
@@ -394,8 +432,10 @@ def _comb_unary(m, t, env, stack):
 
 
 def _k_unary(m, f, v, stack):
-    node = f[1]  # None: a lift
-    return None, VCode(_backend(m).lift(v) if node is None else node(_code_tree(m, v)))
+    node = f[1]  # None: a lift, which eval shares and the others rebuild if ground
+    if node is not None:
+        return None, VCode(node(_code_tree(m, v)))
+    return None, VCode(S.CspValue(v) if _backend(m) == "eval" else value_to_literal(v) or S.CspValue(v))
 
 
 def _comb_open(m, t, env, stack):
@@ -410,7 +450,7 @@ def _k_open(m, f, v, stack):
     _, what, env = f
     backend = _backend(m)
     if what == "lam":
-        binder = m.gensym(backend.binder_prefix)
+        binder = m.gensym("dynamic" if backend == "eval" else "x")
         stack.append((_k_lam, binder))
         arg = VCode(S.Var(binder))
     else:
@@ -428,22 +468,24 @@ def _k_lam(m, f, v, stack):
 
 
 def _k_genlet(m, f, v, stack):
-    # Let insertion by state: the binding that the backend gives, if any,
-    # joins the scope's lets, and the continuation goes on in place (see the
-    # module docstring).  The prompt must be on this stack, an O(1) test by
-    # its index: eval runs a right-hand side on a fresh stack.
+    # Let insertion by state: the binding joins the scope's lets, and the
+    # continuation goes on in place (see the module docstring).  Eval runs
+    # the right-hand side now, on a fresh stack, inserts nothing, and goes on
+    # with its value.  The prompt must be on this stack, an O(1) test by its
+    # index.
     scope = f[1]
-    _backend(m)
+    backend = _backend(m)
     if not isinstance(scope, VScope):
         raise type_error("genlet expects a scope")
-    code = _as_code(v)
+    code = _as_code(v).code
     i = scope.depth
     if not (i < len(stack) and stack[i][0] is _k_prompt and stack[i][1] is scope):
         raise Diagnostic(Kind.SCOPE_EXTRUSION, "prompt not active: scope already closed")
-    resume_value, binding = m.backend.genlet_parts(m, code)
-    if binding is not None:
-        scope.lets.append(binding)
-    return None, resume_value
+    if backend == "eval":
+        return None, VCode(S.CspValue(m.execute(code)))
+    name = m.gensym("t")
+    scope.lets.append((name, code))
+    return None, VCode(S.Var(name))
 
 
 def _k_genletfun(m, f, v, stack):
@@ -475,11 +517,14 @@ _COMB = {
 
 
 class Machine:
-    """One run, and its result: `backends.evaluate` returns the machine,
+    """One run under the backend its name gives (None: a plain
+    evaluation), and its result: `backends.evaluate` returns the machine,
     with the final `value`, so that an eval-backend tree can be run
     (`force`), and the functions it makes applied (`call`), afterwards."""
 
-    def __init__(self, backend=None, name_start: int = 1):
+    def __init__(self, backend: str | None = None, name_start: int = 1):
+        if backend not in (None, "quote", "string", "eval"):
+            raise ValueError(f"unknown backend {backend!r}")
         self.backend = backend
         self.value = None  # the final value, set by `backends.evaluate`
         self._name_start = name_start
@@ -493,9 +538,9 @@ class Machine:
         return self._loop((term, env or {}), [])
 
     def force(self) -> RuntimeValue:
-        """The final value; an eval-backend tree (a bare one) is run to a
+        """The final value; under eval, a code value's tree is run to a
         result, again on each call."""
-        if isinstance(self.value, VCode) and isinstance(self.value.code, S.Expr):
+        if self.backend == "eval" and isinstance(self.value, VCode):
             return self.execute(self.value.code)
         return self.value
 

@@ -310,11 +310,12 @@ _MODES = {
     "plain": (parse_plain, None),
     "term": (parse_term, None),
     "quote": (parse_term, "quote"),
+    "string": (parse_term, "string"),
     "eval": (parse_term, "eval"),
 }
 
 
-# Guards that the quote and eval backends share; `{}` is the backend's name.
+# Guards that every backend shares; `{}` is the backend's name.
 # A node combinator checks its operands in field order, after evaluating
 # them all (a pair's right to left).
 _CODE_GUARDS = [
@@ -340,7 +341,7 @@ _CODE_GUARDS = [
 @pytest.mark.parametrize(
     "mode, text, message",
     [
-        *[(mode, text, message.format(mode)) for mode in ("quote", "eval") for text, message in _CODE_GUARDS],
+        *[(mode, text, message.format(mode)) for mode in ("quote", "string", "eval") for text, message in _CODE_GUARDS],
         ("plain", "1 2", "cannot apply a int value"),
         ("plain", "(fun x -> x) (ref 1) 2", "cannot apply a ref value"),
         ("plain", '1 + "a"', "addition of non-integers"),
@@ -369,6 +370,19 @@ def test_run_time_guards_raise_type_errors(mode, text, message):
         evaluate(parse(text), backend).force()
     assert exc.value.kind is Kind.TYPE_ERROR
     assert exc.value.message == message
+
+
+@pytest.mark.parametrize("backend", ["bogus", ""])
+def test_an_unknown_backend_name_is_refused(backend):
+    with pytest.raises(ValueError, match=f"^unknown backend {backend!r}$"):
+        evaluate(S.IntLit(1), backend)
+
+
+def test_force_runs_code_only_under_eval():
+    # A plain run that holds a code value returns it, and does not run it.
+    code = VCode(S.Add(S.IntLit(1), S.IntLit(2)))
+    assert evaluate(S.CspValue(code), None).force() is code
+    assert render_value(evaluate(parse_term("add (int 1) (int 2)"), "eval").force()) == "3"
 
 
 # --- rset tag check -----------------------------------------------------------
